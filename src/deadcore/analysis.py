@@ -13,7 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fraclap import assemble
-from .grid import Grid, GridFunction, GridSpec, TailModel, discrete_derivative, make_grid, sup_on_ball
+from .grid import (
+    Grid,
+    GridFunction,
+    GridSpec,
+    TailModel,
+    dead_core_interval,
+    discrete_derivative,
+    make_grid,
+    mask_runs,
+    sup_on_ball,
+)
 from .profiles import growth_exponent
 from .solver import ReactionSpec, SolveReport, SolverConfig, solve, solve_local
 
@@ -36,28 +46,6 @@ __all__ = [
 ]
 
 _SMALL_SUP = 1e-8  # pragmatic smallness scale for the growth probe's assertion
-
-
-def dead_core_interval(x: np.ndarray, u: np.ndarray, threshold: float):
-    """Endpoints of the longest contiguous run with |u| <= threshold, or None."""
-    mask = np.abs(u) <= threshold
-    if not mask.any():
-        return None
-    best_len, best = 0, None
-    i = 0
-    n = mask.size
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            if j - i + 1 > best_len:
-                best_len, best = j - i + 1, (i, j)
-            i = j + 1
-        else:
-            i += 1
-    i0, i1 = best
-    return float(x[i0]), float(x[i1])
 
 
 def detect_dead_core(u: GridFunction, threshold: float):
@@ -94,21 +82,8 @@ def detect_branching(
     if not cand.any():
         return np.array([])
     score = v0 / t0 + v1 / t1 + v2 / t2
-    xs = []
-    i = 0
-    n = cand.size
     x_int = u.grid.x_interior
-    while i < n:
-        if cand[i]:
-            j = i
-            while j + 1 < n and cand[j + 1]:
-                j += 1
-            k = i + int(np.argmin(score[i : j + 1]))
-            xs.append(x_int[k])
-            i = j + 1
-        else:
-            i += 1
-    return np.array(xs)
+    return np.array([x_int[i + np.argmin(score[i : j + 1])] for i, j in mask_runs(cand)])
 
 
 @dataclass

@@ -65,7 +65,10 @@ def _parse_number(text: str) -> float:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
-        return float(num) / float(den)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError:
+            raise ConfigError(f"division by zero in {text!r}") from None
     return float(text)
 
 
@@ -97,16 +100,15 @@ def _check_keys(cfg: dict[str, str], mode: str, path: str) -> None:
             raise ConfigError(f"{path}: unknown key {key!r} for mode {mode}")
 
 
-def _grid_from(cfg: dict[str, str], default_R: float | None = None):
+def _grid_spec_from(cfg: dict[str, str]) -> GridSpec:
     h = _parse_number(cfg["h"])
     a = _parse_number(cfg["a"])
-    if "R" in cfg:
-        R = _parse_number(cfg["R"])
-    elif default_R is not None:
-        R = default_R
-    else:
-        R = 2 * a
-    return make_grid(GridSpec(h=h, a=a, R=R))
+    R = _parse_number(cfg["R"]) if "R" in cfg else 2 * a
+    return GridSpec(h=h, a=a, R=R)
+
+
+def _grid_from(cfg: dict[str, str]):
+    return make_grid(_grid_spec_from(cfg))
 
 
 def _reaction_from(cfg: dict[str, str]) -> ReactionSpec:
@@ -314,6 +316,8 @@ def _run_slimit(cfg, path, out_dir, stem, seed):
 
 def _run_validate(cfg, path, out_dir, stem, seed):
     _require(cfg, ("s", "gamma"), path)
+    if "h" in cfg and "a" in cfg:
+        _grid_spec_from(cfg)  # the checks solve applies, without allocating nodes
     rep = profiles.validate_params(
         _parse_number(cfg["s"]), _parse_number(cfg["gamma"])
     )

@@ -1,6 +1,6 @@
-"""Sequential Gauss-Seidel polish kernels, numba-accelerated with a numpy fallback.
+"""Exact coordinate roots and the sequential Gauss-Seidel polish sweeps.
 
-Each kernel sweeps the nodes in natural order and replaces one unknown at a
+Each sweep visits the nodes in natural order and replaces one unknown at a
 time with the exact root of its scalar coordinate equation
 d*t + f(t) = q, where f is the absorption term.  Every such update is an
 exact coordinate minimization of the convex energy, so sweeps never increase
@@ -11,57 +11,26 @@ bracket endpoints are adjacent doubles (the midpoint equals one of them), when
 the bracket is narrower than 1e-280, or after 220 halvings; a root below
 1e-280 in magnitude is snapped to an exact zero.
 
-Backend selection: the environment variable DEADCORE_BACKEND (auto, numba,
-numpy) picks the implementation at import; set_backend() overrides at run
-time.  The numpy fallback runs the coordinate loop over Python floats and
-applies the dense column update as one numpy operation, with the same
-elementwise double arithmetic as the numba kernels.
+The coordinate loops run over Python floats, which do the same double
+arithmetic as numpy scalars, faster; the dense column update is one numpy
+operation.  The solver's proximal step uses the same scalar root.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
-import numpy as np
-
-__all__ = [
-    "set_backend",
-    "current_backend",
-    "gs_polish_tridiag",
-    "gs_polish_dense",
-    "warmup",
-]
-
-_VALID = ("auto", "numba", "numpy")
-_requested = os.environ.get("DEADCORE_BACKEND", "auto").lower()
-if _requested not in _VALID:
-    raise RuntimeError(f"DEADCORE_BACKEND must be one of {_VALID}, got {_requested!r}")
+__all__ = ["scalar_root", "gs_polish_tridiag", "gs_polish_dense"]
 
 _ROOT_ITERS = 220
 _SNAP = 1e-280
 
 
-def set_backend(name: str) -> None:
-    """Force the kernel backend: 'auto', 'numba', or 'numpy'."""
-    global _requested
-    if name not in _VALID:
-        raise ValueError(f"backend must be one of {_VALID}")
-    _requested = name
+def scalar_root(d: float, q: float, gamma: float, one_phase: bool) -> float:
+    """Root t of d*t + f(t) = q with f(t) = sgn(t)|t|^gamma (d > 0).
 
-
-def current_backend() -> str:
-    """Resolved backend name ('numba' or 'numpy')."""
-    if _requested == "numpy":
-        return "numpy"
-    if _have_numba:
-        return "numba"
-    if _requested == "numba":
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return "numpy"
-
-
-def _scalar_root_py(d: float, q: float, gamma: float, one_phase: bool) -> float:
+    In one-phase mode f vanishes for t <= 0, so q <= 0 gives exactly q/d.
+    """
     if one_phase and q <= 0.0:
         return q / d
     if q == 0.0:
@@ -96,8 +65,9 @@ def _scalar_root_py(d: float, q: float, gamma: float, one_phase: bool) -> float:
     return 0.0 if abs(out) < _SNAP else out
 
 
-def _gs_tridiag_py(dl, d, du, b, u, gamma, one_phase, sweeps):
-    # Python floats do the same double arithmetic as numpy scalars, faster.
+def gs_polish_tridiag(dl, d, du, b, u, gamma, one_phase, sweeps=8):
+    """In-place coordinate sweeps for a tridiagonal system; returns u."""
+    gamma, one_phase = float(gamma), bool(one_phase)
     dl, d, du, b, v = dl.tolist(), d.tolist(), du.tolist(), b.tolist(), u.tolist()
     n = len(v)
     for _ in range(sweeps):
@@ -107,86 +77,22 @@ def _gs_tridiag_py(dl, d, du, b, u, gamma, one_phase, sweeps):
                 q -= dl[i - 1] * v[i - 1]
             if i < n - 1:
                 q -= du[i] * v[i + 1]
-            v[i] = _scalar_root_py(d[i], q, gamma, one_phase)
+            v[i] = scalar_root(d[i], q, gamma, one_phase)
     u[:] = v
     return u
 
 
-def _gs_dense_py(A, b, u, gamma, one_phase, sweeps):
+def gs_polish_dense(A, b, u, gamma, one_phase, sweeps=2):
+    """In-place coordinate sweeps for a dense system; returns u."""
+    gamma, one_phase = float(gamma), bool(one_phase)
     d, b, v = A.diagonal().tolist(), b.tolist(), u.tolist()
     Au = A @ u
     for _ in range(sweeps):
         for i in range(len(v)):
             q = d[i] * v[i] - float(Au[i]) - b[i]
-            t = _scalar_root_py(d[i], q, gamma, one_phase)
+            t = scalar_root(d[i], q, gamma, one_phase)
             if t != v[i]:
                 Au += A[:, i] * (t - v[i])
                 v[i] = t
     u[:] = v
     return u
-
-
-try:
-    from numba import njit
-
-    _have_numba = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _have_numba = False
-
-if _have_numba:
-    _scalar_root_nb = njit(cache=True)(_scalar_root_py)
-
-    @njit(cache=True)
-    def _gs_tridiag_nb(dl, d, du, b, u, gamma, one_phase, sweeps):
-        n = u.size
-        for _ in range(sweeps):
-            for i in range(n):
-                q = -b[i]
-                if i > 0:
-                    q -= dl[i - 1] * u[i - 1]
-                if i < n - 1:
-                    q -= du[i] * u[i + 1]
-                u[i] = _scalar_root_nb(d[i], q, gamma, one_phase)
-        return u
-
-    @njit(cache=True)
-    def _gs_dense_nb(A, b, u, gamma, one_phase, sweeps):
-        n = u.size
-        d = np.empty(n)
-        for i in range(n):
-            d[i] = A[i, i]
-        Au = A @ u
-        for _ in range(sweeps):
-            for i in range(n):
-                q = d[i] * u[i] - Au[i] - b[i]
-                t = _scalar_root_nb(d[i], q, gamma, one_phase)
-                if t != u[i]:
-                    dt = t - u[i]
-                    for j in range(n):
-                        Au[j] += A[j, i] * dt
-                    u[i] = t
-        return u
-
-
-def gs_polish_tridiag(dl, d, du, b, u, gamma, one_phase, sweeps=8):
-    """In-place coordinate sweeps for a tridiagonal system; returns u."""
-    if current_backend() == "numba":
-        return _gs_tridiag_nb(dl, d, du, b, u, float(gamma), bool(one_phase), sweeps)
-    return _gs_tridiag_py(dl, d, du, b, u, float(gamma), bool(one_phase), sweeps)
-
-
-def gs_polish_dense(A, b, u, gamma, one_phase, sweeps=2):
-    """In-place coordinate sweeps for a dense system; returns u."""
-    if current_backend() == "numba":
-        return _gs_dense_nb(A, b, u, float(gamma), bool(one_phase), sweeps)
-    return _gs_dense_py(A, b, u, float(gamma), bool(one_phase), sweeps)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs so timed runs stay honest."""
-    dl = np.array([-1.0, -1.0])
-    d = np.array([2.0, 2.0, 2.0])
-    b = np.array([0.1, -0.2, 0.1])
-    gs_polish_tridiag(dl, d, dl.copy(), b, np.zeros(3), 0.2, False, 1)
-    A = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    gs_polish_dense(A, np.array([0.1, 0.1]), np.zeros(2), 0.2, True, 1)

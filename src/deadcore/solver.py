@@ -30,7 +30,7 @@ from scipy.linalg import solveh_banded
 
 from . import kernels
 from .fraclap import FracLapOperator
-from .grid import Grid, GridFunction, TailModel
+from .grid import Grid, GridFunction, TailModel, dead_core_interval
 
 __all__ = [
     "ReactionSpec",
@@ -155,24 +155,6 @@ def reaction_energy(u: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
     return u * reaction_value(u, gamma, one_phase) / (1.0 + gamma)
 
 
-def _vector_root(d: np.ndarray, q: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
-    """Vectorized deep bisection for d*t + f(t) = q (the proximal step)."""
-    lo = np.minimum(q / d, 0.0)
-    hi = np.maximum(q / d, 0.0)
-    for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break  # every bracket is down to adjacent doubles: a fixed point
-        g = d * mid + reaction_value(mid, gamma, one_phase) - q
-        neg = g < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-        if np.all(hi - lo <= 1e-280 + 1e-16 * np.abs(lo)):
-            break
-    out = 0.5 * (lo + hi)
-    return np.where(np.abs(out) < 1e-280, 0.0, out)
-
-
 class _DenseSystem:
     def __init__(self, A: np.ndarray):
         self.A = A
@@ -246,7 +228,6 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, data_su
     gamma, one_phase = reaction.gamma, reaction.one_phase
     tol = config.residual_tol
     eps = reaction.eps if reaction.eps > 0 else max(1e-8 * data_sup, 1e-300)
-    n = b.size
 
     u = system.init_solve(b)
     if clip:
@@ -299,10 +280,10 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, data_su
                     break
                 t *= 0.5
             if not accepted:
-                v = u - system.tau * (system.matvec(u) + b)
-                un = _vector_root(
-                    np.full(n, 1.0 / system.tau), v / system.tau, gamma, one_phase
-                )
+                # proximal-gradient step: per node, the root of d*t + f(t) = q
+                d = 1.0 / system.tau
+                q = (u - system.tau * (system.matvec(u) + b)) / system.tau
+                un = np.array([kernels.scalar_root(d, qi, gamma, one_phase) for qi in q.tolist()])
                 if clip:
                     un = np.maximum(un, 0.0)
                 Jn = _energy(system, b, h, un, gamma, one_phase)
@@ -336,8 +317,6 @@ def _beta(s: float, gamma: float) -> float:
 
 def _find_free_boundary(x_int: np.ndarray, u: np.ndarray, tau: float, a: float, h: float):
     """Interior edge of the largest |u| <= tau run, or None."""
-    from .analysis import dead_core_interval
-
     core = dead_core_interval(x_int, u, tau)
     if core is None:
         return None

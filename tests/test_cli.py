@@ -1,13 +1,17 @@
 """Command-line front end: config parsing, modes, exit codes, determinism."""
 
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from deadcore.cli import ConfigError, main, read_config
+from deadcore.cli import _MODE_KEYS, ConfigError, main, read_config
 
 
 def write_config(path, **keys):
@@ -76,6 +80,58 @@ class TestExitCodes:
         )
         code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
+
+    def test_division_by_zero_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", **{**SOLVE_KEYS, "h": "1/0"})
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert "division by zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_validate_checks_the_grid(self, tmp_path, capsys, dry_run):
+        cfg = write_config(tmp_path / "c.cfg", h="0.3", a="1", s="0.75", gamma="0.2")
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path / "o"), *dry_run])
+        assert code == 2
+        assert "status=ok" not in capsys.readouterr().out
+
+
+_NUMBER = st.one_of(
+    st.sampled_from(["1/16", "1", "2", "0.75", "0.2", "1/0", "0/0", "1/2/3", "1e400", "1e-320", ""]),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.integers(-5, 300), st.integers(-5, 300)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.text(max_size=12),
+)
+_CONFIG_TEXT = st.tuples(
+    st.fixed_dictionaries({}, optional={k: _NUMBER for k in ("h", "a", "R", "s", "gamma")}),
+    st.dictionaries(
+        st.sampled_from(sorted(set().union(*_MODE_KEYS.values()))) | st.text(max_size=6),
+        _NUMBER,
+        max_size=4,
+    ),
+    st.lists(st.text(max_size=20), max_size=2),
+).map(lambda t: "".join(f"{k} = {v}\n" for k, v in {**t[0], **t[1]}.items()) + "\n".join(t[2]))
+
+
+class TestAnyConfigText:
+    """validate and --dry-run exit with 0, 2 or 3 on any config text."""
+
+    @given(text=_CONFIG_TEXT)
+    @example(text="s = 0.75\ngamma = 0.2\nh = 1/0\na = 1\n")
+    @example(text="s = 0.75\ngamma = 0.2\nh = 1e-320\na = 1\n")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_exit_code_is_0_2_or_3(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.cfg")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "out")
+            for argv in (["validate"], ["solve", "--dry-run"]):
+                try:
+                    code = main([*argv, "--config", path, "--out", out])
+                except SystemExit as exc:
+                    code = exc.code
+                assert code in (0, 2, 3)
 
 
 class TestModes:

@@ -12,6 +12,7 @@ from deadcore import (
     make_grid,
     sup_on_ball,
 )
+from deadcore.grid import dead_core_interval, mask_runs
 
 
 class TestGridSpec:
@@ -38,6 +39,8 @@ class TestGridSpec:
             (1 / 16, 1.0, 2.0 + 0.001, "integer"),
             (0.5, 1.0, 4.0, "at least 4"),
             (1 / 16, 1.0, 1.5, "R >= 2a"),
+            (1e-320, 1.0, 2.0, "integer"),  # a/h overflows to inf
+            (1.0, float("inf"), float("inf"), "integer"),
         ],
     )
     def test_rejects_bad_parameters(self, h, a, R, msg):
@@ -219,3 +222,33 @@ class TestHolderSeminorm:
         for alpha in (0.0, 1.5, -0.2):
             with pytest.raises(ValueError, match="alpha"):
                 holder_seminorm(u, alpha)
+
+
+class TestMaskRuns:
+    @staticmethod
+    def _runs_loop(mask):
+        runs, i, n = [], 0, mask.size
+        while i < n:
+            if mask[i]:
+                j = i
+                while j + 1 < n and mask[j + 1]:
+                    j += 1
+                runs.append([i, j])
+                i = j + 1
+            else:
+                i += 1
+        return runs
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(3)
+        for n in range(30):
+            for _ in range(20):
+                mask = rng.random(n) < rng.random()
+                assert mask_runs(mask).tolist() == self._runs_loop(mask)
+
+    def test_longest_dead_core_tie_takes_leftmost(self):
+        x = np.arange(9.0)
+        u = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        assert dead_core_interval(x, u, 0.0) == (6.0, 8.0)
+        u[8] = 1.0
+        assert dead_core_interval(x, u, 0.0) == (0.0, 1.0)

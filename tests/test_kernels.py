@@ -1,87 +1,41 @@
-"""Backend selection and coordinate-sweep kernels."""
-
-import os
-import subprocess
-import sys
+"""Exact coordinate roots and the Gauss-Seidel sweep kernels."""
 
 import numpy as np
 import pytest
 
-from deadcore import kernels
-from deadcore.kernels import (
-    _scalar_root_py,
-    current_backend,
-    gs_polish_dense,
-    gs_polish_tridiag,
-    set_backend,
-)
-
-
-class TestBackendSelection:
-    def test_default_resolves(self):
-        assert current_backend() in ("numba", "numpy")
-
-    def test_set_backend_round_trip(self):
-        set_backend("numpy")
-        assert current_backend() == "numpy"
-        set_backend("auto")
-
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="backend"):
-            set_backend("gpu")
-
-    def test_env_flag_numpy(self):
-        code = (
-            "from deadcore import kernels; "
-            "assert kernels.current_backend() == 'numpy', kernels.current_backend()"
-        )
-        subprocess.run(
-            [sys.executable, "-c", code],
-            check=True,
-            env={**os.environ, "DEADCORE_BACKEND": "numpy"},
-        )
-
-    def test_env_flag_invalid_raises_at_import(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import deadcore.kernels"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "DEADCORE_BACKEND": "cuda"},
-        )
-        assert proc.returncode != 0
-        assert "DEADCORE_BACKEND" in proc.stderr
+from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, scalar_root
 
 
 class TestScalarRoot:
     def test_solves_coordinate_equation(self):
         for d, q, gamma in [(2.0, 1.0, 0.2), (5.0, -3.0, 0.3), (1.0, 1e-4, 0.1)]:
-            t = _scalar_root_py(d, q, gamma, False)
+            t = scalar_root(d, q, gamma, False)
             f = np.sign(t) * abs(t) ** gamma if t != 0 else 0.0
             assert d * t + f == pytest.approx(q, abs=1e-12 * max(1.0, abs(q)))
 
     def test_zero_forcing_gives_zero(self):
-        assert _scalar_root_py(2.0, 0.0, 0.2, False) == 0.0
-        assert _scalar_root_py(2.0, 0.0, 0.2, True) == 0.0
+        assert scalar_root(2.0, 0.0, 0.2, False) == 0.0
+        assert scalar_root(2.0, 0.0, 0.2, True) == 0.0
 
     def test_one_phase_negative_forcing_is_linear(self):
         # no absorption below zero: the equation is d*t = q
-        assert _scalar_root_py(4.0, -2.0, 0.2, True) == pytest.approx(-0.5)
+        assert scalar_root(4.0, -2.0, 0.2, True) == pytest.approx(-0.5)
 
     def test_two_phase_is_odd(self):
-        t_pos = _scalar_root_py(3.0, 0.7, 0.25, False)
-        t_neg = _scalar_root_py(3.0, -0.7, 0.25, False)
+        t_pos = scalar_root(3.0, 0.7, 0.25, False)
+        t_neg = scalar_root(3.0, -0.7, 0.25, False)
         assert t_neg == pytest.approx(-t_pos, rel=1e-12)
 
     def test_degenerate_forcing_drives_deep(self):
         # the root of t + t^0.2 = 1e-60 sits near 1e-300; 220 halvings reach
         # ~1e-127, where the coordinate residual is already ~5e-26
-        t = _scalar_root_py(1.0, 1e-60, 0.2, False)
+        t = scalar_root(1.0, 1e-60, 0.2, False)
         assert 0.0 < t < 1e-100
         assert abs(t + t**0.2 - 1e-60) < 1e-20
 
     def test_ultra_degenerate_forcing_snaps_to_zero(self):
         # once the bracket collapses below 1e-280 the result is exact zero
-        assert _scalar_root_py(1.0, 1e-250, 0.2, False) == 0.0
+        assert scalar_root(1.0, 1e-250, 0.2, False) == 0.0
 
 
 def _small_problem(seed, n=12):
@@ -95,33 +49,6 @@ def _small_problem(seed, n=12):
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("one_phase", [False, True])
-    def test_dense_backends_agree(self, one_phase):
-        if not kernels._have_numba:
-            pytest.skip("numba unavailable")
-        A, b, u0 = _small_problem(7)
-        set_backend("numba")
-        u_nb = gs_polish_dense(A, b, u0.copy(), 0.2, one_phase, sweeps=3)
-        set_backend("numpy")
-        u_py = gs_polish_dense(A, b, u0.copy(), 0.2, one_phase, sweeps=3)
-        set_backend("auto")
-        np.testing.assert_array_equal(u_nb, u_py)
-
-    @pytest.mark.parametrize("one_phase", [False, True])
-    def test_tridiag_backends_agree(self, one_phase):
-        if not kernels._have_numba:
-            pytest.skip("numba unavailable")
-        A, b, u0 = _small_problem(13)
-        dl = np.diag(A, -1).copy()
-        du = np.diag(A, 1).copy()
-        d = np.diag(A).copy()
-        set_backend("numba")
-        u_nb = gs_polish_tridiag(dl, d, du, b, u0.copy(), 0.25, one_phase, sweeps=3)
-        set_backend("numpy")
-        u_py = gs_polish_tridiag(dl, d, du, b, u0.copy(), 0.25, one_phase, sweeps=3)
-        set_backend("auto")
-        np.testing.assert_array_equal(u_nb, u_py)
-
     def test_tridiag_matches_dense_on_tridiagonal_matrix(self):
         A, b, u0 = _small_problem(29)
         dl = np.diag(A, -1).copy()
@@ -142,7 +69,7 @@ class TestNumpyKernelsMatchReferenceLoops:
         for _ in range(sweeps):
             for i in range(n):
                 q = A[i, i] * u[i] - Au[i] - b[i]
-                t = _scalar_root_py(A[i, i], q, gamma, one_phase)
+                t = scalar_root(A[i, i], q, gamma, one_phase)
                 if t != u[i]:
                     dt = t - u[i]
                     for j in range(n):
@@ -160,11 +87,11 @@ class TestNumpyKernelsMatchReferenceLoops:
                     q -= dl[i - 1] * u[i - 1]
                 if i < n - 1:
                     q -= du[i] * u[i + 1]
-                u[i] = _scalar_root_py(d[i], q, gamma, one_phase)
+                u[i] = scalar_root(d[i], q, gamma, one_phase)
         return u
 
     @pytest.mark.parametrize("one_phase", [False, True])
-    def test_dense(self, numpy_backend, one_phase):
+    def test_dense(self, one_phase):
         A, b, u0 = _small_problem(11)
         M = np.random.default_rng(11).random(A.shape)
         A = A + 0.01 * (M + M.T)
@@ -174,7 +101,7 @@ class TestNumpyKernelsMatchReferenceLoops:
         np.testing.assert_array_equal(u, ref)
 
     @pytest.mark.parametrize("one_phase", [False, True])
-    def test_tridiag(self, numpy_backend, one_phase):
+    def test_tridiag(self, one_phase):
         A, b, u0 = _small_problem(17)
         bands = np.diag(A, -1).copy(), np.diag(A).copy(), np.diag(A, 1).copy()
         ref = self._tridiag_loop(*bands, b, u0.copy(), 0.25, one_phase, 3)

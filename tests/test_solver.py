@@ -12,6 +12,7 @@ from deadcore import (
     TailModel,
     make_grid,
 )
+from deadcore import kernels, solver
 
 
 class TestValidation:
@@ -136,6 +137,36 @@ class TestNonlocalSolve:
         g = dc.odd_exterior_builder(grid, "ramp", 2.0)
         rep = dc.solve(op_small, g, ReactionSpec(gamma=0.2))
         assert rep.free_boundary is None
+
+    def test_proximal_fallback_when_every_line_search_fails(self, op_small, monkeypatch):
+        # An ascent direction fails every Armijo test, so each Newton
+        # iteration falls back to the proximal-gradient step.
+        newton_delta = solver._DenseSystem.newton_delta
+        monkeypatch.setattr(
+            solver._DenseSystem,
+            "newton_delta",
+            lambda self, r, free, dd: -newton_delta(self, r, free, dd),
+        )
+        # The proximal step solves every node with the diagonal 1/tau, which
+        # exceeds every diagonal entry the polish sweeps use.
+        d_prox = 1.0 / solver._DenseSystem(op_small.A).tau
+        assert op_small.A.diagonal().max() < d_prox
+        prox_roots = [0]
+        scalar_root = kernels.scalar_root
+
+        def counting_root(d, q, gamma, one_phase):
+            prox_roots[0] += d == d_prox
+            return scalar_root(d, q, gamma, one_phase)
+
+        monkeypatch.setattr(kernels, "scalar_root", counting_root)
+        g = dc.odd_exterior_builder(op_small.grid, "ramp", 2.0)
+        rep = dc.solve(op_small, g, ReactionSpec(gamma=0.2))
+        n = op_small.grid.interior.size
+        assert prox_roots[0] >= n and prox_roots[0] % n == 0
+        assert rep.converged
+        # polish sweeps are exact coordinate minimizations: round-off only
+        jt = rep.energy_trace
+        assert np.all(np.diff(jt) <= 1e-12 * max(1.0, np.abs(jt).max()))
 
 
 class TestLocalSolve:

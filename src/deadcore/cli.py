@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import analysis, profiles
-from .fraclap import assemble
+from .fraclap import assemble, check_order
 from .grid import GridFunction, GridSpec, TailModel, make_grid
 from .solver import ReactionSpec, SolverConfig, solve, solve_local
 
@@ -49,6 +49,18 @@ _MODE_KEYS = {
     "slimit": _COMMON_KEYS | {"s_list", "gamma", "mode", "data", "amplitude"},
     # validate accepts any solve-shaped config and checks only the parameters
     "validate": _COMMON_KEYS | _DATA_KEYS | {"operator", "left", "right", "x0", "r", "pairs", "s_list", "fit_rmin", "fit_rmax", "fit_k", "deriv_order"},
+}
+
+# keys every run of a mode needs; exponent with operator = local needs those of solve-local
+_REQUIRED_KEYS = {
+    "solve": ("h", "a", "s", "gamma"),
+    "solve-local": ("h", "a", "gamma", "left", "right"),
+    "exponent": ("h", "a", "s", "gamma"),
+    "blowup": ("h", "a", "s", "gamma", "r"),
+    "compare": ("h", "a", "s", "gamma"),
+    "liouville": ("h", "a", "s", "gamma"),
+    "slimit": ("h", "a", "gamma", "s_list"),
+    "validate": ("s", "gamma"),
 }
 
 
@@ -149,6 +161,35 @@ def _require(cfg: dict[str, str], keys, path: str) -> None:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
 
 
+def _local_exponent(cfg: dict[str, str], path: str) -> bool:
+    operator = cfg.get("operator", "nonlocal")
+    if operator not in ("local", "nonlocal"):
+        raise ConfigError(f"{path}: operator must be local or nonlocal")
+    return operator == "local"
+
+
+def _check_params(cfg: dict[str, str], mode: str, path: str) -> None:
+    """The parameter checks of a run, made before it assembles or solves.
+
+    Covers the required keys, the grid spec, the reaction and the order s
+    (each entry of s_list for slimit).  validate makes its own checks and
+    reports them, so for it only the required keys are checked here.
+    """
+    if mode == "exponent" and _local_exponent(cfg, path):
+        mode = "solve-local"
+    required = _REQUIRED_KEYS[mode]
+    _require(cfg, required, path)
+    if mode == "validate":
+        return
+    _grid_spec_from(cfg)
+    _reaction_from(cfg)
+    if "s" in required:
+        check_order(_parse_number(cfg["s"]))
+    if mode == "slimit":
+        for tok in cfg["s_list"].split(","):
+            check_order(_parse_number(tok))
+
+
 def _nonlocal_solve(cfg):
     grid = _grid_from(cfg)
     reaction = _reaction_from(cfg)
@@ -166,7 +207,6 @@ def _write_solution(report, out_dir, stem, mode, seed) -> None:
 
 
 def _run_solve(cfg, path, out_dir, stem, seed):
-    _require(cfg, ("h", "a", "s", "gamma"), path)
     _, _, report = _nonlocal_solve(cfg)
     if not report.converged:
         raise SolveFailure(f"{path}: solve did not converge")
@@ -174,7 +214,6 @@ def _run_solve(cfg, path, out_dir, stem, seed):
 
 
 def _run_solve_local(cfg, path, out_dir, stem, seed):
-    _require(cfg, ("h", "a", "gamma", "left", "right"), path)
     grid = _grid_from(cfg)
     report = solve_local(
         grid,
@@ -188,9 +227,7 @@ def _run_solve_local(cfg, path, out_dir, stem, seed):
 
 
 def _run_exponent(cfg, path, out_dir, stem, seed):
-    operator = cfg.get("operator", "nonlocal")
-    if operator == "local":
-        _require(cfg, ("h", "a", "gamma", "left", "right"), path)
+    if _local_exponent(cfg, path):
         grid = _grid_from(cfg)
         report = solve_local(
             grid,
@@ -199,12 +236,9 @@ def _run_exponent(cfg, path, out_dir, stem, seed):
             _solver_config_from(cfg),
         )
         s_eff = 1.0
-    elif operator == "nonlocal":
-        _require(cfg, ("h", "a", "s", "gamma"), path)
+    else:
         _, _, report = _nonlocal_solve(cfg)
         s_eff = report.s
-    else:
-        raise ConfigError(f"{path}: operator must be local or nonlocal")
     if not report.converged:
         raise SolveFailure(f"{path}: solve did not converge")
     gamma = report.gamma
@@ -233,7 +267,6 @@ def _run_exponent(cfg, path, out_dir, stem, seed):
 
 
 def _run_blowup(cfg, path, out_dir, stem, seed):
-    _require(cfg, ("h", "a", "s", "gamma", "r"), path)
     _, _, report = _nonlocal_solve(cfg)
     if not report.converged:
         raise SolveFailure(f"{path}: solve did not converge")
@@ -252,7 +285,6 @@ def _run_blowup(cfg, path, out_dir, stem, seed):
 
 
 def _run_compare(cfg, path, out_dir, stem, seed):
-    _require(cfg, ("h", "a", "s", "gamma"), path)
     grid = _grid_from(cfg)
     trials = analysis.comparison_campaign(
         grid,
@@ -276,7 +308,6 @@ def _run_compare(cfg, path, out_dir, stem, seed):
 
 
 def _run_liouville(cfg, path, out_dir, stem, seed):
-    _require(cfg, ("h", "a", "s", "gamma"), path)
     _, _, report = _nonlocal_solve(cfg)
     if not report.converged:
         raise SolveFailure(f"{path}: solve did not converge")
@@ -298,7 +329,6 @@ def _run_liouville(cfg, path, out_dir, stem, seed):
 
 
 def _run_slimit(cfg, path, out_dir, stem, seed):
-    _require(cfg, ("h", "a", "gamma", "s_list"), path)
     grid = _grid_from(cfg)
     g = _data_from(cfg, grid)
     s_values = [_parse_number(tok) for tok in cfg["s_list"].split(",")]
@@ -315,7 +345,6 @@ def _run_slimit(cfg, path, out_dir, stem, seed):
 
 
 def _run_validate(cfg, path, out_dir, stem, seed):
-    _require(cfg, ("s", "gamma"), path)
     if "h" in cfg and "a" in cfg:
         _grid_spec_from(cfg)  # the checks solve applies, without allocating nodes
     rep = profiles.validate_params(
@@ -359,11 +388,12 @@ def _run_one(task) -> int:
     try:
         cfg = read_config(path)
         _check_keys(cfg, mode, path)
+        _check_params(cfg, mode, path)
         stem = os.path.splitext(os.path.basename(path))[0]
         if dry_run:
             print(f"dry-run: {path} -> {mode} outputs {stem}_{mode}.* in {out_dir}")
             if mode == "validate":
-                # parameter checking needs no outputs; run it without writing
+                # validate's checks need no outputs; run it without writing
                 _RUNNERS[mode](cfg, path, None, stem, seed)
             return 0
         os.makedirs(out_dir, exist_ok=True)

@@ -22,6 +22,7 @@ __all__ = [
     "normalization_constant",
     "FracLapOperator",
     "assemble",
+    "check_order",
     "tail_norm",
     "tail_influence_bound",
 ]
@@ -144,6 +145,12 @@ class FracLapOperator:
                     fh.write(f"{i},{j},{self.A[i, j]:.17g}\n")
 
 
+def check_order(s: float) -> None:
+    """Raise ValueError unless ``assemble`` admits the order s."""
+    if not (0.5 <= s < S_MAX):
+        raise ValueError(f"s must lie in [0.5, {S_MAX})")
+
+
 def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
     """Assemble the dense interior matrix and exterior weight map.
 
@@ -152,8 +159,7 @@ def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
     only on the lag |i - j|, so assembly is a table lookup and independent of
     any row ordering.
     """
-    if not (0.5 <= s < S_MAX):
-        raise ValueError(f"s must lie in [0.5, {S_MAX})")
+    check_order(s)
     c = normalization_constant(s)
     h = grid.h
     n = grid.n

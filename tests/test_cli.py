@@ -248,6 +248,41 @@ class TestDryRun:
         assert "dry-run" in capsys.readouterr().out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad", [dict(h="0.3"), dict(s="5", gamma="0.9")], ids=["grid", "s-gamma"]
+    )
+    def test_checks_parameters_like_a_run(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path / "c.cfg", **{**SOLVE_KEYS, **bad})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["solve", "--config", cfg, "--out", str(out), "--dry-run"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, keys, bad",
+        [
+            ("solve-local", dict(left="-1", right="1"), dict(gamma="0.9")),
+            ("exponent", {}, dict(s="5")),
+            ("exponent", dict(operator="local", left="-1", right="1", s="5"), dict(gamma="0.5")),
+            ("exponent", {}, dict(operator="fractional")),
+            ("blowup", dict(r="0.5"), dict(s="0.3")),
+            ("compare", dict(pairs="3"), dict(s="1")),
+            ("liouville", {}, dict(h="0.3")),
+            ("slimit", dict(s_list="0.75,0.9"), dict(s_list="0.75,5")),
+        ],
+        ids=["solve-local", "exponent", "exponent-local", "exponent-operator",
+             "blowup", "compare", "liouville", "slimit"],
+    )
+    def test_every_mode_checks_its_parameters(self, tmp_path, capsys, mode, keys, bad):
+        base = dict(h="1/16", a="1", R="2", gamma="0.2")
+        if mode not in ("solve-local", "slimit"):
+            base["s"] = "0.75"
+        good = write_config(tmp_path / "good.cfg", **{**base, **keys})
+        bad = write_config(tmp_path / "bad.cfg", **{**base, **keys, **bad})
+        out = str(tmp_path / "out")
+        assert main([mode, "--config", good, "--out", out, "--dry-run"]) == 0
+        assert main([mode, "--config", bad, "--out", out, "--dry-run"]) == 2
+
     def test_validate_dry_run_prints_without_files(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "v.cfg", **SOLVE_KEYS)
         out = tmp_path / "out"

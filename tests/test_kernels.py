@@ -1,9 +1,47 @@
 """Exact coordinate roots and the Gauss-Seidel sweep kernels."""
 
+import math
+
 import numpy as np
 import pytest
 
+import deadcore as dc
+from deadcore import GridSpec, ReactionSpec, kernels, make_grid
 from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, scalar_root
+
+
+def _reference_root(d, q, gamma, one_phase):
+    """Full-bracket bisection, verbatim: the definition scalar_root must reproduce."""
+    if one_phase and q <= 0.0:
+        return q / d
+    if q == 0.0:
+        return 0.0
+    if q < 0.0:
+        lo, hi = q / d, 0.0
+        for _ in range(220):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if d * mid - math.exp(gamma * math.log(-mid)) - q < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-280 + 1e-16 * -lo:
+                break
+    else:
+        lo, hi = 0.0, q / d
+        for _ in range(220):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if d * mid + math.exp(gamma * math.log(mid)) - q < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-280 + 1e-16 * lo:
+                break
+    out = 0.5 * (lo + hi)
+    return 0.0 if abs(out) < 1e-280 else out
 
 
 class TestScalarRoot:
@@ -36,6 +74,54 @@ class TestScalarRoot:
     def test_ultra_degenerate_forcing_snaps_to_zero(self):
         # once the bracket collapses below 1e-280 the result is exact zero
         assert scalar_root(1.0, 1e-250, 0.2, False) == 0.0
+
+    # (d, q, gamma, one_phase) at the edges of the located-bracket path
+    EDGES = [
+        (1.0, 1e-60, 0.2, False),  # deep: the reference stops at the 220 cap
+        (1.0, 1e-250, 0.2, False),  # snap to zero
+        (1.0, -1e-250, 0.2, False),
+        (4.0, -2.0, 0.2, True),  # one-phase, q <= 0: exactly q/d
+        (4.0, -1e-300, 0.2, True),
+        (4.0, 0.0, 0.2, True),
+        (4.0, 0.0, 0.2, False),
+        (4.0, 2.0, 0.2, True),
+        (2.0, 0.5, 1e-3, False),  # gamma near 0
+        (2.0, -0.5, 1e-3, True),
+        (1e6, 3.0, 0.01, False),
+        (2.0, 0.5, 1 / 3 - 1e-12, False),  # gamma near 1/3
+        (1e6, -3.0, 1 / 3 - 1e-12, False),
+        (1.0, 1e200, 0.2, False),  # root within ulps of q/d
+        (1.0, -1e200, 0.2, False),
+        (0.27916957086637906, -6.159675736995484e235, 0.2, False),  # the pair ends at q/d
+        (331224.8777713054, -2.9033261852078305e139, 0.2, False),
+        (1.0, 1e250, 0.2, False),  # q/d at the edges of the located path
+        (1.0, 1.1e250, 0.2, False),
+        (1.0, 1e-250, 0.9, False),
+        (1.0, 0.99e-250, 0.9, False),
+        (1e7, 1e-300, 0.2, False),
+        (1.0, 1e-8, 0.2, False),  # q/d within about 1e40 of the root
+        (1.0, 1e-10, 0.2, False),
+    ]
+
+    def test_matches_reference_bisection(self):
+        # The located bracket may only speed the root up, never move a bit.
+        rng = np.random.default_rng(20261018)
+        n = 200_000
+        d = 10.0 ** rng.uniform(-2.0, 7.0, n)
+        q = 10.0 ** rng.uniform(-300.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
+        gamma = rng.uniform(0.01, 0.33, n)
+        one_phase = rng.random(n) < 0.5
+        draws = list(zip(d.tolist(), q.tolist(), gamma.tolist(), one_phase.tolist()))
+        # roots around the 1e40 span to q/d, where the 220-halving cap starts to bind
+        m = 20_000
+        t = 10.0 ** rng.uniform(-80.0, -5.0, m)
+        d = 10.0 ** rng.uniform(-2.0, 7.0, m)
+        gamma = rng.uniform(0.01, 0.33, m)
+        q = (d * t + t**gamma) * rng.choice([-1.0, 1.0], m)
+        draws += list(zip(d.tolist(), q.tolist(), gamma.tolist(), [False] * m))
+        draws += self.EDGES
+        bad = [a for a in draws if scalar_root(*a) != _reference_root(*a)]
+        assert bad == []
 
 
 def _small_problem(seed, n=12):
@@ -130,3 +216,31 @@ class TestSweepsDecreaseEnergy:
         u = gs_polish_dense(A, b, u, 0.2, False, sweeps=400)
         r = A @ u + b + np.sign(u) * np.abs(u) ** 0.2
         assert np.abs(r).max() < 1e-10
+
+
+class TestSolvesMatchReferenceRoot:
+    """Whole solves give the same bits with the full-bracket bisection."""
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        new = run()
+        monkeypatch.setattr(kernels, "scalar_root", _reference_root)
+        ref = run()
+        np.testing.assert_array_equal(new.solution.interior_values, ref.solution.interior_values)
+        np.testing.assert_array_equal(new.energy_trace, ref.energy_trace)
+        np.testing.assert_array_equal(new.residual_trace, ref.residual_trace)
+
+    def test_local(self, monkeypatch):
+        gamma = 0.2
+        grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0))
+        kappa = dc.profile_coefficient(gamma)
+        self._both(
+            monkeypatch,
+            lambda: dc.solve_local(grid, ReactionSpec(gamma=gamma), boundary=(-kappa, kappa)),
+        )
+
+    def test_nonlocal_ramp(self, monkeypatch):
+        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=4.0))
+        op = dc.assemble(grid, 0.95)
+        g = dc.odd_exterior_builder(grid, "ramp", 15.71)
+        self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))

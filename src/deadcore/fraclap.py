@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as gamma_fn, hyp2f1, zeta
 
 from .grid import Grid, GridFunction, TailModel
@@ -156,8 +157,7 @@ def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
 
     s is admitted on [1/2, 0.999); the normalization degenerates near s = 1
     and the closed-form weights lose relative accuracy there.  Weights depend
-    only on the lag |i - j|, so assembly is a table lookup and independent of
-    any row ordering.
+    only on the lag |i - j|, so every row is a window of one lag table.
     """
     check_order(s)
     c = normalization_constant(s)
@@ -169,14 +169,18 @@ def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
     # 2*lam covers the two adjacent cells' corrected weights; 1/s is the
     # kernel mass at lag >= 1 on the full line.
     diag = 2 * lam + 1.0 / s
-    lag = np.abs(gi[:, None] - np.arange(n)[None, :])
-    W = -(gh[lag] + lam * (lag == 1))
-    W[np.arange(gi.size), gi] = diag
-    W[:, 0] = -gh_end[np.abs(gi)]
-    W[:, n - 1] = -gh_end[np.abs(gi - (n - 1))]
-    W *= scale
-    A = W[:, gi]
-    B = W[:, grid.exterior]
+    # Row i of the interior x all-nodes map is T[|i - j|]: the window of
+    # [T[n-1], ..., T[1], T[0], T[1], ..., T[n-1]] that starts at n - 1 - i.
+    # The interior is a contiguous run of nodes, so its rows are one slice of
+    # windows and only A and the exterior weights are ever stored.
+    T = -(gh + lam * (np.arange(n) == 1)) * scale
+    windows = sliding_window_view(np.concatenate((T[:0:-1], T)), n)
+    rows = windows[n - 1 - gi[-1] : n - gi[0]][::-1]
+    A = rows[:, gi]
+    A[np.arange(gi.size), np.arange(gi.size)] = diag * scale
+    B = rows[:, grid.exterior]
+    B[:, 0] = -gh_end[np.abs(gi)] * scale
+    B[:, -1] = -gh_end[np.abs(gi - (n - 1))] * scale
     xi = grid.x[gi]
     T0 = c * ((grid.R - xi) ** (-2 * s) + (grid.R + xi) ** (-2 * s)) / (2 * s)
     return FracLapOperator(

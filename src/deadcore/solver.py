@@ -290,7 +290,7 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, data_su
                 # proximal-gradient step: per node, the root of d*t + f(t) = q
                 d = 1.0 / system.tau
                 q = (u - system.tau * (system.matvec(u) + b)) / system.tau
-                un = np.array([kernels.scalar_root(d, qi, gamma, one_phase) for qi in q.tolist()])
+                un = kernels.roots(d, q, gamma, one_phase)
                 if clip:
                     un = np.maximum(un, 0.0)
                 Jn = _energy(system, b, h, un, gamma, one_phase)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import deadcore as dc
+from deadcore import fraclap
 from deadcore import GridFunction, GridSpec, TailModel, make_grid
 from deadcore.fraclap import tail_influence_bound, tail_norm
 
@@ -74,6 +75,36 @@ def _getoor_window_error(s, h, corrected=True):
     out = dc.assemble(grid, s, corrected=corrected).apply(w)
     window = np.abs(grid.x_interior) <= 0.75 + 1e-12
     return np.abs(out[window] - dc.getoor_constant(s)).max()
+
+
+def _dense_lag_assembly(grid, s, corrected=True):
+    """The former construction, verbatim: an int64 lag matrix and the full interior x nodes map."""
+    c = dc.normalization_constant(s)
+    n, gi = grid.n, grid.interior
+    gh, gh_end, lam = fraclap._weight_tables(s, n, corrected)
+    scale = c * grid.h ** (-2.0 * s)
+    diag = 2 * lam + 1.0 / s
+    lag = np.abs(gi[:, None] - np.arange(n)[None, :])
+    W = -(gh[lag] + lam * (lag == 1))
+    W[np.arange(gi.size), gi] = diag
+    W[:, 0] = -gh_end[np.abs(gi)]
+    W[:, n - 1] = -gh_end[np.abs(gi - (n - 1))]
+    W *= scale
+    return W[:, gi], W[:, grid.exterior]
+
+
+@pytest.mark.parametrize(
+    "h, R, s, corrected",
+    [(1 / 32, 4.0, 0.75, True), (1 / 64, 2.0, 0.5, True), (1 / 128, 8.0, 0.95, True), (1 / 32, 2.0, 0.6, False)],
+)
+def test_assembly_matches_dense_lag_construction(h, R, s, corrected):
+    grid = make_grid(GridSpec(h=h, a=1.0, R=R))
+    op = dc.assemble(grid, s, corrected=corrected)
+    A, B = _dense_lag_assembly(grid, s, corrected)
+    np.testing.assert_array_equal(op.A, A)
+    np.testing.assert_array_equal(op.exterior_weights, B)
+    # the same memory layout keeps A @ u bit-identical too
+    assert op.A.strides == A.strides
 
 
 class TestConsistency:

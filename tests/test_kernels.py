@@ -7,7 +7,7 @@ import pytest
 
 import deadcore as dc
 from deadcore import GridSpec, ReactionSpec, kernels, make_grid
-from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, scalar_root
+from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, roots, scalar_root
 
 
 def _reference_root(d, q, gamma, one_phase):
@@ -105,23 +105,85 @@ class TestScalarRoot:
 
     def test_matches_reference_bisection(self):
         # The located bracket may only speed the root up, never move a bit.
-        rng = np.random.default_rng(20261018)
-        n = 200_000
-        d = 10.0 ** rng.uniform(-2.0, 7.0, n)
-        q = 10.0 ** rng.uniform(-300.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
-        gamma = rng.uniform(0.01, 0.33, n)
-        one_phase = rng.random(n) < 0.5
-        draws = list(zip(d.tolist(), q.tolist(), gamma.tolist(), one_phase.tolist()))
-        # roots around the 1e40 span to q/d, where the 220-halving cap starts to bind
-        m = 20_000
-        t = 10.0 ** rng.uniform(-80.0, -5.0, m)
-        d = 10.0 ** rng.uniform(-2.0, 7.0, m)
-        gamma = rng.uniform(0.01, 0.33, m)
-        q = (d * t + t**gamma) * rng.choice([-1.0, 1.0], m)
-        draws += list(zip(d.tolist(), q.tolist(), gamma.tolist(), [False] * m))
-        draws += self.EDGES
-        bad = [a for a in draws if scalar_root(*a) != _reference_root(*a)]
+        bad = [a for a in _root_draws() if scalar_root(*a) != _reference_root(*a)]
         assert bad == []
+
+
+def _root_draws():
+    """(d, q, gamma, one_phase) lanes: seeded draws over the solver's range, and the edges."""
+    rng = np.random.default_rng(20261018)
+    n = 200_000
+    d = 10.0 ** rng.uniform(-2.0, 7.0, n)
+    q = 10.0 ** rng.uniform(-300.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
+    gamma = rng.uniform(0.01, 0.33, n)
+    one_phase = rng.random(n) < 0.5
+    draws = list(zip(d.tolist(), q.tolist(), gamma.tolist(), one_phase.tolist()))
+    # roots around the 1e40 span to q/d, where the 220-halving cap starts to bind
+    m = 20_000
+    t = 10.0 ** rng.uniform(-80.0, -5.0, m)
+    d = 10.0 ** rng.uniform(-2.0, 7.0, m)
+    gamma = rng.uniform(0.01, 0.33, m)
+    q = (d * t + t**gamma) * rng.choice([-1.0, 1.0], m)
+    draws += list(zip(d.tolist(), q.tolist(), gamma.tolist(), [False] * m))
+    return draws + TestScalarRoot.EDGES
+
+
+class TestRoots:
+    """The array root takes scalar_root's steps on all lanes, with numpy's exp and log."""
+
+    @staticmethod
+    def _below(d, q, gamma, t):
+        """The bisection's sign test with numpy's exp and log, each side its own."""
+        with np.errstate(all="ignore"):
+            pos = d * t + np.exp(gamma * np.log(t)) - q < 0.0
+            neg = d * t - np.exp(gamma * np.log(-t)) - q < 0.0
+        return np.where(q < 0.0, neg, pos)
+
+    def test_matches_scalar_root_up_to_the_sign_test(self, monkeypatch):
+        draws = _root_draws()
+        d, q, gamma, one_phase = (np.array(c) for c in zip(*draws))
+        sent = set()
+
+        def recording_root(*lane):
+            sent.add(lane)
+            return scalar_root(*lane)
+
+        monkeypatch.setattr(kernels, "scalar_root", recording_root)
+        t = roots(d, q, gamma, one_phase)
+        monkeypatch.undo()
+        ref = np.array([scalar_root(*a) for a in draws])
+
+        # lanes scalar_root settles at once, and every lane sent to it, equal it
+        direct = (one_phase & (q <= 0.0)) | (q == 0.0) | np.array([a in sent for a in draws])
+        np.testing.assert_array_equal(t[direct], ref[direct])
+
+        # a located lane is the midpoint of adjacent doubles across which the
+        # numpy sign test changes; q/d, the full bracket's own end, passes unevaluated
+        loc = ~direct
+        assert loc.sum() > 5_000
+        dl, ql, gl, tl = d[loc], q[loc], gamma[loc], t[loc]
+        end = ql / dl
+
+        def pair(lo, hi):
+            lo_ok = (lo == end) | self._below(dl, ql, gl, lo)
+            hi_ok = (hi == end) | ~self._below(dl, ql, gl, hi)
+            return lo_ok & hi_ok & (0.5 * (lo + hi) == tl)
+
+        assert np.all(pair(np.nextafter(tl, -np.inf), tl) | pair(tl, np.nextafter(tl, np.inf)))
+
+        # where math.exp and numpy's exp round apart the pair can move
+        differ = t != ref
+        ulps = np.abs(t - ref)[differ] / np.spacing(np.abs(ref[differ]))
+        print(
+            f"roots differs from scalar_root on {differ.sum()} of {t.size} lanes "
+            f"({differ.mean():.3%}), by at most {ulps.max(initial=0):.0f} ulps"
+        )
+        assert differ.mean() < 1e-3
+
+    def test_scalar_arguments_broadcast(self):
+        q = np.array([0.7, -0.7, 0.0, -2.0, 1e-60])
+        expected = [scalar_root(3.0, qi, 0.25, True) for qi in q.tolist()]
+        np.testing.assert_array_equal(roots(3.0, q, 0.25, True), expected)
 
 
 def _small_problem(seed, n=12):
@@ -136,12 +198,16 @@ def _small_problem(seed, n=12):
 
 class TestBackendEquivalence:
     def test_tridiag_matches_dense_on_tridiagonal_matrix(self):
+        # natural order on the red-first permuted system P A P^T is exactly
+        # red-black order on A
         A, b, u0 = _small_problem(29)
         dl = np.diag(A, -1).copy()
         du = np.diag(A, 1).copy()
         d = np.diag(A).copy()
         u_t = gs_polish_tridiag(dl, d, du, b, u0.copy(), 0.2, False, sweeps=4)
-        u_d = gs_polish_dense(A, b, u0.copy(), 0.2, False, sweeps=4)
+        p = np.r_[0 : b.size : 2, 1 : b.size : 2]
+        u_d = np.empty_like(u0)
+        u_d[p] = gs_polish_dense(A[np.ix_(p, p)], b[p], u0[p], 0.2, False, sweeps=4)
         np.testing.assert_allclose(u_t, u_d, rtol=1e-13, atol=1e-15)
 
 
@@ -165,15 +231,15 @@ class TestNumpyKernelsMatchReferenceLoops:
 
     @staticmethod
     def _tridiag_loop(dl, d, du, b, u, gamma, one_phase, sweeps):
+        # red-black order, one node and one 1-lane root at a time
         n = u.size
         for _ in range(sweeps):
-            for i in range(n):
-                q = -b[i]
-                if i > 0:
-                    q -= dl[i - 1] * u[i - 1]
-                if i < n - 1:
-                    q -= du[i] * u[i + 1]
-                u[i] = scalar_root(d[i], q, gamma, one_phase)
+            for colour in (0, 1):
+                for i in range(colour, n, 2):
+                    left = dl[i - 1] * u[i - 1] if i > 0 else 0.0
+                    right = du[i] * u[i + 1] if i < n - 1 else 0.0
+                    q = -(b[i] + (left + right))
+                    u[i] = roots(d[i : i + 1], np.array([q]), gamma, one_phase)[0]
         return u
 
     @pytest.mark.parametrize("one_phase", [False, True])
@@ -194,6 +260,51 @@ class TestNumpyKernelsMatchReferenceLoops:
         u = u0.copy()
         assert gs_polish_tridiag(*bands, b, u, 0.25, one_phase, sweeps=3) is u
         np.testing.assert_array_equal(u, ref)
+
+
+class TestRedBlackSweep:
+    @staticmethod
+    def _odd_problem(seed=41, n=13):
+        # n odd: the mirror i -> n-1-i maps each colour onto itself
+        rng = np.random.default_rng(seed)
+        half_b, half_u = rng.standard_normal(n // 2), 0.5 * rng.standard_normal(n // 2)
+        b = np.r_[half_b, 0.0, -half_b[::-1]]
+        u0 = np.r_[half_u, 0.0, -half_u[::-1]]
+        off = np.full(n - 1, -1.0)
+        return (off, np.full(n, 4.0), off.copy()), b, u0
+
+    def test_odd_data_gives_an_odd_sweep_with_an_odd_root(self, monkeypatch):
+        # The per-side sign test breaks exact ties apart, so scalar_root(d, -q)
+        # need not be -scalar_root(d, q).  With a root made exactly odd, the
+        # sweep itself must be: q is formed mirror-exactly and the order of
+        # updates is mirror-symmetric.
+        monkeypatch.setattr(
+            kernels, "roots", lambda d, q, gamma, one_phase: np.sign(q) * roots(d, np.abs(q), gamma, one_phase)
+        )
+        monkeypatch.setattr(
+            kernels,
+            "scalar_root",
+            lambda d, q, gamma, one_phase: math.copysign(scalar_root(d, abs(q), gamma, one_phase), q),
+        )
+        bands, b, u0 = self._odd_problem()
+        u = gs_polish_tridiag(*bands, b, u0.copy(), 0.2, False, sweeps=5)
+        np.testing.assert_array_equal(u, -u[::-1])
+
+    def test_odd_data_gives_an_odd_sweep_up_to_ties(self):
+        bands, b, u0 = self._odd_problem()
+        u = gs_polish_tridiag(*bands, b, u0.copy(), 0.2, False, sweeps=5)
+        assert np.abs(u + u[::-1]).max() <= 1e-15 * np.abs(u).max()
+
+    def test_sweeps_decrease_energy(self):
+        A, b, u = _small_problem(7, n=13)
+        bands = np.diag(A, -1).copy(), np.diag(A).copy(), np.diag(A, 1).copy()
+        J = TestSweepsDecreaseEnergy._J
+        vals = [J(A, b, u, 0.2)]
+        for _ in range(6):
+            u = gs_polish_tridiag(*bands, b, u, 0.2, False, sweeps=1)
+            vals.append(J(A, b, u, 0.2))
+        assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
+        assert vals[-1] < vals[0]
 
 
 class TestSweepsDecreaseEnergy:

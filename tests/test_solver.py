@@ -152,13 +152,13 @@ class TestNonlocalSolve:
         d_prox = 1.0 / solver._DenseSystem(op_small.A).tau
         assert op_small.A.diagonal().max() < d_prox
         prox_roots = [0]
-        scalar_root = kernels.scalar_root
+        roots = kernels.roots
 
-        def counting_root(d, q, gamma, one_phase):
-            prox_roots[0] += d == d_prox
-            return scalar_root(d, q, gamma, one_phase)
+        def counting_roots(d, q, gamma, one_phase):
+            prox_roots[0] += np.count_nonzero(np.broadcast_to(d, q.shape) == d_prox)
+            return roots(d, q, gamma, one_phase)
 
-        monkeypatch.setattr(kernels, "scalar_root", counting_root)
+        monkeypatch.setattr(kernels, "roots", counting_roots)
         g = dc.odd_exterior_builder(op_small.grid, "ramp", 2.0)
         rep = dc.solve(op_small, g, ReactionSpec(gamma=0.2))
         n = op_small.grid.interior.size

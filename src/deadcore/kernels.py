@@ -66,7 +66,7 @@ the 1e-280 stop, the snap and the 220 cap never apply to a located lane.
 
 The dense sweep's loop runs over Python floats, which do the same double
 arithmetic as numpy scalars, faster; its update of A u is one numpy operation
-on a contiguous row, which equals the column because A is symmetric.
+on column i of A.
 """
 
 from __future__ import annotations
@@ -291,22 +291,16 @@ def gs_polish_tridiag(dl, d, du, b, u, gamma, one_phase, sweeps=8):
 
 
 def gs_polish_dense(A, b, u, gamma, one_phase, sweeps=2):
-    """In-place coordinate sweeps for a dense symmetric system; returns u.
-
-    A must be exactly symmetric: column i of A is updated into A u by reading
-    row i of whichever of A and A.T is stored row by row, so the read is
-    contiguous for C- and Fortran-ordered A alike.
-    """
+    """In-place coordinate sweeps for a dense system; returns u."""
     gamma, one_phase = float(gamma), bool(one_phase)
     d, b, v = A.diagonal().tolist(), b.tolist(), u.tolist()
-    rows = A.T if A.flags.f_contiguous else A
     Au = A @ u
     for _ in range(sweeps):
         for i in range(len(v)):
             q = d[i] * v[i] - float(Au[i]) - b[i]
             t = scalar_root(d[i], q, gamma, one_phase)
             if t != v[i]:
-                Au += rows[i] * (t - v[i])
+                Au += A[:, i] * (t - v[i])
                 v[i] = t
     u[:] = v
     return u

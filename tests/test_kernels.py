@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import deadcore as dc
-from deadcore import GridSpec, ReactionSpec, kernels, make_grid
+from deadcore import GridSpec, ReactionSpec, kernels, make_grid, solver
 from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, roots, scalar_root
 
 
@@ -42,6 +42,12 @@ def _reference_root(d, q, gamma, one_phase):
                 break
     out = 0.5 * (lo + hi)
     return 0.0 if abs(out) < 1e-280 else out
+
+
+def _reference_roots(d, q, gamma, one_phase):
+    """kernels.roots by the verbatim full-bracket bisection, lane by lane."""
+    d = np.broadcast_to(d, q.shape)
+    return np.array([_reference_root(di, qi, gamma, one_phase) for di, qi in zip(d.tolist(), q.tolist())])
 
 
 class TestScalarRoot:
@@ -330,28 +336,83 @@ class TestSweepsDecreaseEnergy:
 
 
 class TestSolvesMatchReferenceRoot:
-    """Whole solves give the same bits with the full-bracket bisection."""
+    """Whole solves against the same solves with every root by full-bracket bisection.
+
+    scalar_root gives the reference's bits; roots may end a rare lane on a
+    neighbouring pair (TestRoots), so a solve that calls roots must take the
+    same iterations, with energies equal to round-off and a solution equal
+    to the solver tolerance.
+    """
 
     @staticmethod
     def _both(monkeypatch, run):
         new = run()
         monkeypatch.setattr(kernels, "scalar_root", _reference_root)
-        ref = run()
+        monkeypatch.setattr(kernels, "roots", _reference_roots)
+        return new, run()
+
+    @staticmethod
+    def _assert_same_bits(new, ref):
         np.testing.assert_array_equal(new.solution.interior_values, ref.solution.interior_values)
         np.testing.assert_array_equal(new.energy_trace, ref.energy_trace)
         np.testing.assert_array_equal(new.residual_trace, ref.residual_trace)
 
+    @staticmethod
+    def _assert_within_tolerance(new, ref):
+        # a root a few ulps off moves the energy by round-off, and the
+        # solution by no more than the solver tolerance
+        assert new.converged and ref.converged
+        assert new.iterations == ref.iterations
+        np.testing.assert_allclose(new.energy_trace, ref.energy_trace, rtol=1e-13, atol=0.0)
+        u, v = new.solution.interior_values, ref.solution.interior_values
+        assert np.abs(u - v).max() <= dc.SolverConfig().residual_tol * max(1.0, np.abs(v).max())
+
+    @staticmethod
+    def _counting_roots(monkeypatch):
+        """Wrap kernels.roots; returns the list of lane counts per call with a scalar d."""
+        lanes, roots_ = [], kernels.roots
+
+        def counting(d, q, gamma, one_phase):
+            if np.ndim(d) == 0:  # the proximal step's single diagonal 1/tau
+                lanes.append(q.size)
+            return roots_(d, q, gamma, one_phase)
+
+        monkeypatch.setattr(kernels, "roots", counting)
+        return lanes
+
     def test_local(self, monkeypatch):
+        # every tridiagonal root goes through roots
         gamma = 0.2
         grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0))
         kappa = dc.profile_coefficient(gamma)
-        self._both(
+        new, ref = self._both(
             monkeypatch,
             lambda: dc.solve_local(grid, ReactionSpec(gamma=gamma), boundary=(-kappa, kappa)),
         )
+        self._assert_within_tolerance(new, ref)
 
     def test_nonlocal_ramp(self, monkeypatch):
+        # The dense sweep calls only scalar_root, and the proximal step, the
+        # dense path's one call of roots, never runs here: the same bits.
         grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=4.0))
         op = dc.assemble(grid, 0.95)
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
-        self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
+        prox = self._counting_roots(monkeypatch)
+        new, ref = self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
+        assert prox == []
+        self._assert_same_bits(new, ref)
+
+    def test_nonlocal_with_proximal_steps(self, monkeypatch):
+        # An ascent direction fails every Armijo test, so each Newton
+        # iteration takes the proximal step through roots.
+        newton_delta = solver._DenseSystem.newton_delta
+        monkeypatch.setattr(
+            solver._DenseSystem, "newton_delta", lambda self, r, free, dd: -newton_delta(self, r, free, dd)
+        )
+        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
+        op = dc.assemble(grid, 0.75)
+        g = dc.odd_exterior_builder(grid, "ramp", 2.0)
+        prox = self._counting_roots(monkeypatch)
+        new, ref = self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
+        assert sum(prox) > 0
+        self._assert_within_tolerance(new, ref)

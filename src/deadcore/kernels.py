@@ -48,13 +48,13 @@ loop) is found by a binary search over k with the same monotone test; the
 loop then runs on from there.  The tests compare all of this against the
 full bisection bit for bit.
 
-``roots`` is the array form, used by the tridiagonal sweep and the solver's
-proximal step.  It takes the same steps on all lanes at once with numpy's exp
-and log, each lane with its own side's sign test: Newton in s, one Newton
-step in t, and the checked 4e-16 bracket halved to adjacent doubles.  Every
-lane outside the located regime, and every lane whose 4e-16 bracket fails
-(which then needs the wider brackets), goes to ``scalar_root``: 1 to 3
-lanes in a thousand in the local solves, 1 in a hundred in a one-phase solve
+``roots`` is the array form, used by the tridiagonal sweep only.  It takes
+the same steps on all lanes at once with numpy's exp and log, each lane with
+its own side's sign test: Newton in s, one Newton step in t, and the checked
+4e-16 bracket halved to adjacent doubles.  Every lane outside the located
+regime, and every lane whose 4e-16 bracket fails (which then needs the
+wider brackets), goes to ``scalar_root``: 1 to 3 lanes in a thousand in
+the local solves, 1 in a hundred in a one-phase solve
 whose dead core holds roots below 1e-250.  numpy's vectorized exp
 rounds differently from math.exp on a few percent of arguments (4.6% of
 those at the roots of a local solve), so near the root the two sign tests

@@ -8,22 +8,31 @@ the Euler-Lagrange equation of the strictly convex energy
 
     J(u) = h * ( u.A u / 2 + b.u + sum_i Phi(u_i) ),
 
-and reports expose the full energy trace.  Newton and proximal steps are
-accepted only when the recomputed J does not rise.  Polish iterations are
-accepted without an energy comparison: each coordinate update is an exact
-minimization, so J cannot rise in exact arithmetic, but the J recomputed
-after a sweep can exceed the previous value by round-off (+2.7e-19 at
-|J| = 1.9e-4 has been seen).  The trace is therefore non-increasing up to
-round-off; the tests allow a rise of 1e-12 * max(1, max|J|).
+and reports expose the full energy trace.
 
-The iteration alternates between a pinned semismooth Newton step (nodes at
-the degenerate scale are frozen, one-phase mode additionally respects the
-active set) and exact coordinate-descent sweeps, with a proximal-gradient
-step as a safety net.  Coordinate sweeps are what finish the job near
-degenerate nodes, where f has unbounded slope and Newton steps stall or
-chatter.  When one-phase data is nonnegative the iterate is clipped at zero
-after every accepted step; zero is then a subsolution and truncation never
-increases the energy.
+Each iteration is one step of a one-level truncated nonsmooth Newton
+multigrid (TNNMG) scheme (Graeser & Kornhuber, J. Comput. Math. 27 (2009);
+Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
+
+1. the system's smoother: exact coordinate-descent sweeps;
+2. one truncated Newton step from the smoothed iterate, on the free set
+   only: nodes at the degenerate scale are frozen, and one-phase mode
+   additionally respects the active set;
+3. an Armijo line search on that step, which also asks that the
+   recomputed J not rise; if no backtrack passes, the Newton update is
+   dropped.
+
+The smoother descends on a strictly convex energy, so every iteration
+descends and the scheme needs no fallback.  The sweeps are what finish the
+job near degenerate nodes, where f has unbounded slope and Newton steps
+stall or chatter; the Newton step carries the smooth part.  The smoother's
+result is accepted without an energy comparison: J cannot rise in exact
+arithmetic, but the J recomputed after a sweep can exceed the previous value
+by round-off (+2.7e-19 at |J| = 1.9e-4 has been seen).  The trace is
+therefore non-increasing up to round-off; the tests allow a rise of
+1e-12 * max(1, max|J|).  When one-phase data is nonnegative the iterate is
+clipped at zero after every step; zero is then a subsolution and truncation
+never increases the energy.
 """
 
 from __future__ import annotations
@@ -52,10 +61,6 @@ __all__ = [
 
 GAMMA_MAX = 1.0 / 3.0
 _EPS_CAP = 1e-6
-_SWITCH_WINDOW = 6
-_NEWTON_STALL = 0.5
-_POLISH_STALL = 0.9
-_POLISH_BURST = 24  # hand smooth cases back to Newton even when sweeps still progress
 _ARMIJO = 1e-4
 
 
@@ -101,12 +106,12 @@ class SolverConfig:
 class SolveReport:
     """Outcome of a solve: solution, convergence data, and traces.
 
-    energy_trace is non-increasing up to round-off: a polish iteration can
-    raise the recomputed energy by a few ulps of max|J| (see the module
-    docstring); residual_inf is the sup norm of A u + b + f(u) at the
-    reported iterate.  free_boundary is
-    the interior edge of the detected dead core for one-phase runs (None
-    when there is no core or it fills the interior).
+    iterations counts smoother + Newton pairs.  energy_trace is
+    non-increasing up to round-off: a smoother pass can raise the
+    recomputed energy by a few ulps of max|J| (see the module docstring);
+    residual_inf is the sup norm of A u + b + f(u) at the reported iterate.
+    free_boundary is the interior edge of the detected dead core for
+    one-phase runs (None when there is no core or it fills the interior).
     """
 
     solution: GridFunction
@@ -119,7 +124,6 @@ class SolveReport:
     s: float
     gamma: float
     mode: str
-    threads: int = 1
     free_boundary: float | None = None
 
     def write_sidecar(self, path: str, extra: dict | None = None) -> None:
@@ -132,7 +136,6 @@ class SolveReport:
             ("iterations", str(self.iterations)),
             ("energy", f"{self.energy:.17g}"),
             ("converged", str(self.converged).lower()),
-            ("threads", str(self.threads)),
         ]
         if self.free_boundary is not None:
             items.append(("free_boundary", f"{self.free_boundary:.17g}"))
@@ -165,8 +168,6 @@ def reaction_energy(u: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
 class _DenseSystem:
     def __init__(self, A: np.ndarray):
         self.A = A
-        self.diag = np.diag(A).copy()
-        self.tau = 1.0 / np.abs(A).sum(axis=1).max()
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.A @ u
@@ -183,17 +184,22 @@ class _DenseSystem:
         return delta
 
     def polish(self, b, u, gamma, one_phase):
-        return kernels.gs_polish_dense(self.A, b, u, gamma, one_phase, sweeps=2)
+        """Three natural-order sweeps, in place.
+
+        With one sweep per iteration the ramp at h=2^-9 (acceptance 04)
+        took 401 iterations: from about iteration 20 on, the predicted
+        Newton decrease h*r.delta (2.6e-18, then smaller) is at or below one
+        ulp of J (1.7e-18 at J = -0.0124), so the energy comparison cannot
+        see the step and only the smoother makes progress.  One, two, three
+        and four sweeps took 401, 36, 26 and 22 iterations and 23, 2.4, 2.0
+        and 1.8 s (single runs on 2 cores, one BLAS thread).
+        """
+        return kernels.gs_polish_dense(self.A, b, u, gamma, one_phase, sweeps=3)
 
 
 class _TridiagSystem:
     def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray):
         self.dl, self.d, self.du = dl, d, du
-        rowsum = np.abs(d).copy()
-        rowsum[1:] += np.abs(dl)
-        rowsum[:-1] += np.abs(du)
-        self.tau = 1.0 / rowsum.max()
-        self.diag = d
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         out = self.d * u
@@ -219,8 +225,9 @@ class _TridiagSystem:
         return self._banded_solve(diag, sup, rhs)
 
     def polish(self, b, u, gamma, one_phase):
+        """One red-black sweep, in place."""
         return kernels.gs_polish_tridiag(
-            self.dl, self.d, self.du, b, u, gamma, one_phase, sweeps=8
+            self.dl, self.d, self.du, b, u, gamma, one_phase, sweeps=1
         )
 
 
@@ -231,23 +238,21 @@ def _energy(system, b, h, u, gamma, one_phase):
 
 
 def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, data_sup: float, clip: bool):
-    """Shared Newton/polish alternation; returns (u, iters, traces, converged)."""
+    """Smoother + truncated Newton iteration; returns (u, iters, traces, converged)."""
     gamma, one_phase = reaction.gamma, reaction.one_phase
     tol = config.residual_tol
     eps = reaction.eps if reaction.eps > 0 else max(1e-8 * data_sup, 1e-300)
 
-    u = system.init_solve(b)
-    if clip:
-        u = np.maximum(u, 0.0)
-
     def resid(v):
         return system.matvec(v) + b + reaction_value(v, gamma, one_phase)
 
+    def clipped(v):
+        return np.maximum(v, 0.0) if clip else v
+
+    u = clipped(system.init_solve(b))
     r_trace: list[float] = []
     j_trace: list[float] = []
     Ju = _energy(system, b, h, u, gamma, one_phase)
-    mode = "newton"
-    last_switch = 0
     for it in range(config.max_iter):
         r = resid(u)
         rn = float(np.abs(r).max())
@@ -256,59 +261,30 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, data_su
         if rn <= tol:
             return u, it, np.array(r_trace), np.array(j_trace), True
 
-        k = it - last_switch
-        if mode == "newton" and k >= _SWITCH_WINDOW and rn > _NEWTON_STALL * r_trace[it - _SWITCH_WINDOW]:
-            mode, last_switch = "polish", it
-        elif mode == "polish" and (
-            (k >= _SWITCH_WINDOW and rn > _POLISH_STALL * r_trace[it - _SWITCH_WINDOW])
-            or k >= _POLISH_BURST
-        ):
-            mode, last_switch = "newton", it
+        u = clipped(system.polish(b, u, gamma, one_phase))
+        Ju = _energy(system, b, h, u, gamma, one_phase)
 
-        if mode == "newton":
-            free = np.abs(u) >= eps
-            if one_phase:
-                free &= (u > 0) | (r < 0)
-            dd = gamma * np.maximum(np.abs(u), eps) ** (gamma - 1.0)
-            if one_phase:
-                dd = dd * (u > 0)
-            delta = system.newton_delta(r, free, dd)
-            gd = h * float(r @ delta)
-            accepted = False
-            t = 1.0
-            for _ in range(40):
-                un = u + t * delta
-                if clip:
-                    un = np.maximum(un, 0.0)
-                Jn = _energy(system, b, h, un, gamma, one_phase)
-                if Jn <= Ju + _ARMIJO * t * gd and Jn <= Ju:
-                    u, Ju = un, Jn
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                # proximal-gradient step: per node, the root of d*t + f(t) = q
-                d = 1.0 / system.tau
-                q = (u - system.tau * (system.matvec(u) + b)) / system.tau
-                un = kernels.roots(d, q, gamma, one_phase)
-                if clip:
-                    un = np.maximum(un, 0.0)
-                Jn = _energy(system, b, h, un, gamma, one_phase)
-                if Jn <= Ju:
-                    u, Ju = un, Jn
-                else:
-                    mode, last_switch = "polish", it
-
-        if mode == "polish":
-            u = system.polish(b, u.copy(), gamma, one_phase)
-            if clip:
-                u = np.maximum(u, 0.0)
-            Ju = _energy(system, b, h, u, gamma, one_phase)
+        r = resid(u)
+        free = np.abs(u) >= eps
+        dd = gamma * np.maximum(np.abs(u), eps) ** (gamma - 1.0)
+        if one_phase:
+            free &= (u > 0) | (r < 0)
+            dd = dd * (u > 0)
+        delta = system.newton_delta(r, free, dd)
+        gd = h * float(r @ delta)
+        t = 1.0
+        for _ in range(40):
+            un = clipped(u + t * delta)
+            Jn = _energy(system, b, h, un, gamma, one_phase)
+            if Jn <= Ju + _ARMIJO * t * gd and Jn <= Ju:
+                u, Ju = un, Jn
+                break
+            t *= 0.5
 
     r = resid(u)
     rn = float(np.abs(r).max())
     r_trace.append(rn)
-    j_trace.append(_energy(system, b, h, u, gamma, one_phase))
+    j_trace.append(Ju)
     return u, config.max_iter, np.array(r_trace), np.array(j_trace), rn <= tol
 
 
@@ -322,9 +298,9 @@ def _beta(s: float, gamma: float) -> float:
     return 2.0 * s / (1.0 - gamma)
 
 
-def _find_free_boundary(x_int: np.ndarray, u: np.ndarray, tau: float, a: float, h: float):
-    """Interior edge of the largest |u| <= tau run, or None."""
-    core = dead_core_interval(x_int, u, tau)
+def _find_free_boundary(x_int: np.ndarray, u: np.ndarray, threshold: float, a: float, h: float):
+    """Interior edge of the largest |u| <= threshold run, or None."""
+    core = dead_core_interval(x_int, u, threshold)
     if core is None:
         return None
     lo, hi = core
@@ -364,8 +340,8 @@ def solve(
     values[grid.interior] = u
     fb = None
     if reaction.one_phase:
-        tau = grid.h ** _beta(op.s, reaction.gamma)
-        fb = _find_free_boundary(grid.x_interior, u, tau, grid.a, grid.h)
+        threshold = grid.h ** _beta(op.s, reaction.gamma)
+        fb = _find_free_boundary(grid.x_interior, u, threshold, grid.a, grid.h)
     return SolveReport(
         solution=GridFunction(grid, values, g.tail),
         converged=bool(ok),
@@ -421,8 +397,8 @@ def solve_local(
     values[grid.interior] = u
     fb = None
     if reaction.one_phase:
-        tau = h ** _beta(1.0, reaction.gamma)
-        fb = _find_free_boundary(grid.x_interior, u, tau, grid.a, h)
+        threshold = h ** _beta(1.0, reaction.gamma)
+        fb = _find_free_boundary(grid.x_interior, u, threshold, grid.a, h)
     return SolveReport(
         solution=GridFunction(grid, values, TailModel.zero()),
         converged=bool(ok),

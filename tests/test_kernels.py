@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import deadcore as dc
-from deadcore import GridSpec, ReactionSpec, kernels, make_grid, solver
+from deadcore import GridSpec, ReactionSpec, kernels, make_grid
 from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, roots, scalar_root
 
 
@@ -369,12 +369,11 @@ class TestSolvesMatchReferenceRoot:
 
     @staticmethod
     def _counting_roots(monkeypatch):
-        """Wrap kernels.roots; returns the list of lane counts per call with a scalar d."""
+        """Wrap kernels.roots; returns the list of lane counts, one per call."""
         lanes, roots_ = [], kernels.roots
 
         def counting(d, q, gamma, one_phase):
-            if np.ndim(d) == 0:  # the proximal step's single diagonal 1/tau
-                lanes.append(q.size)
+            lanes.append(q.size)
             return roots_(d, q, gamma, one_phase)
 
         monkeypatch.setattr(kernels, "roots", counting)
@@ -392,27 +391,12 @@ class TestSolvesMatchReferenceRoot:
         self._assert_within_tolerance(new, ref)
 
     def test_nonlocal_ramp(self, monkeypatch):
-        # The dense sweep calls only scalar_root, and the proximal step, the
-        # dense path's one call of roots, never runs here: the same bits.
+        # The dense path never calls roots: its sweep calls only scalar_root,
+        # which gives the reference's bits, so the solves are the same bits.
         grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=4.0))
         op = dc.assemble(grid, 0.95)
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
-        prox = self._counting_roots(monkeypatch)
+        lanes = self._counting_roots(monkeypatch)
         new, ref = self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
-        assert prox == []
+        assert lanes == []
         self._assert_same_bits(new, ref)
-
-    def test_nonlocal_with_proximal_steps(self, monkeypatch):
-        # An ascent direction fails every Armijo test, so each Newton
-        # iteration takes the proximal step through roots.
-        newton_delta = solver._DenseSystem.newton_delta
-        monkeypatch.setattr(
-            solver._DenseSystem, "newton_delta", lambda self, r, free, dd: -newton_delta(self, r, free, dd)
-        )
-        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
-        op = dc.assemble(grid, 0.75)
-        g = dc.odd_exterior_builder(grid, "ramp", 2.0)
-        prox = self._counting_roots(monkeypatch)
-        new, ref = self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
-        assert sum(prox) > 0
-        self._assert_within_tolerance(new, ref)

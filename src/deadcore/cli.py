@@ -420,14 +420,18 @@ def main(argv=None) -> int:
         help="config file (repeatable; configs run independently)",
     )
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers across configs")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel workers across configs, at most one per config")
     parser.add_argument("--seed", type=int, default=0, help="campaign seed, recorded in sidecars")
     parser.add_argument("--dry-run", action="store_true", help="parse and plan without writing")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     tasks = [(args.mode, path, args.out, args.seed, args.dry_run) for path in args.config]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at the first submit: no more than there are tasks
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_run_one, tasks))
     else:
         codes = [_run_one(t) for t in tasks]

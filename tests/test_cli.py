@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deadcore import cli
 from deadcore.cli import _MODE_KEYS, ConfigError, main, read_config
 
 
@@ -312,6 +313,37 @@ class TestJobs:
         assert code == 0
         assert (out / "a_solve.csv").exists()
         assert (out / "b_solve.csv").exists()
+
+    def test_pool_has_no_more_workers_than_configs(self, tmp_path, monkeypatch):
+        # a stand-in executor: records the pool size and runs the tasks in process
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        cfgs = [write_config(tmp_path / f"{k}.cfg", **SOLVE_KEYS) for k in "ab"]
+        argv = ["solve", "--config", cfgs[0], "--config", cfgs[1], "--out", str(tmp_path), "--dry-run"]
+        assert main(argv + ["--jobs", "64"]) == 0
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "run.cfg", **SOLVE_KEYS)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_worst_exit_code_wins(self, tmp_path, capsys):
         good = write_config(tmp_path / "good.cfg", **SOLVE_KEYS)

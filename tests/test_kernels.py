@@ -11,37 +11,26 @@ from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, roots, scalar_r
 
 
 def _reference_root(d, q, gamma, one_phase):
-    """Full-bracket bisection, verbatim: the definition scalar_root must reproduce."""
+    """Full-bracket bisection on q > 0, verbatim, extended oddly: the definition scalar_root must reproduce."""
     if one_phase and q <= 0.0:
         return q / d
+    if q < 0.0:
+        return 0.0 - _reference_root(d, -q, gamma, False)
     if q == 0.0:
         return 0.0
-    if q < 0.0:
-        lo, hi = q / d, 0.0
-        for _ in range(220):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if d * mid - math.exp(gamma * math.log(-mid)) - q < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-280 + 1e-16 * -lo:
-                break
-    else:
-        lo, hi = 0.0, q / d
-        for _ in range(220):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if d * mid + math.exp(gamma * math.log(mid)) - q < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-280 + 1e-16 * lo:
-                break
+    lo, hi = 0.0, q / d
+    for _ in range(220):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if d * mid + math.exp(gamma * math.log(mid)) - q < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-280 + 1e-16 * lo:
+            break
     out = 0.5 * (lo + hi)
-    return 0.0 if abs(out) < 1e-280 else out
+    return 0.0 if out < 1e-280 else out
 
 
 def _reference_roots(d, q, gamma, one_phase):
@@ -66,9 +55,16 @@ class TestScalarRoot:
         assert scalar_root(4.0, -2.0, 0.2, True) == pytest.approx(-0.5)
 
     def test_two_phase_is_odd(self):
-        t_pos = scalar_root(3.0, 0.7, 0.25, False)
-        t_neg = scalar_root(3.0, -0.7, 0.25, False)
-        assert t_neg == pytest.approx(-t_pos, rel=1e-12)
+        # exactly, on every two-phase lane, and a root that snaps to zero is +0.0 on both sides
+        d, q, gamma = (np.array(c) for c in zip(*[a[:3] for a in _root_draws() if not a[3]]))
+        lanes = list(zip(d.tolist(), q.tolist(), gamma.tolist()))
+        pos = np.array([scalar_root(di, qi, gi, False) for di, qi, gi in lanes])
+        neg = np.array([scalar_root(di, -qi, gi, False) for di, qi, gi in lanes])
+        np.testing.assert_array_equal(neg, -pos)
+        assert not np.signbit(np.r_[pos, neg][np.r_[pos, neg] == 0.0]).any()
+        pos, neg = roots(d, q, gamma, False), roots(d, -q, gamma, False)
+        np.testing.assert_array_equal(neg, -pos)
+        assert not np.signbit(np.r_[pos, neg][np.r_[pos, neg] == 0.0]).any()
 
     def test_degenerate_forcing_drives_deep(self):
         # the root of t + t^0.2 = 1e-60 sits near 1e-300; 220 halvings reach
@@ -139,20 +135,18 @@ class TestRoots:
 
     @staticmethod
     def _below(d, q, gamma, t):
-        """The bisection's sign test with numpy's exp and log, each side its own."""
+        """The bisection's sign test at q > 0 with numpy's exp and log."""
         with np.errstate(all="ignore"):
-            pos = d * t + np.exp(gamma * np.log(t)) - q < 0.0
-            neg = d * t - np.exp(gamma * np.log(-t)) - q < 0.0
-        return np.where(q < 0.0, neg, pos)
+            return d * t + np.exp(gamma * np.log(t)) - q < 0.0
 
     def test_matches_scalar_root_up_to_the_sign_test(self, monkeypatch):
         draws = _root_draws()
         d, q, gamma, one_phase = (np.array(c) for c in zip(*draws))
         sent = set()
 
-        def recording_root(*lane):
-            sent.add(lane)
-            return scalar_root(*lane)
+        def recording_root(d, q, gamma, one_phase):  # roots sends |q| and negates
+            sent.add((d, q, gamma))
+            return scalar_root(d, q, gamma, one_phase)
 
         monkeypatch.setattr(kernels, "scalar_root", recording_root)
         t = roots(d, q, gamma, one_phase)
@@ -160,14 +154,15 @@ class TestRoots:
         ref = np.array([scalar_root(*a) for a in draws])
 
         # lanes scalar_root settles at once, and every lane sent to it, equal it
-        direct = (one_phase & (q <= 0.0)) | (q == 0.0) | np.array([a in sent for a in draws])
+        direct = (one_phase & (q <= 0.0)) | (q == 0.0) | np.array([(a[0], abs(a[1]), a[2]) in sent for a in draws])
         np.testing.assert_array_equal(t[direct], ref[direct])
 
-        # a located lane is the midpoint of adjacent doubles across which the
-        # numpy sign test changes; q/d, the full bracket's own end, passes unevaluated
+        # a located lane's |t| is the midpoint of adjacent doubles across which
+        # the numpy sign test at |q| changes; |q|/d, the full bracket's own end,
+        # passes unevaluated
         loc = ~direct
         assert loc.sum() > 5_000
-        dl, ql, gl, tl = d[loc], q[loc], gamma[loc], t[loc]
+        dl, ql, gl, tl = d[loc], np.abs(q[loc]), gamma[loc], np.abs(t[loc])
         end = ql / dl
 
         def pair(lo, hi):
@@ -279,27 +274,12 @@ class TestRedBlackSweep:
         off = np.full(n - 1, -1.0)
         return (off, np.full(n, 4.0), off.copy()), b, u0
 
-    def test_odd_data_gives_an_odd_sweep_with_an_odd_root(self, monkeypatch):
-        # The per-side sign test breaks exact ties apart, so scalar_root(d, -q)
-        # need not be -scalar_root(d, q).  With a root made exactly odd, the
-        # sweep itself must be: q is formed mirror-exactly and the order of
-        # updates is mirror-symmetric.
-        monkeypatch.setattr(
-            kernels, "roots", lambda d, q, gamma, one_phase: np.sign(q) * roots(d, np.abs(q), gamma, one_phase)
-        )
-        monkeypatch.setattr(
-            kernels,
-            "scalar_root",
-            lambda d, q, gamma, one_phase: math.copysign(scalar_root(d, abs(q), gamma, one_phase), q),
-        )
+    def test_odd_data_gives_an_odd_sweep_with_an_odd_root(self):
+        # q is formed mirror-exactly, the order of updates is mirror-symmetric
+        # and the root is odd, so the sweep is odd bit for bit
         bands, b, u0 = self._odd_problem()
         u = gs_polish_tridiag(*bands, b, u0.copy(), 0.2, False, sweeps=5)
         np.testing.assert_array_equal(u, -u[::-1])
-
-    def test_odd_data_gives_an_odd_sweep_up_to_ties(self):
-        bands, b, u0 = self._odd_problem()
-        u = gs_polish_tridiag(*bands, b, u0.copy(), 0.2, False, sweeps=5)
-        assert np.abs(u + u[::-1]).max() <= 1e-15 * np.abs(u).max()
 
     def test_sweeps_decrease_energy(self):
         A, b, u = _small_problem(7, n=13)

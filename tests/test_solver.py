@@ -188,6 +188,102 @@ class TestNonlocalSolve:
         assert rep.converged
 
 
+def _reduced_newton_delta(A, r, free, dd):
+    """Reference: gather (A + diag(dd))_FF, solve it by LU, zero elsewhere."""
+    delta = np.zeros_like(r)
+    F = np.flatnonzero(free)
+    if F.size:
+        delta[F] = np.linalg.solve(A[np.ix_(F, F)] + np.diag(dd[F]), -r[F])
+    return delta
+
+
+def _assert_matches_reduced(A, r, free, dd, delta):
+    ref = _reduced_newton_delta(A, r, free, dd)
+    if free.any():
+        err = np.abs(delta[free] - ref[free]).max()
+        assert err <= 1e-12 * np.abs(ref[free]).max()
+    # +0.0 on pinned nodes: the line search must not move them
+    pinned = delta[~free]
+    assert np.all(pinned == 0.0) and not np.signbit(pinned).any()
+
+
+@pytest.fixture(scope="module")
+def op_acceptance_08():
+    grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=8.0))
+    return dc.assemble(grid, 0.95)
+
+
+class TestDenseNewtonStep:
+    """The dense Newton step is the free-set system, solved without a gather."""
+
+    @pytest.fixture(params=["h2^-5", "h2^-7"])
+    def op(self, request, op_small, op_acceptance_08):
+        return op_small if request.param == "h2^-5" else op_acceptance_08
+
+    @pytest.mark.parametrize("pinned", ["nothing", "interior_block", "both_ends", "everything"])
+    def test_matches_the_reduced_system(self, op, pinned):
+        A = op.A
+        n = A.shape[0]
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal(n)
+        dd = 0.2 * np.abs(u) ** -0.8
+        r = rng.standard_normal(n)
+        free = np.ones(n, dtype=bool)
+        if pinned == "interior_block":
+            free[n // 3 : 2 * n // 3] = False
+        elif pinned == "both_ends":
+            free[[0, -1]] = False
+        elif pinned == "everything":
+            free[:] = False
+        delta = solver._DenseSystem(A).newton_delta(r, free, dd)
+        _assert_matches_reduced(A, r, free, dd, delta)
+
+    def test_init_solve_matches_lu(self, op):
+        b = np.random.default_rng(9).standard_normal(op.A.shape[0])
+        x = solver._DenseSystem(op.A).init_solve(b)
+        ref = np.linalg.solve(op.A, -b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_steps_of_the_one_phase_solve(self, op_acceptance_08, monkeypatch):
+        # acceptance 08's nonlocal part: every step the solve takes, on its
+        # own free set (the dead core is pinned) and its own dd
+        grid = op_acceptance_08.grid
+        vals = np.zeros(grid.n)
+        vals[grid.exterior] = 0.05
+        g = GridFunction(grid, vals, TailModel.zero())
+        steps = []
+        newton_delta = solver._DenseSystem.newton_delta
+
+        def recording(self, r, free, dd):
+            delta = newton_delta(self, r, free, dd)
+            steps.append((r.copy(), free.copy(), dd.copy(), delta.copy()))
+            return delta
+
+        monkeypatch.setattr(solver._DenseSystem, "newton_delta", recording)
+        rep = dc.solve(op_acceptance_08, g, ReactionSpec(gamma=0.2, mode="one_phase"))
+        assert rep.converged
+        assert len(steps) == rep.iterations
+        assert any((~free).sum() > grid.interior.size // 4 for _, free, _, _ in steps)
+        for r, free, dd, delta in steps:
+            _assert_matches_reduced(op_acceptance_08.A, r, free, dd, delta)
+
+    def test_not_positive_definite_raises(self, op_small):
+        # symmetric, nonsingular and indefinite: LU would solve it, Cholesky
+        # must refuse it rather than return the solve of a partial factor
+        A = op_small.A
+        n = A.shape[0]
+        eig = np.linalg.eigvalsh(A)
+        system = solver._DenseSystem(A - 0.5 * (eig[n // 2] + eig[n // 2 + 1]) * np.eye(n))
+        free = np.ones(n, dtype=bool)
+        free[::7] = False
+        with pytest.raises(np.linalg.LinAlgError):
+            system.init_solve(np.ones(n))
+        with pytest.raises(np.linalg.LinAlgError):
+            system.newton_delta(np.ones(n), np.ones(n, dtype=bool), np.zeros(n))
+        with pytest.raises(np.linalg.LinAlgError):
+            system.newton_delta(np.ones(n), free, np.zeros(n))
+
+
 class TestLocalSolve:
     def test_recovers_exact_profile(self):
         gamma = 0.2

@@ -92,13 +92,25 @@ def _weight_tables(s: float, n: int, corrected: bool):
     return gh, gh_end, lam
 
 
+def _mirrored(t: np.ndarray) -> np.ndarray:
+    """[t[k-1], ..., t[1], t[0], t[1], ..., t[k-1]]: entry k - 1 + m is t[|m|]."""
+    return np.concatenate((t[:0:-1], t))
+
+
 @dataclass(frozen=True)
 class FracLapOperator:
-    """Discrete fractional Laplacian split into interior and data parts.
+    """Discrete fractional Laplacian, stored as its lag table.
 
-    A is the dense symmetric action on interior unknowns.  exterior_weights
-    maps exterior nodal data into the interior residual; truncation_mass is
-    the kernel mass beyond R seen from each interior node (times the
+    Every weight depends only on the lag |i - j| between nodes, so the
+    operator keeps O(n) numbers.  Row i of the interior x all-nodes map is
+    lags[|i - j|] over the nodes j, except in two places: the interior
+    diagonal holds ``diagonal`` (the full-line kernel mass), and the columns
+    of the end nodes 0 and n - 1 hold ``end_columns`` (half hats).  The
+    interior matrix A is therefore symmetric Toeplitz with first row
+    ``row``; ``apply`` and ``load_vector`` are direct convolutions with the
+    lag table.  ``A`` and ``exterior_weights`` build the dense N x N and
+    N x n_ext arrays on each access, for inspection only.  truncation_mass
+    is the kernel mass beyond R seen from each interior node (times the
     normalization), which completes row balance: A@1 + exterior_weights@1
     equals truncation_mass exactly, so constants are annihilated once the
     constant tail correction is applied.
@@ -107,10 +119,44 @@ class FracLapOperator:
     grid: Grid
     s: float
     c: float
-    A: np.ndarray
-    exterior_weights: np.ndarray
+    lags: np.ndarray
+    diagonal: float
+    end_columns: np.ndarray
     truncation_mass: np.ndarray
     corrected: bool
+
+    @property
+    def row(self) -> np.ndarray:
+        """First row r of A: A[i, j] = r[|i - j|]."""
+        r = self.lags[: self.grid.interior.size].copy()
+        r[0] = self.diagonal
+        return r
+
+    def _rows(self) -> np.ndarray:
+        """Unpatched interior x all-nodes map: a read-only view of windows.
+
+        Row i is lags[|i - j|], the window of _mirrored(lags) that starts at
+        n - 1 - i.  The interior is a contiguous run of nodes, so its rows
+        are one slice of windows.
+        """
+        n, gi = self.grid.n, self.grid.interior
+        windows = sliding_window_view(_mirrored(self.lags), n)
+        return windows[n - 1 - gi[-1] : n - gi[0]][::-1]
+
+    @property
+    def A(self) -> np.ndarray:
+        """Dense interior matrix, built anew on each access."""
+        m = self.grid.interior.size
+        A = self._rows()[:, self.grid.interior]
+        A[np.arange(m), np.arange(m)] = self.diagonal
+        return A
+
+    @property
+    def exterior_weights(self) -> np.ndarray:
+        """Dense map from exterior nodal data to the interior, built anew on each access."""
+        B = self._rows()[:, self.grid.exterior]
+        B[:, 0], B[:, -1] = self.end_columns
+        return B
 
     def tail_load(self, tail: TailModel) -> np.ndarray:
         """Interior contribution of data beyond R described by ``tail``."""
@@ -128,22 +174,37 @@ class FracLapOperator:
         return -self.c * tail.c * H
 
     def load_vector(self, g: GridFunction) -> np.ndarray:
-        """Data term b(g): exterior nodal part plus analytic tail part."""
+        """Data term b(g): exterior nodal part plus analytic tail part.
+
+        The exterior part is one convolution of the nodal data, with the
+        interior and the two end nodes zeroed, against the slice of
+        _mirrored(lags) that the interior rows see; the end nodes enter
+        through their own columns.
+        """
         if g.grid is not self.grid and g.grid.spec != self.grid.spec:
             raise ValueError("data lives on a different grid")
-        return self.exterior_weights @ g.exterior_values + self.tail_load(g.tail)
+        n, gi = self.grid.n, self.grid.interior
+        v = g.values.copy()
+        v[gi] = 0.0
+        v[[0, -1]] = 0.0
+        window = _mirrored(self.lags)[gi[0] : gi[0] + n - 1 + gi.size]
+        b = np.convolve(window, v, "valid")
+        b += g.values[[0, -1]] @ self.end_columns
+        return b + self.tail_load(g.tail)
 
     def apply(self, u: GridFunction) -> np.ndarray:
         """Operator value at interior nodes, using u's own tail model."""
-        return self.A @ u.interior_values + self.load_vector(u)
+        Au = np.convolve(_mirrored(self.row), u.interior_values, "valid")
+        return Au + self.load_vector(u)
 
     def dump(self, path: str) -> None:
         """Interior matrix as CSV rows i,j,weight in row-major order."""
+        r = self.row
         with open(path, "w") as fh:
             fh.write("i,j,weight\n")
-            for i in range(self.A.shape[0]):
-                for j in range(self.A.shape[1]):
-                    fh.write(f"{i},{j},{self.A[i, j]:.17g}\n")
+            for i in range(r.size):
+                for j in range(r.size):
+                    fh.write(f"{i},{j},{r[abs(i - j)]:.17g}\n")
 
 
 def check_order(s: float) -> None:
@@ -153,11 +214,11 @@ def check_order(s: float) -> None:
 
 
 def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
-    """Assemble the dense interior matrix and exterior weight map.
+    """Assemble the lag table, the patched diagonal and the end columns.
 
     s is admitted on [1/2, 0.999); the normalization degenerates near s = 1
-    and the closed-form weights lose relative accuracy there.  Weights depend
-    only on the lag |i - j|, so every row is a window of one lag table.
+    and the closed-form weights lose relative accuracy there.  Storage and
+    time are O(n): no N x N or N x n_ext array is built.
     """
     check_order(s)
     c = normalization_constant(s)
@@ -169,26 +230,17 @@ def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
     # 2*lam covers the two adjacent cells' corrected weights; 1/s is the
     # kernel mass at lag >= 1 on the full line.
     diag = 2 * lam + 1.0 / s
-    # Row i of the interior x all-nodes map is T[|i - j|]: the window of
-    # [T[n-1], ..., T[1], T[0], T[1], ..., T[n-1]] that starts at n - 1 - i.
-    # The interior is a contiguous run of nodes, so its rows are one slice of
-    # windows and only A and the exterior weights are ever stored.
     T = -(gh + lam * (np.arange(n) == 1)) * scale
-    windows = sliding_window_view(np.concatenate((T[:0:-1], T)), n)
-    rows = windows[n - 1 - gi[-1] : n - gi[0]][::-1]
-    A = rows[:, gi]
-    A[np.arange(gi.size), np.arange(gi.size)] = diag * scale
-    B = rows[:, grid.exterior]
-    B[:, 0] = -gh_end[np.abs(gi)] * scale
-    B[:, -1] = -gh_end[np.abs(gi - (n - 1))] * scale
+    ends = np.stack((-gh_end[np.abs(gi)] * scale, -gh_end[np.abs(gi - (n - 1))] * scale))
     xi = grid.x[gi]
     T0 = c * ((grid.R - xi) ** (-2 * s) + (grid.R + xi) ** (-2 * s)) / (2 * s)
     return FracLapOperator(
         grid=grid,
         s=s,
         c=c,
-        A=A,
-        exterior_weights=B,
+        lags=T,
+        diagonal=diag * scale,
+        end_columns=ends,
         truncation_mass=T0,
         corrected=corrected,
     )

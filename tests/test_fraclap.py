@@ -1,10 +1,14 @@
 """Operator assembly invariants, consistency rates, and tail handling."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import deadcore as dc
-from deadcore import fraclap
+from deadcore import fraclap, solver
 from deadcore import GridFunction, GridSpec, TailModel, make_grid
 from deadcore.fraclap import tail_influence_bound, tail_norm
 
@@ -105,6 +109,75 @@ def test_assembly_matches_dense_lag_construction(h, R, s, corrected):
     np.testing.assert_array_equal(op.exterior_weights, B)
     # the same memory layout keeps A @ u bit-identical too
     assert op.A.strides == A.strides
+
+
+_GRIDS = [(1 / 32, 4.0, 0.75, True), (1 / 64, 2.0, 0.5, True), (1 / 128, 8.0, 0.95, True), (1 / 32, 2.0, 0.6, False)]
+_TAILS = [TailModel.zero(), TailModel.const(0.7), TailModel.power(-1.3, 1.5)]
+
+
+class TestLagTableOperator:
+    """The stored lag table against the dense A and exterior map it stands for."""
+
+    @staticmethod
+    def _data(grid, tail, seed):
+        v = np.random.default_rng(seed).standard_normal(grid.n)
+        # the end nodes have their own (half-hat) columns
+        v[0], v[-1] = 2.5, -1.5
+        return GridFunction(grid, v, tail)
+
+    @pytest.mark.parametrize("h, R, s, corrected", _GRIDS)
+    @pytest.mark.parametrize("tail", _TAILS, ids=lambda t: t.kind)
+    def test_apply_and_load_match_the_dense_maps(self, h, R, s, corrected, tail):
+        grid = make_grid(GridSpec(h=h, a=1.0, R=R))
+        op = dc.assemble(grid, s, corrected=corrected)
+        u = self._data(grid, tail, 5)
+        load = op.exterior_weights @ u.exterior_values + op.tail_load(tail)
+        ref = op.A @ u.interior_values + load
+        assert np.abs(op.load_vector(u) - load).max() <= 1e-14 * np.abs(load).max()
+        assert np.abs(op.apply(u) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("h, R, s, corrected", _GRIDS)
+    def test_energy_matches_the_dense_formula(self, h, R, s, corrected):
+        grid = make_grid(GridSpec(h=h, a=1.0, R=R))
+        op = dc.assemble(grid, s, corrected=corrected)
+        g = self._data(grid, TailModel.power(-1.3, 1.5), 6)
+        u = np.random.default_rng(7).standard_normal(grid.interior.size)
+        reaction = dc.ReactionSpec(gamma=0.2)
+        b = op.exterior_weights @ g.exterior_values + op.tail_load(g.tail)
+        phi = solver.reaction_energy(u, 0.2, False)
+        ref = h * (0.5 * u @ (op.A @ u) + b @ u + phi.sum())
+        assert abs(dc.energy(op, g, u, reaction) - ref) <= 1e-14 * abs(ref)
+
+    def test_stored_arrays_are_linear_in_the_grid(self):
+        # the nonlocal-ramp grid: n = 8193 nodes, 1023 unknowns
+        op = dc.assemble(make_grid(GridSpec(h=2.0**-9, a=1.0, R=8.0)), 0.95)
+        stored = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+        assert stored < 2**20
+
+    def test_assembly_load_and_energy_allocate_no_dense_arrays(self):
+        # h = 2^-10, R = 8: the dense A and exterior map would take 32 MB and
+        # 224 MB.  Peak RSS is read in a fresh process after the grid and
+        # data exist, so only what the three calls allocate counts.
+        code = """
+import resource
+import numpy as np
+import deadcore as dc
+grid = dc.make_grid(dc.GridSpec(h=2.0**-10, a=1.0, R=8.0))
+g = dc.odd_exterior_builder(grid, "ramp", 15.71)
+u = np.linspace(-1.0, 1.0, grid.interior.size)
+reaction = dc.ReactionSpec(gamma=0.2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+op = dc.assemble(grid, 0.95)
+op.load_vector(g)
+dc.energy(op, g, u, reaction)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+        # the child imports the deadcore this test imported
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dc.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert float(out.stdout) < 20.0
 
 
 class TestConsistency:

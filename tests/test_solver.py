@@ -235,12 +235,12 @@ class TestDenseNewtonStep:
             free[[0, -1]] = False
         elif pinned == "everything":
             free[:] = False
-        delta = solver._DenseSystem(A).newton_delta(r, free, dd)
+        delta = solver._DenseSystem(A[0]).newton_delta(r, free, dd)
         _assert_matches_reduced(A, r, free, dd, delta)
 
     def test_init_solve_matches_lu(self, op):
         b = np.random.default_rng(9).standard_normal(op.A.shape[0])
-        x = solver._DenseSystem(op.A).init_solve(b)
+        x = solver._DenseSystem(op.A[0]).init_solve(b)
         ref = np.linalg.solve(op.A, -b)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -273,7 +273,7 @@ class TestDenseNewtonStep:
         A = op_small.A
         n = A.shape[0]
         eig = np.linalg.eigvalsh(A)
-        system = solver._DenseSystem(A - 0.5 * (eig[n // 2] + eig[n // 2 + 1]) * np.eye(n))
+        system = solver._DenseSystem((A - 0.5 * (eig[n // 2] + eig[n // 2 + 1]) * np.eye(n))[0])
         free = np.ones(n, dtype=bool)
         free[::7] = False
         with pytest.raises(np.linalg.LinAlgError):
@@ -302,6 +302,24 @@ class TestLocalSolve:
         assert rep.converged
         jt = np.asarray(rep.energy_trace)
         assert np.all(np.diff(jt) <= 1e-10 * max(1.0, np.abs(jt).max()))
+
+    def test_residual_stop_is_reachable_with_large_data(self):
+        # |u| = 100 at h = 2^-8: the round-off of A u alone is about
+        # ulp(100) * 4/h^2 = 3.7e-9, above residual_tol = 1e-9, so an absolute
+        # stop can never be met; the floor ulp(max|u|) * max row sum stops it
+        grid = make_grid(GridSpec(h=2.0**-8, a=1.0, R=2.0))
+        rep = dc.solve_local(grid, ReactionSpec(gamma=0.2), boundary=(-100.0, 50.0))
+        floor = np.spacing(np.abs(rep.solution.interior_values).max()) * 4.0 / grid.h**2
+        assert rep.converged
+        assert rep.residual_inf <= floor
+        assert rep.iterations < 50
+
+    def test_stopping_floor_uses_the_largest_absolute_row_sum(self, op_small):
+        grid = make_grid(GridSpec(h=2.0**-8, a=1.0, R=2.0))
+        assert solver.local_operator(grid).abs_row_sum == 4.0 / grid.h**2
+        A = op_small.A
+        dense = np.abs(A).sum(axis=1).max()
+        assert solver._DenseSystem(A[0]).abs_row_sum == pytest.approx(dense, rel=1e-14)
 
     def test_one_phase_dead_core_and_free_boundary(self):
         # small boundary data on a wide window forces a dead core; the

@@ -32,6 +32,7 @@ __all__ = [
     "detect_dead_core",
     "detect_branching",
     "ExponentFit",
+    "check_fit",
     "fit_growth_exponent",
     "blow_up",
     "comparison_check",
@@ -96,6 +97,21 @@ class ExponentFit:
     deriv_order: int
 
 
+def check_fit(k: int, deriv_order: int, n_nodes: int) -> None:
+    """Raise ValueError unless a fit of k radii and deriv_order fits n_nodes nodes.
+
+    Snapped radii are distinct lattice multiples of h.  Fewer than n_nodes
+    of them lie below 2R, the width of the grid, and a wider ball about a
+    node holds every node, so a larger k adds no information.
+    """
+    if deriv_order not in (0, 1):
+        raise ValueError("deriv_order must be 0 or 1")
+    if k < 4:
+        raise ValueError("at least 4 radii are required")
+    if k > n_nodes:
+        raise ValueError(f"k={k} exceeds the grid's {n_nodes} nodes")
+
+
 def fit_growth_exponent(
     u: GridFunction,
     x0: float,
@@ -108,7 +124,8 @@ def fit_growth_exponent(
 
     Measures q(r) = sup over the closed ball B_r(x0) of |u| (or |Du| for
     deriv_order 1) at k radii log-spaced in [r_min, r_max] and snapped to
-    lattice multiples of h.  Defaults: r_min = 8h, r_max = a/4.
+    lattice multiples of h.  Defaults: r_min = 8h, r_max = a/4.  deriv_order
+    must be 0 or 1, and 4 <= k <= the grid's node count (check_fit).
     """
     h = u.grid.h
     a = u.grid.a
@@ -120,8 +137,7 @@ def fit_growth_exponent(
         raise ValueError("fit window must start at or above 4h")
     if not r_max > r_min:
         raise ValueError("empty fit window")
-    if k < 4:
-        raise ValueError("at least 4 radii are required")
+    check_fit(k, deriv_order, u.grid.n)
     raw = np.exp(np.linspace(np.log(r_min), np.log(r_max), k))
     mults = np.unique(np.maximum(np.round(raw / h).astype(int), 4))
     radii = mults * h

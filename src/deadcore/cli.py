@@ -172,31 +172,52 @@ def _check_params(cfg: dict[str, str], mode: str, path: str) -> None:
     """The parameter checks of a run, made before it assembles or solves.
 
     Covers the required keys, the grid spec, the reaction and the order s
-    (each entry of s_list for slimit).  validate makes its own checks and
-    reports them, so for it only the required keys are checked here.
+    (each entry of s_list for slimit), and exponent's fit_k and
+    deriv_order.  validate makes its own checks and reports them, so for it
+    only the required keys are checked here.
     """
-    if mode == "exponent" and _local_exponent(cfg, path):
-        mode = "solve-local"
-    required = _REQUIRED_KEYS[mode]
+    local = mode == "exponent" and _local_exponent(cfg, path)
+    required = _REQUIRED_KEYS["solve-local" if local else mode]
     _require(cfg, required, path)
     if mode == "validate":
         return
-    _grid_spec_from(cfg)
+    spec = _grid_spec_from(cfg)
     _reaction_from(cfg)
     if "s" in required:
         check_order(_parse_number(cfg["s"]))
     if mode == "slimit":
         for tok in cfg["s_list"].split(","):
             check_order(_parse_number(tok))
+    if mode == "exponent":
+        analysis.check_fit(*_fit_k_and_order(cfg), spec.n_nodes)
 
 
-def _nonlocal_solve(cfg):
+def _fit_k_and_order(cfg):
+    return int(cfg.get("fit_k", "8")), int(cfg.get("deriv_order", "0"))
+
+
+def _converged(report, path):
+    if not report.converged:
+        raise SolveFailure(f"{path}: solve did not converge")
+    return report
+
+
+def _nonlocal_solve(cfg, path):
     grid = _grid_from(cfg)
     reaction = _reaction_from(cfg)
     op = assemble(grid, _parse_number(cfg["s"]))
     g = _data_from(cfg, grid)
-    report = solve(op, g, reaction, _solver_config_from(cfg))
-    return grid, reaction, report
+    return _converged(solve(op, g, reaction, _solver_config_from(cfg)), path)
+
+
+def _local_solve(cfg, path):
+    report = solve_local(
+        _grid_from(cfg),
+        _reaction_from(cfg),
+        (_parse_number(cfg["left"]), _parse_number(cfg["right"])),
+        _solver_config_from(cfg),
+    )
+    return _converged(report, path)
 
 
 def _write_solution(report, out_dir, stem, mode, seed) -> None:
@@ -207,55 +228,32 @@ def _write_solution(report, out_dir, stem, mode, seed) -> None:
 
 
 def _run_solve(cfg, path, out_dir, stem, seed):
-    _, _, report = _nonlocal_solve(cfg)
-    if not report.converged:
-        raise SolveFailure(f"{path}: solve did not converge")
-    _write_solution(report, out_dir, stem, "solve", seed)
+    _write_solution(_nonlocal_solve(cfg, path), out_dir, stem, "solve", seed)
 
 
 def _run_solve_local(cfg, path, out_dir, stem, seed):
-    grid = _grid_from(cfg)
-    report = solve_local(
-        grid,
-        _reaction_from(cfg),
-        (_parse_number(cfg["left"]), _parse_number(cfg["right"])),
-        _solver_config_from(cfg),
-    )
-    if not report.converged:
-        raise SolveFailure(f"{path}: solve did not converge")
-    _write_solution(report, out_dir, stem, "solve-local", seed)
+    _write_solution(_local_solve(cfg, path), out_dir, stem, "solve-local", seed)
 
 
 def _run_exponent(cfg, path, out_dir, stem, seed):
-    if _local_exponent(cfg, path):
-        grid = _grid_from(cfg)
-        report = solve_local(
-            grid,
-            _reaction_from(cfg),
-            (_parse_number(cfg["left"]), _parse_number(cfg["right"])),
-            _solver_config_from(cfg),
-        )
-        s_eff = 1.0
-    else:
-        _, _, report = _nonlocal_solve(cfg)
-        s_eff = report.s
-    if not report.converged:
-        raise SolveFailure(f"{path}: solve did not converge")
-    gamma = report.gamma
+    solve_run = _local_solve if _local_exponent(cfg, path) else _nonlocal_solve
+    report = solve_run(cfg, path)
+    s, gamma = report.s, report.gamma  # s is 1 for the local operator
     u = report.solution
-    points = analysis.detect_branching(u, s_eff, gamma)
+    points = analysis.detect_branching(u, s, gamma)
     hint = _parse_number(cfg.get("x0", "0"))
     x0 = float(points[np.argmin(np.abs(points - hint))]) if points.size else hint
+    k, deriv_order = _fit_k_and_order(cfg)
     fit = analysis.fit_growth_exponent(
         u,
         x0,
         r_min=_parse_number(cfg["fit_rmin"]) if "fit_rmin" in cfg else None,
         r_max=_parse_number(cfg["fit_rmax"]) if "fit_rmax" in cfg else None,
-        k=int(cfg.get("fit_k", "8")),
-        deriv_order=int(cfg.get("deriv_order", "0")),
+        k=k,
+        deriv_order=deriv_order,
     )
     analysis.write_exponent_csv(
-        os.path.join(out_dir, f"{stem}_exponent.csv"), [(s_eff, gamma, x0, fit)]
+        os.path.join(out_dir, f"{stem}_exponent.csv"), [(s, gamma, x0, fit)]
     )
     analysis.write_branching_csv(
         os.path.join(out_dir, f"{stem}_branching.csv"), u, points
@@ -267,9 +265,7 @@ def _run_exponent(cfg, path, out_dir, stem, seed):
 
 
 def _run_blowup(cfg, path, out_dir, stem, seed):
-    _, _, report = _nonlocal_solve(cfg)
-    if not report.converged:
-        raise SolveFailure(f"{path}: solve did not converge")
+    report = _nonlocal_solve(cfg, path)
     v = analysis.blow_up(
         report.solution,
         _parse_number(cfg.get("x0", "0")),
@@ -308,9 +304,7 @@ def _run_compare(cfg, path, out_dir, stem, seed):
 
 
 def _run_liouville(cfg, path, out_dir, stem, seed):
-    _, _, report = _nonlocal_solve(cfg)
-    if not report.converged:
-        raise SolveFailure(f"{path}: solve did not converge")
+    report = _nonlocal_solve(cfg, path)
     probe = analysis.liouville_probe(
         report.solution, report.s, report.gamma, from_solver=True
     )

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+from .fraclap import S_MAX
 from .grid import Grid, GridFunction, TailModel
 from .solver import GAMMA_MAX
 
@@ -140,8 +141,8 @@ def validate_params(s: float, gamma: float) -> ValidationReport:
     warnings_ = []
     if not (0.0 < gamma < GAMMA_MAX):
         errors.append(f"gamma={gamma:g} outside (0, 1/3)")
-    if not (0.5 <= s < 0.999):
-        errors.append(f"s={s:g} outside [0.5, 0.999)")
+    if not (0.5 <= s < S_MAX):
+        errors.append(f"s={s:g} outside [0.5, {S_MAX:g})")
     rows = []
     if not errors:
         rows = exponent_table([s], [gamma])

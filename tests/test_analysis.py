@@ -108,6 +108,27 @@ class TestFitGrowthExponent:
         with pytest.raises(ValueError, match="at least 4 radii"):
             dc.fit_growth_exponent(u, 0.0, k=3)
 
+    @pytest.mark.parametrize("order", [-1, 2, 3])
+    def test_derivative_order_is_0_or_1(self, order):
+        # |Du| is fitted for any nonzero order, so any other order would be
+        # compared with the wrong target
+        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
+        u = dc.exact_local_profile(grid, 0.2)
+        with pytest.raises(ValueError, match="deriv_order must be 0 or 1"):
+            dc.fit_growth_exponent(u, 0.0, deriv_order=order)
+
+    def test_more_radii_than_nodes_rejected_before_allocating(self):
+        # 10**12 log-spaced radii would take 7.3 TiB; snapped radii are
+        # distinct lattice multiples of h, so the grid bounds their number
+        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
+        u = GridFunction(grid, grid.x**2)
+        with pytest.raises(ValueError, match="exceeds the grid's 257 nodes"):
+            dc.fit_growth_exponent(u, 0.0, k=10**12)
+        with pytest.raises(ValueError, match="exceeds"):
+            dc.fit_growth_exponent(u, 0.0, k=grid.n + 1)
+        fit = dc.fit_growth_exponent(u, 0.0, k=grid.n)
+        assert fit.slope == pytest.approx(2.0, abs=1e-2)
+
     def test_flat_function_rejected(self):
         grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
         u = GridFunction(grid, np.zeros(grid.n))
@@ -329,6 +350,23 @@ class TestCampaignAndSLimit:
         assert all(isinstance(r, SLimitRow) for r in rows)
         # closer to local as s rises
         assert rows[1].distance < rows[0].distance
+
+
+    def test_s_limit_against_a_nontrivial_local_reference(self):
+        # plateau data is nonzero at +-a, so the local reference solve has
+        # work to do (the odd ramp vanishes there and gives u_loc = 0)
+        amplitude = 4.0
+        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
+        g = dc.odd_exterior_builder(grid, "plateau", amplitude)
+        rows, local_rep = dc.s_limit_study(
+            grid, [0.75, 0.9, 0.99], ReactionSpec(gamma=0.2), g
+        )
+        assert local_rep.converged
+        assert local_rep.iterations >= 1
+        assert np.abs(local_rep.solution.interior_values).max() > 0.5 * amplitude
+        d = [row.distance for row in rows]
+        assert d[0] > d[1] > d[2]
+        assert d[2] < d[0] / 10
 
 
 class TestCsvWriters:

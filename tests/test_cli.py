@@ -284,6 +284,26 @@ class TestDryRun:
         assert main([mode, "--config", good, "--out", out, "--dry-run"]) == 0
         assert main([mode, "--config", bad, "--out", out, "--dry-run"]) == 2
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(deriv_order="2"), "deriv_order must be 0 or 1"),
+            (dict(fit_k=str(10**12)), "exceeds the grid's 257 nodes"),
+            (dict(fit_k="3"), "at least 4 radii"),
+        ],
+        ids=["deriv-order-2", "huge-fit-k", "small-fit-k"],
+    )
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_exponent_checks_its_fit(self, tmp_path, capsys, bad, message, dry_run):
+        # deriv_order = 2 used to write a wrong target and exit 0, and a huge
+        # fit_k to die allocating its radii; both are rejected before solving
+        keys = dict(h="1/64", a="1", R="2", s="0.75", gamma="0.2", amplitude="4")
+        cfg = write_config(tmp_path / "e.cfg", **keys, **bad)
+        out = tmp_path / "out"
+        assert main(["exponent", "--config", cfg, "--out", str(out), *dry_run]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_dry_run_prints_without_files(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "v.cfg", **SOLVE_KEYS)
         out = tmp_path / "out"

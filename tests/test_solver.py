@@ -362,6 +362,39 @@ class TestLocalSolve:
         assert np.all(v[grid.x > 1.0] == 0.8)
 
 
+class TestEachPointEvaluatedOnce:
+    """The iterate carries its residual and energy: no point is evaluated twice."""
+
+    @pytest.mark.parametrize("case", ["local_h2^-10", "ramp_h2^-7", "local_one_phase_clipped"])
+    def test_every_evaluation_gets_a_new_point(self, case, monkeypatch):
+        gamma = 0.2
+        points = []
+        original = solver.reaction_value
+
+        def recording(u, gamma, one_phase):
+            points.append(np.asarray(u).tobytes())
+            return original(u, gamma, one_phase)
+
+        monkeypatch.setattr(solver, "reaction_value", recording)
+        if case == "local_h2^-10":
+            kappa = dc.profile_coefficient(gamma)
+            grid = make_grid(GridSpec(h=2.0**-10, a=1.0, R=2.0))
+            rep = dc.solve_local(grid, ReactionSpec(gamma=gamma), boundary=(-kappa, kappa))
+        elif case == "ramp_h2^-7":
+            grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=8.0))
+            g = dc.odd_exterior_builder(grid, "ramp", 15.71)
+            rep = dc.solve(dc.assemble(grid, 0.95), g, ReactionSpec(gamma=gamma))
+        else:
+            # nonnegative one-phase data: trials are clipped at zero
+            grid = make_grid(GridSpec(h=1 / 64, a=4.0, R=8.0))
+            reaction = ReactionSpec(gamma=gamma, mode="one_phase")
+            rep = dc.solve_local(grid, reaction, boundary=(1.0, 1.0))
+        assert rep.converged
+        distinct = len(set(points))
+        assert distinct > rep.iterations
+        assert distinct == len(points)
+
+
 class TestEnergyFunctions:
     def test_energy_matches_report(self, op_small):
         grid = op_small.grid

@@ -339,8 +339,12 @@ def _run_slimit(cfg, path, out_dir, stem, seed):
 
 
 def _run_validate(cfg, path, out_dir, stem, seed):
-    if "h" in cfg and "a" in cfg:
-        _grid_spec_from(cfg)  # the checks solve applies, without allocating nodes
+    # the checks solve and exponent apply, without allocating nodes
+    spec = _grid_spec_from(cfg) if "h" in cfg and "a" in cfg else None
+    if "fit_k" in cfg or "deriv_order" in cfg:
+        k, deriv_order = _fit_k_and_order(cfg)
+        # without a grid there is no node count to bound k by
+        analysis.check_fit(k, deriv_order, spec.n_nodes if spec else k)
     rep = profiles.validate_params(
         _parse_number(cfg["s"]), _parse_number(cfg["gamma"])
     )

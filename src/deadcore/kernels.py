@@ -65,8 +65,8 @@ then flat over about 1/gamma ulps.  Roots below 1e-250 always fall back, so
 the 1e-280 stop, the snap and the 220 cap never apply to a located lane.
 
 The dense sweep's loop runs over Python floats, which do the same double
-arithmetic as numpy scalars, faster; its update of A u is one numpy operation
-on column i of A.
+arithmetic as numpy scalars, faster; it opens on the caller's A u and
+updates it by one numpy operation on column i of A.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ import numpy as np
 __all__ = ["scalar_root", "roots", "gs_polish_tridiag", "gs_polish_dense"]
 
 _ROOT_ITERS = 220
-_SNAP = 1e-280
+_SNAP = 1e-280  # roots below this are 0.0; the solver pins such nodes out of its Newton step
 _DEEP = 1e-250  # roots below this, and |q|/d above its inverse, take the full bracket
 _LOG_DEEP = math.log(_DEEP)
 _SPAN = 1e40  # ... and so do roots more than this factor below |q|/d
@@ -267,11 +267,13 @@ def gs_polish_tridiag(dl, d, du, b, u, gamma, one_phase, sweeps):
     return u
 
 
-def gs_polish_dense(A, b, u, gamma, one_phase, sweeps):
-    """In-place coordinate sweeps for a dense system; returns u."""
+def gs_polish_dense(A, b, u, Au, gamma, one_phase, sweeps):
+    """In-place coordinate sweeps for a dense system; returns u.
+
+    Au is the caller's product A @ u, which the sweeps update in place.
+    """
     gamma, one_phase = float(gamma), bool(one_phase)
     d, b, v = A.diagonal().tolist(), b.tolist(), u.tolist()
-    Au = A @ u
     for _ in range(sweeps):
         for i in range(len(v)):
             q = d[i] * v[i] - float(Au[i]) - b[i]

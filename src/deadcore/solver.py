@@ -17,8 +17,12 @@ Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
 1. the system's smoother: one exact coordinate-descent sweep, red-black on
    the tridiagonal system and in natural order on the dense one;
 2. one truncated Newton step delta from the smoothed iterate, on the free
-   set only: nodes at the degenerate scale are frozen, and one-phase mode
-   additionally respects the active set.  Both systems solve this free-set
+   set only.  Phi is twice differentiable at every u != 0, so only nodes
+   below the roots' snap (|u| < 1e-280, where a sweep puts exact zeros)
+   are pinned, and one-phase mode additionally respects the active set.
+   The snap, not u != 0, bounds the Newton diagonal gamma |u|^(gamma - 1)
+   by gamma * 1e280: at gamma = 0.01 it is inf at the subnormal 5e-324,
+   which a Newton step can produce.  Both systems solve the free-set
    system the same way: pinned nodes become identity rows and columns with
    a zero right-hand side, so their delta is exactly 0.0, and the whole
    symmetric positive definite matrix goes to one Cholesky solve, banded on
@@ -47,8 +51,8 @@ Each point is evaluated once: one matvec and one f(u) give its residual and
 its energy, and the iterate carries both into the next iteration.  An
 iteration evaluates the smoothed iterate and each line-search trial; a
 clipped trial that clipping changed also needs the residual of its unclipped
-point.  The local h = 2^-10 solve makes 30 evaluations in 14 iterations and
-the nonlocal ramp at h = 2^-9 makes 65 in 28.
+point.  The local h = 2^-10 solve makes 27 evaluations in 13 iterations and
+the nonlocal ramp at h = 2^-9 makes 38 in 16.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ __all__ = [
 ]
 
 GAMMA_MAX = 1.0 / 3.0
-_EPS_CAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,21 +89,17 @@ class ReactionSpec:
     """Absorption term parameters.
 
     gamma must lie strictly inside (0, 1/3); mode is "two_phase" or
-    "one_phase".  eps is the degenerate-node scale below which unknowns are
-    pinned out of Newton steps; 0 selects 1e-8 times the data amplitude.
+    "one_phase".
     """
 
     gamma: float
     mode: str = "two_phase"
-    eps: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < GAMMA_MAX):
             raise ValueError("gamma must lie strictly in (0, 1/3)")
         if self.mode not in ("two_phase", "one_phase"):
             raise ValueError(f"unknown reaction mode {self.mode!r}")
-        if not (0.0 <= self.eps <= _EPS_CAP):
-            raise ValueError(f"eps must lie in [0, {_EPS_CAP}]")
 
     @property
     def one_phase(self) -> bool:
@@ -210,19 +209,19 @@ class _DenseSystem:
     dense A's bits: A[k, i] = W[N - 1 - i + k], so column i is the
     contiguous run W[N-1-i : 2N-1-i], which the dense sweep and the
     Fortran-order copy read in one pass.  numpy has no BLAS path for a
-    view with a negative stride, so the sweep's opening A @ u on it takes
-    1.1 ms at N = 1023, against 0.4 ms on a dense copy.
+    view with a negative stride: A @ u on it takes 0.96 ms at N = 1023,
+    against 0.13 ms for the matvec, so the sweep opens on the matvec.
 
     The free-set Newton system is solved as in _TridiagSystem: pinned nodes
     become identity rows and columns with a zero right-hand side, and the
     whole N x N matrix goes to one dense Cholesky solve (LAPACK dposv) on a
     Fortran-order copy of the view, with no gather.  Zeroing costs O(N) per
-    pinned node (on the nonlocal ramp at most 6 of 1023 nodes are pinned);
-    the factorisation costs N^3/3 whatever the free set.  A Newton step
-    costs 13 ms at N = 1023 and 27 us at N = 63, against 47 ms and 74 us for
-    a gather plus LU (medians of three runs, one BLAS thread, 2 cores).  A
-    matrix that is not positive definite raises np.linalg.LinAlgError
-    instead of returning the solve of a partial factor.
+    pinned node (the nonlocal ramp pins none); the factorisation costs
+    N^3/3 whatever the free set.  A Newton step costs 13 ms at N = 1023 and
+    27 us at N = 63, against 47 ms and 74 us for a gather plus LU (medians
+    of three runs, one BLAS thread, 2 cores).  A matrix that is not
+    positive definite raises np.linalg.LinAlgError instead of returning the
+    solve of a partial factor.
     """
 
     def __init__(self, row: np.ndarray):
@@ -260,12 +259,12 @@ class _DenseSystem:
 
         One sweep is enough: the line search lets through Newton decreases
         below one ulp of J.  With 1, 2 and 3 sweeps per iteration the ramp
-        at h=2^-9 (acceptance 04) took 28, 22 and 20 iterations in 1.65,
-        1.15 and 1.28 s, and the 100-pair comparison campaign at h=2^-6
-        (seed 11) took 1843, 1600 and 1451 iterations over its 200 solves in
-        3.5, 5.0 and 6.3 s (single runs on 2 cores, one BLAS thread).
+        at h=2^-9 (acceptance 04) took 16, 14 and 14 iterations in 0.40,
+        0.41 and 0.70 s, and the 100-pair comparison campaign at h=2^-6
+        (seed 11) took 1810, 1557 and 1419 iterations over its 200 solves in
+        2.4, 4.2 and 5.2 s (single runs on 2 cores, one BLAS thread).
         """
-        return kernels.gs_polish_dense(self.A, b, u, gamma, one_phase, sweeps=1)
+        return kernels.gs_polish_dense(self.A, b, u, self.matvec(u), gamma, one_phase, sweeps=1)
 
 
 class _TridiagSystem:
@@ -314,13 +313,12 @@ def _evaluate(system, b, h, v, gamma, one_phase):
     return Av + b + f, J
 
 
-def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, data_sup: float, clip: bool):
+def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip: bool):
     """Smoother + truncated Newton iteration; returns (u, iters, traces, converged).
 
     u travels with its residual r and energy Ju (see the module docstring).
     """
     gamma, one_phase = reaction.gamma, reaction.one_phase
-    eps = reaction.eps if reaction.eps > 0 else max(1e-8 * data_sup, 1e-300)
 
     def clipped(v):
         return np.maximum(v, 0.0) if clip else v
@@ -342,8 +340,9 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, data_su
 
         u = clipped(system.polish(b, u, gamma, one_phase))
         r, Ju = evaluate(u)
-        free = np.abs(u) >= eps
-        dd = gamma * np.maximum(np.abs(u), eps) ** (gamma - 1.0)
+        free = np.abs(u) >= kernels._SNAP
+        dd = np.zeros_like(u)
+        dd[free] = gamma * np.abs(u[free]) ** (gamma - 1.0)
         if one_phase:
             free &= (u > 0) | (r < 0)
             dd = dd * (u > 0)
@@ -384,10 +383,10 @@ def _find_free_boundary(x_int: np.ndarray, u: np.ndarray, threshold: float, a: f
     return None
 
 
-def _solve(system, b, grid: Grid, values, tail, s, reaction, config, data_sup, clip) -> SolveReport:
+def _solve(system, b, grid: Grid, values, tail, s, reaction, config, clip) -> SolveReport:
     """Iterate on ``system``, write u into ``values`` and report; s sets the core threshold."""
     u, iters, r_trace, j_trace, ok = _iterate(
-        system, b, grid.h, reaction, config or SolverConfig(), data_sup, clip
+        system, b, grid.h, reaction, config or SolverConfig(), clip
     )
     values[grid.interior] = u
     fb = None
@@ -423,13 +422,12 @@ def solve(
     config: SolverConfig | None = None,
 ) -> SolveReport:
     """Solve the nonlocal dead-core equation with exterior data g."""
-    data_sup = max(float(np.abs(g.exterior_values).max()), abs(g.tail.c))
     clip = reaction.one_phase and bool(
         (g.exterior_values >= 0).all() and _tail_min_nonnegative(g.tail)
     )
     return _solve(
         _DenseSystem(op.row), op.load_vector(g), op.grid, g.values.copy(), g.tail,
-        op.s, reaction, config, data_sup, clip,
+        op.s, reaction, config, clip,
     )
 
 
@@ -467,7 +465,7 @@ def solve_local(
     clip = reaction.one_phase and uL >= 0 and uR >= 0
     return _solve(
         local_operator(grid), _local_load(grid, uL, uR), grid, values, TailModel.zero(),
-        1.0, reaction, config, max(abs(uL), abs(uR)), clip,
+        1.0, reaction, config, clip,
     )
 
 

@@ -304,6 +304,25 @@ class TestDryRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(deriv_order="2"), "deriv_order must be 0 or 1"),
+            (dict(fit_k=str(10**12)), "exceeds the grid's 257 nodes"),
+        ],
+        ids=["deriv-order-2", "huge-fit-k"],
+    )
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_validate_checks_the_fit(self, tmp_path, capsys, bad, message, dry_run):
+        # validate accepts exponent's keys, so it makes exponent's checks
+        keys = dict(h="1/64", a="1", R="2", s="0.75", gamma="0.2")
+        cfg = write_config(tmp_path / "v.cfg", **keys, **bad)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", cfg, "--out", str(out), *dry_run]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert "status=ok" not in captured.out
+
     def test_validate_dry_run_prints_without_files(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "v.cfg", **SOLVE_KEYS)
         out = tmp_path / "out"

@@ -12,7 +12,7 @@ from deadcore import (
     TailModel,
     make_grid,
 )
-from deadcore import kernels, solver
+from deadcore import solver
 
 
 class TestValidation:
@@ -24,10 +24,6 @@ class TestValidation:
     def test_mode_checked(self):
         with pytest.raises(ValueError, match="reaction mode"):
             ReactionSpec(gamma=0.2, mode="three_phase")
-
-    def test_eps_cap(self):
-        with pytest.raises(ValueError, match="eps"):
-            ReactionSpec(gamma=0.2, eps=1e-3)
 
     def test_residual_tol_floor(self):
         with pytest.raises(ValueError, match="residual_tol"):
@@ -140,6 +136,42 @@ class TestNonlocalSolve:
         rep = dc.solve(op_small, g, ReactionSpec(gamma=0.2))
         assert rep.free_boundary is None
 
+    def test_ramp_iterations_do_not_grow_with_n(self):
+        # acceptance 04's ramp one level finer: the iteration count must not
+        # grow with N (17 here, 16 at h = 2^-9)
+        grid = make_grid(GridSpec(h=2.0**-10, a=1.0, R=8.0))
+        g = dc.odd_exterior_builder(grid, "ramp", 15.71)
+        rep = dc.solve(dc.assemble(grid, 0.95), g, ReactionSpec(gamma=0.2))
+        assert rep.converged
+        assert rep.iterations <= 25
+
+    def test_subnormal_iterate_is_pinned_at_small_gamma(self, op_small, monkeypatch):
+        # At gamma = 0.01, gamma |u|^(gamma - 1) overflows to inf at
+        # u = 5e-324; a node below the smoother's snap is pinned instead, so
+        # the Newton matrix stays finite and the solve still converges.  The
+        # data is positive and so is the solution (min 0.26): the subnormal
+        # is planted after the first sweep.
+        grid = op_small.grid
+        k = grid.interior.size // 2 + 1
+        polish = solver._DenseSystem.polish
+
+        def subnormal_once(self, b, u, gamma, one_phase):
+            u = polish(self, b, u, gamma, one_phase)
+            if not steps:
+                u[k] = 5e-324
+            return u
+
+        monkeypatch.setattr(solver._DenseSystem, "polish", subnormal_once)
+        steps = _record_newton_steps(monkeypatch, solver._DenseSystem)
+        vals = np.zeros(grid.n)
+        vals[grid.exterior] = 1.0
+        g = GridFunction(grid, vals, TailModel.const(1.0))
+        rep = dc.solve(op_small, g, ReactionSpec(gamma=0.01))
+        assert rep.converged
+        assert all(np.isfinite(dd).all() for _, _, dd, _ in steps)
+        _, free, dd, _ = steps[0]
+        assert not free[k] and dd[k] == 0.0
+
     def test_converges_on_the_smoother_when_every_newton_step_fails(self, op_small, monkeypatch):
         # An ascent direction has r.delta > 0, so no Newton step is taken and
         # each iteration keeps only its smoother pass, which must still reach
@@ -169,21 +201,15 @@ class TestNonlocalSolve:
         jt = rep.energy_trace
         assert np.all(np.diff(jt) <= 1e-12 * max(1.0, np.abs(jt).max()))
 
-    def test_newton_steps_below_an_ulp_of_the_energy_get_through(self, monkeypatch):
-        # Acceptance 04's ramp with one dense sweep per iteration.  From about
-        # iteration 20 on, the Newton decrease is at or below one ulp of J, so
-        # a line search that only compares two recomputed energies drops every
-        # step and the smoother alone crawls on (401 iterations); the
+    def test_newton_steps_below_an_ulp_of_the_energy_get_through(self):
+        # Acceptance 04's ramp, one dense sweep per iteration.  Near the end
+        # the Newton decrease is at or below one ulp of J, so a line search
+        # that only compares two recomputed energies drops those steps and
+        # the smoother alone crawls on (84 iterations, against 16); the
         # derivative test delta.r(u + t delta) <= 0 still proves descent.
         grid = make_grid(GridSpec(h=2.0**-9, a=1.0, R=8.0))
         op = dc.assemble(grid, 0.95)
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
-        polish = kernels.gs_polish_dense
-        monkeypatch.setattr(
-            kernels,
-            "gs_polish_dense",
-            lambda A, b, u, gamma, one_phase, sweeps: polish(A, b, u, gamma, one_phase, sweeps=1),
-        )
         rep = dc.solve(op, g, ReactionSpec(gamma=0.2), SolverConfig(max_iter=60))
         assert rep.converged
 
@@ -205,6 +231,20 @@ def _assert_matches_reduced(A, r, free, dd, delta):
     # +0.0 on pinned nodes: the line search must not move them
     pinned = delta[~free]
     assert np.all(pinned == 0.0) and not np.signbit(pinned).any()
+
+
+def _record_newton_steps(monkeypatch, system_class):
+    """Wrap ``system_class.newton_delta``; returns the list of (r, free, dd, delta) it fills."""
+    steps = []
+    newton_delta = system_class.newton_delta
+
+    def recording(self, r, free, dd):
+        delta = newton_delta(self, r, free, dd)
+        steps.append((r.copy(), free.copy(), dd.copy(), delta.copy()))
+        return delta
+
+    monkeypatch.setattr(system_class, "newton_delta", recording)
+    return steps
 
 
 @pytest.fixture(scope="module")
@@ -246,24 +286,17 @@ class TestDenseNewtonStep:
 
     def test_steps_of_the_one_phase_solve(self, op_acceptance_08, monkeypatch):
         # acceptance 08's nonlocal part: every step the solve takes, on its
-        # own free set (the dead core is pinned) and its own dd
+        # own free set and its own dd.  Its dead core holds values of 1e-11
+        # to 1e-6 but no exact zero, so it pins nothing; the local one-phase
+        # solve (TestLocalSolve) covers a large pinned set.
         grid = op_acceptance_08.grid
         vals = np.zeros(grid.n)
         vals[grid.exterior] = 0.05
         g = GridFunction(grid, vals, TailModel.zero())
-        steps = []
-        newton_delta = solver._DenseSystem.newton_delta
-
-        def recording(self, r, free, dd):
-            delta = newton_delta(self, r, free, dd)
-            steps.append((r.copy(), free.copy(), dd.copy(), delta.copy()))
-            return delta
-
-        monkeypatch.setattr(solver._DenseSystem, "newton_delta", recording)
+        steps = _record_newton_steps(monkeypatch, solver._DenseSystem)
         rep = dc.solve(op_acceptance_08, g, ReactionSpec(gamma=0.2, mode="one_phase"))
         assert rep.converged
         assert len(steps) == rep.iterations
-        assert any((~free).sum() > grid.interior.size // 4 for _, free, _, _ in steps)
         for r, free, dd, delta in steps:
             _assert_matches_reduced(op_acceptance_08.A, r, free, dd, delta)
 
@@ -353,6 +386,21 @@ class TestLocalSolve:
         rep = dc.solve_local(grid, ReactionSpec(gamma=gamma, mode=mode), boundary=boundary)
         assert rep.converged
         assert rep.iterations <= budget
+
+    def test_steps_of_the_one_phase_solve(self, monkeypatch):
+        # acceptance 08's local part: its dead core holds exact zeros, so
+        # some steps pin a large set, and each matches the reduced system
+        grid = make_grid(GridSpec(h=1 / 64, a=4.0, R=8.0))
+        steps = _record_newton_steps(monkeypatch, solver._TridiagSystem)
+        reaction = ReactionSpec(gamma=0.2, mode="one_phase")
+        rep = dc.solve_local(grid, reaction, boundary=(0.0, 1.0))
+        assert rep.converged
+        assert len(steps) == rep.iterations
+        assert any((~free).sum() > grid.interior.size // 4 for _, free, _, _ in steps)
+        system = solver.local_operator(grid)
+        A = np.diag(system.d) + np.diag(system.dl, -1) + np.diag(system.du, 1)
+        for r, free, dd, delta in steps:
+            _assert_matches_reduced(A, r, free, dd, delta)
 
     def test_plateau_exterior_continuation(self):
         grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))

@@ -15,54 +15,40 @@ with an odd number of unknowns, odd data and mirror-symmetric bands give
 exactly opposite q at mirrored nodes, and the root is odd, so the sweep is
 odd bit for bit.  The dense sweep stays sequential, in natural order.
 
-A root is defined for q > 0 by bisection: starting from the bracket
-[0, q/d], halve until the endpoints are adjacent doubles (the midpoint
-equals one of them), until a bracket at zero is narrower than 1e-280, or
-after 220 halvings, and snap a result below 1e-280 to an exact zero.  The
-two-phase equation is odd, and so is its root by definition: q < 0 gives
-0.0 - (the root at -q), and q = 0 gives 0.0; only the one-phase q <= 0
-branch, q/d, stands apart.  Near degenerate nodes the absorption
-f(t) = |t|^gamma only falls below solver tolerances for astronomically
-small t, which is why the bracket must be able to reach so far towards zero.
+The root is defined by its property.  For q > 0 it is the least double t
+in (0, q/d] at which the sign test d*t + exp(gamma*log(t)) - q < 0 is
+false; q/d itself counts as passing without being evaluated.  The computed
+test is monotone in t (each operation in it rounds monotonically, as long
+as the platform's exp and log are monotone), so that double is the one
+where the test changes.  A root below 1e-280 becomes 0.0, an exact zero
+that the solver pins out of its Newton step.  The two-phase equation is
+odd, and so is its root: q < 0 gives 0.0 - (the root at -q), and q = 0
+gives 0.0; only the one-phase q <= 0 branch, q/d, stands apart.
 
-From the full bracket that takes about 53 halvings per root on the solver's
-systems, each costing one exp and one log.  Instead, ``scalar_root`` first
-locates the root: Newton on G(s) = d e^s + e^(gamma s) - q in s = log t
-(G is convex and increasing and the start lies right of the root, so the
-iterates fall monotonically onto it), then one Newton step in t.  Brackets
-m(1 -+ w) around the located m, for w = 4e-16, 1e-12 and 1e-6 in turn, are
-checked with the bisection's own sign test, and the first that holds is
-handed to the same halving loop, which alone decides the returned bits.  The
-output equals that of the full bracket: the computed sign test is monotone
-in t (each operation in it rounds monotonically, as long as the platform's
-exp and log are monotone), so the full bisection ends on the one adjacent
-pair where the test changes, and so does bisection from any bracket whose
-ends pass the test.  The full bisection ends there only when the 220
-halvings suffice and the root is not near the 1e-280 stop or the snap: the
-full bracket is therefore kept when the located root is below 1e-250, when
-q/d exceeds it more than 1e40-fold (133 halvings reach its binade, 53 more
-reach adjacent doubles), when q/d exceeds 1e250, and when no bracket
-passes.  While one end of the full bracket stays at 0 its other end is
-(q/d) 2^-k, so the first halving that moves the zero end (or stops the
-loop) is found by a binary search over k with the same monotone test; the
-loop then runs on from there.  The tests compare all of this against the
-full bisection bit for bit.
+``scalar_root`` finds it in two stages, over the int64 bit patterns of the
+doubles, which sort like the positive doubles themselves.  It locates the
+root by Newton on G(s) = d e^s + e^(gamma s) - q in s = log t (G is convex
+and increasing and the start lies right of the root, so the iterates fall
+monotonically onto it) and one Newton step in t.  From there steps of 1, 2,
+4, ... ulps find a pair of doubles that straddles the test, and bisection
+closes it; every step is clamped into [prev(1e-280), q/d], so there are at
+most 64 of each, with no cap and no stop test.  The located double is
+usually the root, or one ulp from it, and then two to four evaluations
+settle it.  Where t^gamma dominates, the computed test is flat over runs of
+up to about |log t| ulps, across which log t keeps its double value, and
+the doubling steps cross such a run in a few evaluations.  On the roots of
+a 50-pair comparison campaign a root takes 2.8 evaluations on average.
 
-``roots`` is the array form, used by the tridiagonal sweep only.  It takes
-the same steps at |q| on all lanes at once with numpy's exp and log, and
-negates the lanes of q < 0 at the end: Newton in s, one Newton step in t,
-and the checked 4e-16 bracket halved to adjacent doubles.  Every lane
-outside the located regime, and every lane whose 4e-16 bracket fails (which
-then needs the wider brackets), goes to ``scalar_root``: 1 to 3 lanes in a
-thousand in the local solves, 1 in a hundred in a one-phase solve whose
-dead core holds roots below 1e-250.  numpy's vectorized exp
-rounds differently from math.exp on a few percent of arguments (4.6% of
-those at the roots of a local solve), so near the root the two sign tests
-can change on neighbouring pairs: a located lane may then end on a pair a
-few ulps from ``scalar_root``'s (0.04% of that solve's lanes, at most 2
-ulps), more where |t|^gamma dominates and gamma is small, since the test is
-then flat over about 1/gamma ulps.  Roots below 1e-250 always fall back, so
-the 1e-280 stop, the snap and the 220 cap never apply to a located lane.
+``roots`` is the array form, used by the tridiagonal sweep only.  It
+locates every lane at |q| at once with numpy's exp and log, tests the
+doubles from two ulps below the located root to one above it, and negates
+the lanes of q < 0 at the end; every lane whose root is not among them
+goes to ``scalar_root`` (21 of the 26,611 roots of a local solve at
+h=2^-10).  numpy's vectorized exp rounds differently from math.exp on a
+few percent of arguments, so near the root the two sign tests can change
+at neighbouring doubles, and a located lane may end an ulp from
+``scalar_root``'s root, or a few dozen where the test is flat; the tests
+bound how often.
 
 The dense sweep's loop runs over Python floats, which do the same double
 arithmetic as numpy scalars, faster; it opens on the caller's A u and
@@ -72,19 +58,19 @@ updates it by one numpy operation on column i of A.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
 __all__ = ["scalar_root", "roots", "gs_polish_tridiag", "gs_polish_dense"]
 
-_ROOT_ITERS = 220
 _SNAP = 1e-280  # roots below this are 0.0; the solver pins such nodes out of its Newton step
-_DEEP = 1e-250  # roots below this, and |q|/d above its inverse, take the full bracket
-_LOG_DEEP = math.log(_DEEP)
-_SPAN = 1e40  # ... and so do roots more than this factor below |q|/d
-_WIDTHS = (4e-16, 1e-12, 1e-6)  # relative half-widths of the checked brackets
 _NEWTON_ITERS = 60
 _NEWTON_TOL = 1e-4  # a step this short leaves s within 5e-9, the t step within 1e-16
+_ULPS = 1  # roots tests this many ulps either side of the located root
+_BELOW_SNAP = math.nextafter(_SNAP, 0.0)  # a root is 0.0 exactly when this double passes the sign test
+_INT64, _DOUBLE = struct.Struct("<q"), struct.Struct("<d")
+_FLOOR = _INT64.unpack(_DOUBLE.pack(_BELOW_SNAP))[0]  # the bit pattern of _BELOW_SNAP
 
 
 def scalar_root(d: float, q: float, gamma: float, one_phase: bool) -> float:
@@ -100,77 +86,76 @@ def scalar_root(d: float, q: float, gamma: float, one_phase: bool) -> float:
         return 0.0 - scalar_root(d, -q, gamma, False)
     if q == 0.0:
         return 0.0
-    # The bracket lies in [0, q/d], where f(t) = t^gamma in either mode.
-    bracket = _bracket(d, q, gamma)
-    if bracket is None:
-        return _bisect(d, q, gamma, *_full_bracket(d, q, gamma))
-    return _bisect(d, q, gamma, *bracket)
-
-
-def _bisect(d, q, gamma, lo, hi, iters=_ROOT_ITERS):
-    """Halve [lo, hi] within [0, q/d] (q > 0) down to adjacent doubles."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if d * mid + math.exp(gamma * math.log(mid)) - q < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _SNAP + 1e-16 * lo:
-            break
-    out = 0.5 * (lo + hi)
-    return 0.0 if out < _SNAP else out
+    # the root lies in (0, q/d], where f(t) = t^gamma in either mode
+    top = q / d
+    if top < _SNAP:
+        return 0.0
+    try:
+        start = _locate(d, q, gamma)
+    except ArithmeticError:  # exp overflow, or a division by an underflowed zero, at the ends of the range
+        start = top
+    return _search(d, q, gamma, top, start)
 
 
 def _below(d, q, gamma, t):
-    """The sign test of ``_bisect`` at t, verbatim: True when t lies below the root."""
+    """The sign test: True when t lies below the root."""
     return d * t + math.exp(gamma * math.log(t)) - q < 0.0
 
 
-def _full_bracket(d, q, gamma):
-    """``_bisect``'s state on the full bracket after the halvings that keep 0 as an end.
+def _search(d, q, gamma, top, start):
+    """The least passing double in (0, top] (top >= 1e-280), or 0.0 when it lies below 1e-280.
 
-    Halving k of the full bracket [0, q/d], while lo stays at 0, only moves
-    hi to (q/d) 2^-(k+1), exactly.  It is skipped when it neither moves lo
-    nor stops the loop; both conditions are monotone in k, so a binary
-    search finds the first halving that is not skipped.  Returns (lo, hi,
-    halvings left).
+    Any start will do: it is clamped into [prev(1e-280), top].  A pair of
+    adjacent doubles at the start that straddles the test settles the root
+    at once; otherwise steps of 2, 4, 8, ... ulps over bit patterns find a
+    pair (lo, hi) with lo below the root and hi passing, and bisection
+    closes it.  The root snaps as soon as prev(1e-280) passes.
     """
-    end = q / d
-    k, k_end = 0, _ROOT_ITERS  # halvings below k are skipped, halving k_end is not
-    while k < k_end:
-        j = (k + k_end) // 2
-        mid = math.ldexp(end, -(j + 1))
-        if mid > _SNAP and not _below(d, q, gamma, mid):
-            k = j + 1
+    t = min(start if start > _BELOW_SNAP else _BELOW_SNAP, top)
+    if t == top or not _below(d, q, gamma, t):
+        if t < _SNAP:
+            return 0.0
+        lo = math.nextafter(t, 0.0)
+        if _below(d, q, gamma, lo):
+            return t
+        hi, step = _bits(lo), 2
+        while True:
+            if hi == _FLOOR:
+                return 0.0
+            lo = max(hi - step, _FLOOR)
+            if _below(d, q, gamma, _double(lo)):
+                break
+            hi, step = lo, 2 * step
+    else:
+        hi = math.nextafter(t, math.inf)
+        if hi == top or not _below(d, q, gamma, hi):
+            return hi
+        end, lo, step = _bits(top), _bits(hi), 2
+        while True:
+            hi = min(lo + step, end)
+            if hi == end or not _below(d, q, gamma, _double(hi)):
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _below(d, q, gamma, _double(mid)):
+            lo = mid
         else:
-            k_end = j
-    return 0.0, math.ldexp(end, -k), _ROOT_ITERS - k
+            hi = mid
+    return _double(hi)
 
 
-def _bracket(d, q, gamma):
-    """A bracket a few ulps wide whose ends pass the sign test, or None.
+def _bits(x):
+    """The int64 image of the double x; positive doubles sort like their images."""
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
 
-    None means the full bracket must be used: only there can the 220-halving
-    cap, the 1e-280 stop or the snap decide the result.
-    """
-    top = q / d
-    if not _DEEP <= top <= 1.0 / _DEEP:
-        return None
-    m = _locate(d, q, gamma)
-    if not _DEEP <= m < top <= _SPAN * m:
-        return None
-    for w in _WIDTHS:
-        lo, hi = m * (1.0 - w), min(m * (1.0 + w), top)
-        # an end at top is the full bracket's own end, which bisection never evaluates
-        if _below(d, q, gamma, lo) and (hi == top or not _below(d, q, gamma, hi)):
-            return lo, hi
-    return None
+
+def _double(bits):
+    return _DOUBLE.unpack(_INT64.pack(bits))[0]
 
 
 def _locate(d, q, gamma):
-    """Approximate root of d*t + t^gamma = q for q > 0, or 0.0 below 1e-250."""
+    """Approximate root of d*t + t^gamma = q for q > 0: Newton in s = log t, then one Newton step in t."""
     s = min(math.log(q / d), math.log(q) / gamma)
     for _ in range(_NEWTON_ITERS):
         a = d * math.exp(s)
@@ -179,9 +164,9 @@ def _locate(d, q, gamma):
         s -= step
         if step < _NEWTON_TOL:
             break
-    if s < _LOG_DEEP:
-        return 0.0
     t = math.exp(s)
+    if t == 0.0:  # underflow: the search starts at the snap
+        return 0.0
     p = math.exp(gamma * s)
     return t - (d * t + p - q) / (d + gamma * p / t)
 
@@ -197,6 +182,7 @@ def roots(d, q, gamma, one_phase):
     dl, ql, gl = d[lanes], np.abs(q[lanes]), gamma[lanes]
     with np.errstate(all="ignore"):
         located, t = _located_roots(dl, ql, gl)
+    t = np.where(t < _SNAP, 0.0, t)
     for i in np.flatnonzero(~located).tolist():
         t[i] = scalar_root(float(dl[i]), float(ql[i]), float(gl[i]), False)
     # the two-phase root is odd: a lane of q < 0 takes the root at |q|, negated
@@ -205,15 +191,15 @@ def roots(d, q, gamma, one_phase):
 
 
 def _located_roots(d, q, gamma):
-    """(mask, roots) for lanes of q > 0: the lanes a located 4e-16 bracket settles, and their roots.
+    """(mask, roots) for lanes of q > 0: the lanes settled within ``_ULPS`` of the located root, and their roots.
 
-    Lanes outside the mask hold 0.0 in place of a root.
+    The roots are those before the snap, by numpy's sign test; lanes outside
+    the mask hold meaningless values.
     """
     top = q / d
-    located = (_DEEP <= top) & (top <= 1.0 / _DEEP)
     # Newton in s = log t, each lane stopping after its first short step
     s = np.minimum(np.log(top), np.log(q) / gamma)
-    live = located.copy()
+    live = np.ones(q.shape, dtype=bool)
     for _ in range(_NEWTON_ITERS):
         a = d * np.exp(s)
         b = np.exp(gamma * s)
@@ -222,30 +208,20 @@ def _located_roots(d, q, gamma):
         live &= ~(step < _NEWTON_TOL)
         if not live.any():
             break
-    # one Newton step in t
+    # one Newton step in t, clamped as in _search (fmax sends NaN to the lower end)
     t = np.exp(s)
     p = np.exp(gamma * s)
-    m = np.where(s < _LOG_DEEP, 0.0, t - (d * t + p - q) / (d + gamma * p / t))
-    located &= (_DEEP <= m) & (m < top) & (top <= _SPAN * m)
-
-    def below(t):  # the sign test d*t + exp(gamma*log(t)) - q < 0
-        return d * t + np.exp(gamma * np.log(t)) - q < 0.0
-
-    # the checked bracket; wider ones are left to scalar_root
-    w = _WIDTHS[0]
-    lo, hi = m * (1.0 - w), np.minimum(m * (1.0 + w), top)
-    located &= below(lo) & ((hi == top) | ~below(hi))
-    lo, hi = np.where(located, lo, 0.0), np.where(located, hi, 0.0)
-    # Halve to adjacent doubles.  A lane whose midpoint equals an end keeps
-    # that midpoint under further halving, so finished lanes need no mask.
-    # From a bracket a few ulps wide at t >= 1e-250 neither the 1e-280 stop
-    # nor the 220 cap can end the halving early.
-    while True:
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            return located, mid
-        up = below(mid)
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    t = np.minimum(np.fmax(t - (d * t + p - q) / (d + gamma * p / t), _BELOW_SNAP), top)
+    # the doubles from _ULPS + 1 below t to _ULPS above it, by their bit
+    # patterns (a finite q/d keeps NaN patterns out); q/d passes unevaluated
+    window = (t.view(np.int64)[:, None] + np.arange(-_ULPS - 1, _ULPS + 1)).view(np.float64)
+    d, q, gamma, top = d[:, None], q[:, None], gamma[:, None], top[:, None]
+    passes = (window >= top) | ~(d * window + np.exp(gamma * np.log(window)) - q < 0.0)
+    # the first passing double is the root when the window starts below it,
+    # or below the snap, and ends on a pass
+    root = window[np.arange(t.size), passes.argmax(axis=1)]
+    located = passes[:, -1] & (~passes[:, 0] | (window[:, 0] < _SNAP)) & (top[:, 0] < np.inf)
+    return located, root
 
 
 def gs_polish_tridiag(dl, d, du, b, u, gamma, one_phase, sweeps):

@@ -1,6 +1,7 @@
 """Exact coordinate roots and the Gauss-Seidel sweep kernels."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,30 +12,42 @@ from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, roots, scalar_r
 
 
 def _reference_root(d, q, gamma, one_phase):
-    """Full-bracket bisection on q > 0, verbatim, extended oddly: the definition scalar_root must reproduce."""
+    """The definition scalar_root must reproduce, by plain bisection, extended oddly.
+
+    For q > 0 the root is the least double t in (0, q/d] at which the sign
+    test d*t + exp(gamma*log(t)) - q < 0 is false, with q/d passing
+    unevaluated, and a root below 1e-280 is 0.0.  Positive doubles sort like
+    their int64 bit patterns, so bisection over the patterns of [0, q/d]
+    finds it.
+    """
     if one_phase and q <= 0.0:
         return q / d
     if q < 0.0:
         return 0.0 - _reference_root(d, -q, gamma, False)
     if q == 0.0:
         return 0.0
-    lo, hi = 0.0, q / d
-    for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if d * mid + math.exp(gamma * math.log(mid)) - q < 0.0:
+    lo, hi = 0, _bits(q / d)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = _double(mid)
+        if d * t + math.exp(gamma * math.log(t)) - q < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-280 + 1e-16 * lo:
-            break
-    out = 0.5 * (lo + hi)
-    return 0.0 if out < 1e-280 else out
+    t = _double(hi)
+    return 0.0 if t < 1e-280 else t
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def _reference_roots(d, q, gamma, one_phase):
-    """kernels.roots by the verbatim full-bracket bisection, lane by lane."""
+    """kernels.roots by the plain bisection, lane by lane."""
     d = np.broadcast_to(d, q.shape)
     return np.array([_reference_root(di, qi, gamma, one_phase) for di, qi in zip(d.tolist(), q.tolist())])
 
@@ -67,19 +80,47 @@ class TestScalarRoot:
         assert not np.signbit(np.r_[pos, neg][np.r_[pos, neg] == 0.0]).any()
 
     def test_degenerate_forcing_drives_deep(self):
-        # the root of t + t^0.2 = 1e-60 sits near 1e-300; 220 halvings reach
-        # ~1e-127, where the coordinate residual is already ~5e-26
+        # the root of t + t^0.2 = 1e-60 sits near 1e-300, below the snap
         t = scalar_root(1.0, 1e-60, 0.2, False)
-        assert 0.0 < t < 1e-100
+        assert t == 0.0
         assert abs(t + t**0.2 - 1e-60) < 1e-20
 
+    def test_root_far_below_q_over_d(self):
+        # the root lies 1e158 below q/d; the centre node of the odd ramp at
+        # gamma = 0.1 (tests/test_solver.py) needs it
+        d, q, gamma = 277.41, 2.62e-18, 0.1
+        t = scalar_root(d, q, gamma, False)
+        assert t == pytest.approx(1.524098070253267e-176, rel=1e-12)
+        assert _below(d, q, gamma, math.nextafter(t, 0.0)) and not _below(d, q, gamma, t)
+
+    def test_satisfies_the_definition(self):
+        # per lane, with the math sign test: the double before t lies below
+        # the root and t passes (q/d passes unevaluated), and t is 0.0
+        # exactly when the double before 1e-280 passes
+        below_snap = math.nextafter(1e-280, 0.0)
+        bad = []
+        for d, q, gamma, one_phase in _root_draws():
+            t = scalar_root(d, q, gamma, one_phase)
+            if (one_phase and q <= 0.0) or q == 0.0:
+                continue
+            q, t, top = abs(q), abs(t), abs(q) / d
+            snapped = below_snap >= top or not _below(d, q, gamma, below_snap)
+            if t == 0.0:
+                ok = snapped
+            else:
+                ok = not snapped and _below(d, q, gamma, math.nextafter(t, 0.0))
+                ok = ok and (t == top or not _below(d, q, gamma, t))
+            if not ok:
+                bad.append((d, q, gamma, t))
+        assert bad == []
+
     def test_ultra_degenerate_forcing_snaps_to_zero(self):
-        # once the bracket collapses below 1e-280 the result is exact zero
+        # the root, near 1e-1250, lies below the snap: exact zero
         assert scalar_root(1.0, 1e-250, 0.2, False) == 0.0
 
-    # (d, q, gamma, one_phase) at the edges of the located-bracket path
+    # (d, q, gamma, one_phase) at the edges of the fast path
     EDGES = [
-        (1.0, 1e-60, 0.2, False),  # deep: the reference stops at the 220 cap
+        (1.0, 1e-60, 0.2, False),  # deep: the root, near 1e-300, snaps to zero
         (1.0, 1e-250, 0.2, False),  # snap to zero
         (1.0, -1e-250, 0.2, False),
         (4.0, -2.0, 0.2, True),  # one-phase, q <= 0: exactly q/d
@@ -96,19 +137,26 @@ class TestScalarRoot:
         (1.0, -1e200, 0.2, False),
         (0.27916957086637906, -6.159675736995484e235, 0.2, False),  # the pair ends at q/d
         (331224.8777713054, -2.9033261852078305e139, 0.2, False),
-        (1.0, 1e250, 0.2, False),  # q/d at the edges of the located path
+        (1.0, 1e250, 0.2, False),  # q/d far from 1
         (1.0, 1.1e250, 0.2, False),
         (1.0, 1e-250, 0.9, False),
         (1.0, 0.99e-250, 0.9, False),
-        (1e7, 1e-300, 0.2, False),
-        (1.0, 1e-8, 0.2, False),  # q/d within about 1e40 of the root
+        (1e7, 1e-300, 0.2, False),  # q/d below the snap
+        (1.0, 1e-8, 0.2, False),  # the root 1e32 and 1e40 below q/d
         (1.0, 1e-10, 0.2, False),
+        (277.41, 2.62e-18, 0.1, False),  # the root 1e158 below q/d
+        (1e-44, 5e-324, 0.2, False),  # subnormal q: locating divides by an underflowed zero
     ]
 
     def test_matches_reference_bisection(self):
-        # The located bracket may only speed the root up, never move a bit.
+        # The located start may only speed the root up, never move a bit.
         bad = [a for a in _root_draws() if scalar_root(*a) != _reference_root(*a)]
         assert bad == []
+
+
+def _below(d, q, gamma, t):
+    """The math sign test at q > 0: True when t lies below the root."""
+    return d * t + math.exp(gamma * math.log(t)) - q < 0.0
 
 
 def _root_draws():
@@ -120,7 +168,7 @@ def _root_draws():
     gamma = rng.uniform(0.01, 0.33, n)
     one_phase = rng.random(n) < 0.5
     draws = list(zip(d.tolist(), q.tolist(), gamma.tolist(), one_phase.tolist()))
-    # roots around the 1e40 span to q/d, where the 220-halving cap starts to bind
+    # roots from 1e-80 to 1e-5, down to about 1e40 below q/d
     m = 20_000
     t = 10.0 ** rng.uniform(-80.0, -5.0, m)
     d = 10.0 ** rng.uniform(-2.0, 7.0, m)
@@ -131,13 +179,26 @@ def _root_draws():
 
 
 class TestRoots:
-    """The array root takes scalar_root's steps on all lanes, with numpy's exp and log."""
+    """The array root locates every lane as scalar_root does, with numpy's exp and log, then checks a window."""
 
     @staticmethod
     def _below(d, q, gamma, t):
-        """The bisection's sign test at q > 0 with numpy's exp and log."""
+        """The sign test at q > 0 with numpy's exp and log."""
         with np.errstate(all="ignore"):
             return d * t + np.exp(gamma * np.log(t)) - q < 0.0
+
+    @classmethod
+    def _least_passing(cls, d, q, gamma):
+        """The definition with numpy's sign test, by bisection over bit patterns on every lane of q > 0."""
+        top = q / d
+        lo, hi = np.zeros(q.size, dtype=np.int64), top.view(np.int64).copy()
+        while np.any(hi - lo > 1):
+            # (lo + hi) >> 1 would overflow int64 once both ends exceed 2.0
+            mid = lo + ((hi - lo) >> 1)
+            below = cls._below(d, q, gamma, mid.view(np.float64))
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        t = hi.view(np.float64)
+        return np.where(t < 1e-280, 0.0, t)
 
     def test_matches_scalar_root_up_to_the_sign_test(self, monkeypatch):
         draws = _root_draws()
@@ -157,22 +218,20 @@ class TestRoots:
         direct = (one_phase & (q <= 0.0)) | (q == 0.0) | np.array([(a[0], abs(a[1]), a[2]) in sent for a in draws])
         np.testing.assert_array_equal(t[direct], ref[direct])
 
-        # a located lane's |t| is the midpoint of adjacent doubles across which
-        # the numpy sign test at |q| changes; |q|/d, the full bracket's own end,
-        # passes unevaluated
+        # a located lane's |t| is the root by the definition with numpy's sign
+        # test at |q|: the least passing double in (0, |q|/d], or 0.0 below
+        # the snap
         loc = ~direct
         assert loc.sum() > 5_000
         dl, ql, gl, tl = d[loc], np.abs(q[loc]), gamma[loc], np.abs(t[loc])
-        end = ql / dl
+        np.testing.assert_array_equal(tl, self._least_passing(dl, ql, gl))
+        # and per lane, the double before a root that is not 0.0 lies below it
+        nz = tl > 0.0
+        top = ql / dl
+        assert np.all(self._below(dl, ql, gl, np.nextafter(tl, 0.0))[nz])
+        assert np.all(((tl == top) | ~self._below(dl, ql, gl, tl))[nz])
 
-        def pair(lo, hi):
-            lo_ok = (lo == end) | self._below(dl, ql, gl, lo)
-            hi_ok = (hi == end) | ~self._below(dl, ql, gl, hi)
-            return lo_ok & hi_ok & (0.5 * (lo + hi) == tl)
-
-        assert np.all(pair(np.nextafter(tl, -np.inf), tl) | pair(tl, np.nextafter(tl, np.inf)))
-
-        # where math.exp and numpy's exp round apart the pair can move
+        # where math.exp and numpy's exp round apart the root can move
         differ = t != ref
         ulps = np.abs(t - ref)[differ] / np.spacing(np.abs(ref[differ]))
         print(
@@ -317,10 +376,10 @@ class TestSweepsDecreaseEnergy:
 
 
 class TestSolvesMatchReferenceRoot:
-    """Whole solves against the same solves with every root by full-bracket bisection.
+    """Whole solves against the same solves with every root by the plain bisection.
 
     scalar_root gives the reference's bits; roots may end a rare lane on a
-    neighbouring pair (TestRoots), so a solve that calls roots must take the
+    neighbouring double (TestRoots), so a solve that calls roots must take the
     same iterations, with energies equal to round-off and a solution equal
     to the solver tolerance.
     """

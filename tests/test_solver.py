@@ -89,6 +89,16 @@ class TestNonlocalSolve:
         assert r1.iterations == r2.iterations
         np.testing.assert_array_equal(r2.solution.values, -r1.solution.values)
 
+    @pytest.mark.parametrize("gamma", [0.1, 0.08, 0.05, 0.01])
+    def test_converges_on_odd_ramp_at_small_gamma(self, op_small, gamma):
+        # The centre node's coordinate root lies far below q/d (1.5e-176 at
+        # gamma = 0.1, with q/d = 9.4e-21).  A root that stops short of it
+        # flips the node's sign every iteration, and the solve never ends.
+        g = dc.odd_exterior_builder(op_small.grid, "ramp", 2.0)
+        rep = dc.solve(op_small, g, ReactionSpec(gamma=gamma))
+        assert rep.converged
+        assert rep.iterations <= 20
+
     def test_solution_carries_data_and_tail(self, op_small):
         grid = op_small.grid
         vals = np.zeros(grid.n)

@@ -33,7 +33,9 @@ __all__ = [
     "detect_branching",
     "ExponentFit",
     "check_fit",
+    "fit_radii",
     "fit_growth_exponent",
+    "blow_up_window",
     "blow_up",
     "comparison_check",
     "LiouvilleReport",
@@ -112,6 +114,31 @@ def check_fit(k: int, deriv_order: int, n_nodes: int) -> None:
         raise ValueError(f"k={k} exceeds the grid's {n_nodes} nodes")
 
 
+def fit_radii(spec: GridSpec, r_min: float | None, r_max: float | None, k: int) -> np.ndarray:
+    """The radii of a growth fit on a grid with ``spec``.
+
+    k radii log-spaced in [r_min, r_max], snapped to distinct lattice
+    multiples of h, at least 4h.  Defaults: r_min = 8h, r_max = a/4.  Raise
+    ValueError unless r_min >= 4h, r_max > r_min and at least 4 radii
+    remain; k must have passed check_fit.
+    """
+    h = spec.h
+    if r_min is None:
+        r_min = 8 * h
+    if r_max is None:
+        r_max = spec.a / 4
+    if r_min < 4 * h:
+        raise ValueError("fit window must start at or above 4h")
+    if not r_max > r_min:
+        raise ValueError("empty fit window")
+    raw = np.exp(np.linspace(np.log(r_min), np.log(r_max), k))
+    mults = np.unique(np.maximum(np.round(raw / h).astype(int), 4))
+    radii = mults * h
+    if radii.size < 4:
+        raise ValueError("fit window too narrow after lattice snapping")
+    return radii
+
+
 def fit_growth_exponent(
     u: GridFunction,
     x0: float,
@@ -123,26 +150,12 @@ def fit_growth_exponent(
     """Log-log regression of sup-over-ball growth about x0.
 
     Measures q(r) = sup over the closed ball B_r(x0) of |u| (or |Du| for
-    deriv_order 1) at k radii log-spaced in [r_min, r_max] and snapped to
-    lattice multiples of h.  Defaults: r_min = 8h, r_max = a/4.  deriv_order
-    must be 0 or 1, and 4 <= k <= the grid's node count (check_fit).
+    deriv_order 1) at the radii fit_radii gives for [r_min, r_max] and k.
+    deriv_order must be 0 or 1, and 4 <= k <= the grid's node count
+    (check_fit).
     """
-    h = u.grid.h
-    a = u.grid.a
-    if r_min is None:
-        r_min = 8 * h
-    if r_max is None:
-        r_max = a / 4
-    if r_min < 4 * h:
-        raise ValueError("fit window must start at or above 4h")
-    if not r_max > r_min:
-        raise ValueError("empty fit window")
     check_fit(k, deriv_order, u.grid.n)
-    raw = np.exp(np.linspace(np.log(r_min), np.log(r_max), k))
-    mults = np.unique(np.maximum(np.round(raw / h).astype(int), 4))
-    radii = mults * h
-    if radii.size < 4:
-        raise ValueError("fit window too narrow after lattice snapping")
+    radii = fit_radii(u.grid.spec, r_min, r_max, k)
     target = u if deriv_order == 0 else discrete_derivative(u, 1)
     vals = np.array([sup_on_ball(target, x0, r) for r in radii])
     if np.all(vals < 1e-300):
@@ -163,24 +176,19 @@ def fit_growth_exponent(
     )
 
 
-def blow_up(u: GridFunction, x0: float, r: float, s: float, gamma: float) -> GridFunction:
-    """Rescaled function v_r(x) = u(x0 + r x) / r^(2s/(1-gamma)).
+def blow_up_window(spec: GridSpec, x0: float, r: float) -> tuple[GridSpec, bool]:
+    """The grid of blow_up(u, x0, r) for u on a grid with ``spec``.
 
-    x0 must be a grid node and r must lie in (0, 1].  When r is a lattice
-    multiple of h (r/h integer), v_r lives on a grid with spacing h/r and its
-    values are exact nodal gathers of u; otherwise v_r is resampled onto a
-    spacing-h grid by linear interpolation.  The window is the largest
-    standard grid that keeps x0 + r*x inside [-R, R]; it must reach at least
-    twice the unit interior window.
+    Returns its spec and whether r is a lattice multiple of h.  Raise
+    ValueError unless r lies in (0, 1], x0 is a grid node and the window
+    reaches at least twice the unit interior window.
     """
     if not (0.0 < r <= 1.0):
         raise ValueError("r must lie in (0, 1]")
-    h = u.grid.h
-    R = u.grid.R
-    if abs(x0 / h - round(x0 / h)) > 1e-9:
+    h = spec.h
+    R = spec.R
+    if not abs(x0) <= R or abs(x0 / h - round(x0 / h)) > 1e-9:
         raise ValueError("x0 must be a grid node")
-    beta = growth_exponent(s, gamma)
-    scale = r ** (-beta)
     aligned = abs(r / h - round(r / h)) <= 1e-9 * max(1.0, r / h)
     if aligned:
         hp = h / r  # node j of the new grid maps to u-node x0 + j*h
@@ -190,13 +198,26 @@ def blow_up(u: GridFunction, x0: float, r: float, s: float, gamma: float) -> Gri
         m_half = int(min(np.floor((R - abs(x0)) / (r * h)), round(R / h)))
     if m_half * hp < 2.0:
         raise ValueError("rescaled window does not fit the grid")
-    Rp = m_half * hp
-    spec = GridSpec(h=hp, a=1.0, R=Rp)
+    return GridSpec(h=hp, a=1.0, R=m_half * hp), aligned
+
+
+def blow_up(u: GridFunction, x0: float, r: float, s: float, gamma: float) -> GridFunction:
+    """Rescaled function v_r(x) = u(x0 + r x) / r^(2s/(1-gamma)).
+
+    x0 must be a grid node and r must lie in (0, 1].  When r is a lattice
+    multiple of h (r/h integer), v_r lives on a grid with spacing h/r and its
+    values are exact nodal gathers of u; otherwise v_r is resampled onto a
+    spacing-h grid by linear interpolation.  The window is the largest
+    standard grid that keeps x0 + r*x inside [-R, R]; it must reach at least
+    twice the unit interior window (blow_up_window).
+    """
+    spec, aligned = blow_up_window(u.grid.spec, x0, r)
+    scale = r ** (-growth_exponent(s, gamma))
     new_grid = make_grid(spec)
     if aligned:
-        i0 = int(round((x0 + R) / h))
-        j = np.arange(-m_half, m_half + 1)
-        vals = u.values[i0 + j] * scale
+        i0 = int(round((x0 + u.grid.R) / u.grid.h))
+        half = new_grid.n // 2
+        vals = u.values[i0 - half : i0 + half + 1] * scale
     else:
         vals = np.interp(x0 + r * new_grid.x, u.grid.x, u.values) * scale
     return GridFunction(new_grid, vals, TailModel.zero())
@@ -357,6 +378,8 @@ def comparison_campaign(
     config: SolverConfig | None = None,
 ) -> list[ComparisonTrial]:
     """Solve random ordered data pairs and test the discrete comparison property."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
     config = config or SolverConfig()
     op = assemble(grid, s)
     rng = np.random.default_rng(seed)

@@ -4,6 +4,11 @@ Every run takes one or more line-oriented config files (``key = value``,
 ``#`` comments) and writes CSV outputs plus a key=value metadata sidecar
 into the output directory, with file names derived from the config stem.
 
+Each value is parsed once, by its key's parser in _KEYS, and a mode's
+runner gets the parsed values.  Every key a mode accepts is parsed and
+checked, with every rule that needs only the grid, before anything is
+assembled or written; --dry-run stops there.
+
 Exit codes: 0 success, 2 for validation failures or malformed config lines
 (reported with their line number), 3 when a solve fails to converge.
 Single-threaded runs are byte-deterministic for a fixed config and seed;
@@ -13,55 +18,20 @@ Single-threaded runs are byte-deterministic for a fixed config and seed;
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import analysis, profiles
 from .fraclap import assemble, check_order
 from .grid import GridFunction, GridSpec, TailModel, make_grid
-from .solver import ReactionSpec, SolverConfig, solve, solve_local
+from .solver import REACTION_MODES, ReactionSpec, SolverConfig, check_finite, solve, solve_local
 
 __all__ = ["main"]
-
-MODES = (
-    "solve",
-    "solve-local",
-    "exponent",
-    "blowup",
-    "compare",
-    "liouville",
-    "slimit",
-    "validate",
-)
-
-_COMMON_KEYS = {"h", "a", "R", "residual_tol", "max_iter"}
-_DATA_KEYS = {"s", "gamma", "mode", "data", "amplitude", "tail"}
-_MODE_KEYS = {
-    "solve": _COMMON_KEYS | _DATA_KEYS,
-    "solve-local": _COMMON_KEYS | {"gamma", "mode", "left", "right"},
-    "exponent": _COMMON_KEYS | _DATA_KEYS | {"operator", "left", "right", "x0", "fit_rmin", "fit_rmax", "fit_k", "deriv_order"},
-    "blowup": _COMMON_KEYS | _DATA_KEYS | {"x0", "r"},
-    "compare": _COMMON_KEYS | {"s", "gamma", "mode", "pairs"},
-    "liouville": _COMMON_KEYS | _DATA_KEYS,
-    "slimit": _COMMON_KEYS | {"s_list", "gamma", "mode", "data", "amplitude"},
-    # validate accepts any solve-shaped config and checks only the parameters
-    "validate": _COMMON_KEYS | _DATA_KEYS | {"operator", "left", "right", "x0", "r", "pairs", "s_list", "fit_rmin", "fit_rmax", "fit_k", "deriv_order"},
-}
-
-# keys every run of a mode needs; exponent with operator = local needs those of solve-local
-_REQUIRED_KEYS = {
-    "solve": ("h", "a", "s", "gamma"),
-    "solve-local": ("h", "a", "gamma", "left", "right"),
-    "exponent": ("h", "a", "s", "gamma"),
-    "blowup": ("h", "a", "s", "gamma", "r"),
-    "compare": ("h", "a", "s", "gamma"),
-    "liouville": ("h", "a", "s", "gamma"),
-    "slimit": ("h", "a", "gamma", "s_list"),
-    "validate": ("s", "gamma"),
-}
 
 
 class ConfigError(Exception):
@@ -70,18 +40,6 @@ class ConfigError(Exception):
 
 class SolveFailure(Exception):
     pass
-
-
-def _parse_number(text: str) -> float:
-    """Float literal or exact fraction like 1/256."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        try:
-            return float(num) / float(den)
-        except ZeroDivisionError:
-            raise ConfigError(f"division by zero in {text!r}") from None
-    return float(text)
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -105,152 +63,155 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _check_keys(cfg: dict[str, str], mode: str, path: str) -> None:
-    allowed = _MODE_KEYS[mode]
+def _number(text: str) -> float:
+    """A finite float literal or an exact fraction like 1/256."""
+    num, slash, den = text.partition("/")
+    try:
+        value = float(num) / float(den) if slash else float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _pairs(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("pairs must be at least 1")
+    return n
+
+
+def _orders(text: str) -> list[float]:
+    """Comma-separated orders s, each admitted by check_order."""
+    orders = [_number(tok) for tok in text.split(",")]
+    for s in orders:
+        check_order(s)
+    return orders
+
+
+def _tail(text: str) -> TailModel:
+    tail = TailModel.parse(text)
+    check_finite(tail.c, tail.p)
+    return tail
+
+
+def _choice(*allowed: str):
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"must be one of {', '.join(allowed)}")
+        return text
+
+    return parse
+
+
+# key: (parser, value when absent); a parser makes every check of its own key
+_KEYS = {
+    "h": (_number, None),
+    "a": (_number, None),
+    "R": (_number, None),  # absent: 2a
+    "residual_tol": (_number, SolverConfig.residual_tol),
+    "max_iter": (int, SolverConfig.max_iter),
+    "s": (_number, None),
+    "gamma": (_number, None),
+    "mode": (_choice(*REACTION_MODES), ReactionSpec.mode),
+    "data": (_choice("ramp", "plateau", "const"), "ramp"),
+    "amplitude": (_number, 1.0),
+    "tail": (_tail, TailModel.zero()),
+    "operator": (_choice("nonlocal", "local"), "nonlocal"),
+    "left": (_number, None),
+    "right": (_number, None),
+    "x0": (_number, 0.0),
+    "r": (_number, None),
+    "fit_rmin": (_number, None),
+    "fit_rmax": (_number, None),
+    "fit_k": (int, 8),
+    "deriv_order": (int, 0),
+    "pairs": (_pairs, 100),
+    "s_list": (_orders, None),
+}
+
+
+def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
+    """Parse and check every value of ``cfg``: all that a run of ``mode`` checks before it solves.
+
+    Returns each key's value (its default when absent), the config text and
+    the GridSpec, ReactionSpec and SolverConfig they build.  validate builds
+    no ReactionSpec and needs no grid: it reports bad s and gamma itself.
+    """
+    _, required, optional = _MODE_TABLE[mode]
+    accepted = f"{required} {optional}".split()
     for key in cfg:
-        if key not in allowed:
+        if key not in accepted:
             raise ConfigError(f"{path}: unknown key {key!r} for mode {mode}")
-
-
-def _grid_spec_from(cfg: dict[str, str]) -> GridSpec:
-    h = _parse_number(cfg["h"])
-    a = _parse_number(cfg["a"])
-    R = _parse_number(cfg["R"]) if "R" in cfg else 2 * a
-    return GridSpec(h=h, a=a, R=R)
-
-
-def _grid_from(cfg: dict[str, str]):
-    return make_grid(_grid_spec_from(cfg))
-
-
-def _reaction_from(cfg: dict[str, str]) -> ReactionSpec:
-    return ReactionSpec(
-        gamma=_parse_number(cfg["gamma"]),
-        mode=cfg.get("mode", "two_phase"),
-    )
-
-
-def _solver_config_from(cfg: dict[str, str]) -> SolverConfig:
-    kwargs = {}
-    if "residual_tol" in cfg:
-        kwargs["residual_tol"] = _parse_number(cfg["residual_tol"])
-    if "max_iter" in cfg:
-        kwargs["max_iter"] = int(cfg["max_iter"])
-    return SolverConfig(**kwargs)
-
-
-def _data_from(cfg: dict[str, str], grid) -> GridFunction:
-    kind = cfg.get("data", "ramp")
-    amplitude = _parse_number(cfg.get("amplitude", "1"))
-    if kind in ("ramp", "plateau"):
-        g = profiles.odd_exterior_builder(grid, kind, amplitude)
-    elif kind == "const":
-        vals = np.zeros(grid.n)
-        vals[grid.exterior] = amplitude
-        g = GridFunction(grid, vals, TailModel.zero())
-    else:
-        raise ConfigError(f"unknown data kind {kind!r}")
-    if "tail" in cfg:
-        g = GridFunction(grid, g.values, TailModel.parse(cfg["tail"]))
-    return g
-
-
-def _require(cfg: dict[str, str], keys, path: str) -> None:
-    missing = [k for k in keys if k not in cfg]
+    values = {}
+    for key, (parse, default) in _KEYS.items():
+        try:
+            values[key] = parse(cfg[key]) if key in cfg else default
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key} = {cfg[key]}: {exc}") from None
+    p = SimpleNamespace(**values, text=cfg, spec=None)
+    p.local = mode == "solve-local" or (mode == "exponent" and p.operator == "local")
+    if p.local:
+        required = _MODE_TABLE["solve-local"][1]
+    required = required.split()
+    missing = [k for k in required if k not in cfg]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
-
-
-def _local_exponent(cfg: dict[str, str], path: str) -> bool:
-    operator = cfg.get("operator", "nonlocal")
-    if operator not in ("local", "nonlocal"):
-        raise ConfigError(f"{path}: operator must be local or nonlocal")
-    return operator == "local"
-
-
-def _check_params(cfg: dict[str, str], mode: str, path: str) -> None:
-    """The parameter checks of a run, made before it assembles or solves.
-
-    Covers the required keys, the grid spec, the reaction and the order s
-    (each entry of s_list for slimit), and exponent's fit_k and
-    deriv_order.  validate makes its own checks and reports them, so for it
-    only the required keys are checked here.
-    """
-    local = mode == "exponent" and _local_exponent(cfg, path)
-    required = _REQUIRED_KEYS["solve-local" if local else mode]
-    _require(cfg, required, path)
+    if p.h is not None and p.a is not None:
+        p.spec = GridSpec(h=p.h, a=p.a, R=2 * p.a if p.R is None else p.R)
+    p.config = SolverConfig(residual_tol=p.residual_tol, max_iter=p.max_iter)
+    if mode in ("exponent", "validate"):
+        # without a grid, validate has no node count to bound fit_k by
+        analysis.check_fit(p.fit_k, p.deriv_order, p.spec.n_nodes if p.spec else p.fit_k)
     if mode == "validate":
-        return
-    spec = _grid_spec_from(cfg)
-    _reaction_from(cfg)
+        return p
+    p.reaction = ReactionSpec(gamma=p.gamma, mode=p.mode)
     if "s" in required:
-        check_order(_parse_number(cfg["s"]))
-    if mode == "slimit":
-        for tok in cfg["s_list"].split(","):
-            check_order(_parse_number(tok))
+        check_order(p.s)
     if mode == "exponent":
-        analysis.check_fit(*_fit_k_and_order(cfg), spec.n_nodes)
+        analysis.fit_radii(p.spec, p.fit_rmin, p.fit_rmax, p.fit_k)
+    if mode == "blowup":
+        analysis.blow_up_window(p.spec, p.x0, p.r)
+    return p
 
 
-def _fit_k_and_order(cfg):
-    return int(cfg.get("fit_k", "8")), int(cfg.get("deriv_order", "0"))
+def _data(p, grid) -> GridFunction:
+    if p.data == "const":
+        values = np.zeros(grid.n)
+        values[grid.exterior] = p.amplitude
+    else:
+        values = profiles.odd_exterior_builder(grid, p.data, p.amplitude).values
+    return GridFunction(grid, values, p.tail)
 
 
-def _converged(report, path):
+def _solved(p, path):
+    """The converged solve of a parsed config: solve-local's, or the nonlocal one."""
+    grid = make_grid(p.spec)
+    if p.local:
+        report = solve_local(grid, p.reaction, (p.left, p.right), p.config)
+    else:
+        report = solve(assemble(grid, p.s), _data(p, grid), p.reaction, p.config)
     if not report.converged:
         raise SolveFailure(f"{path}: solve did not converge")
     return report
 
 
-def _nonlocal_solve(cfg, path):
-    grid = _grid_from(cfg)
-    reaction = _reaction_from(cfg)
-    op = assemble(grid, _parse_number(cfg["s"]))
-    g = _data_from(cfg, grid)
-    return _converged(solve(op, g, reaction, _solver_config_from(cfg)), path)
+def _run_solve(p, path, out_dir, stem, seed):
+    report = _solved(p, path)
+    name = os.path.join(out_dir, f"{stem}_{'solve-local' if p.local else 'solve'}")
+    report.solution.to_csv(f"{name}.csv")
+    report.write_sidecar(f"{name}.meta", extra={"seed": seed})
 
 
-def _local_solve(cfg, path):
-    report = solve_local(
-        _grid_from(cfg),
-        _reaction_from(cfg),
-        (_parse_number(cfg["left"]), _parse_number(cfg["right"])),
-        _solver_config_from(cfg),
-    )
-    return _converged(report, path)
-
-
-def _write_solution(report, out_dir, stem, mode, seed) -> None:
-    report.solution.to_csv(os.path.join(out_dir, f"{stem}_{mode}.csv"))
-    report.write_sidecar(
-        os.path.join(out_dir, f"{stem}_{mode}.meta"), extra={"seed": seed}
-    )
-
-
-def _run_solve(cfg, path, out_dir, stem, seed):
-    _write_solution(_nonlocal_solve(cfg, path), out_dir, stem, "solve", seed)
-
-
-def _run_solve_local(cfg, path, out_dir, stem, seed):
-    _write_solution(_local_solve(cfg, path), out_dir, stem, "solve-local", seed)
-
-
-def _run_exponent(cfg, path, out_dir, stem, seed):
-    solve_run = _local_solve if _local_exponent(cfg, path) else _nonlocal_solve
-    report = solve_run(cfg, path)
+def _run_exponent(p, path, out_dir, stem, seed):
+    report = _solved(p, path)
     s, gamma = report.s, report.gamma  # s is 1 for the local operator
     u = report.solution
     points = analysis.detect_branching(u, s, gamma)
-    hint = _parse_number(cfg.get("x0", "0"))
-    x0 = float(points[np.argmin(np.abs(points - hint))]) if points.size else hint
-    k, deriv_order = _fit_k_and_order(cfg)
+    x0 = float(points[np.argmin(np.abs(points - p.x0))]) if points.size else p.x0
     fit = analysis.fit_growth_exponent(
-        u,
-        x0,
-        r_min=_parse_number(cfg["fit_rmin"]) if "fit_rmin" in cfg else None,
-        r_max=_parse_number(cfg["fit_rmax"]) if "fit_rmax" in cfg else None,
-        k=k,
-        deriv_order=deriv_order,
+        u, x0, r_min=p.fit_rmin, r_max=p.fit_rmax, k=p.fit_k, deriv_order=p.deriv_order
     )
     analysis.write_exponent_csv(
         os.path.join(out_dir, f"{stem}_exponent.csv"), [(s, gamma, x0, fit)]
@@ -264,31 +225,19 @@ def _run_exponent(cfg, path, out_dir, stem, seed):
     )
 
 
-def _run_blowup(cfg, path, out_dir, stem, seed):
-    report = _nonlocal_solve(cfg, path)
-    v = analysis.blow_up(
-        report.solution,
-        _parse_number(cfg.get("x0", "0")),
-        _parse_number(cfg["r"]),
-        report.s,
-        report.gamma,
-    )
+def _run_blowup(p, path, out_dir, stem, seed):
+    report = _solved(p, path)
+    v = analysis.blow_up(report.solution, p.x0, p.r, report.s, report.gamma)
     v.to_csv(os.path.join(out_dir, f"{stem}_blowup.csv"))
     report.write_sidecar(
         os.path.join(out_dir, f"{stem}_blowup.meta"),
-        extra={"seed": seed, "r": cfg["r"]},
+        extra={"seed": seed, "r": p.text["r"]},
     )
 
 
-def _run_compare(cfg, path, out_dir, stem, seed):
-    grid = _grid_from(cfg)
+def _run_compare(p, path, out_dir, stem, seed):
     trials = analysis.comparison_campaign(
-        grid,
-        _parse_number(cfg["s"]),
-        _reaction_from(cfg),
-        n_pairs=int(cfg.get("pairs", "100")),
-        seed=seed,
-        config=_solver_config_from(cfg),
+        make_grid(p.spec), p.s, p.reaction, n_pairs=p.pairs, seed=seed, config=p.config
     )
     if not all(t.converged for t in trials):
         raise SolveFailure(f"{path}: a campaign solve did not converge")
@@ -303,8 +252,8 @@ def _run_compare(cfg, path, out_dir, stem, seed):
         fh.write(f"seed={seed}\n")
 
 
-def _run_liouville(cfg, path, out_dir, stem, seed):
-    report = _nonlocal_solve(cfg, path)
+def _run_liouville(p, path, out_dir, stem, seed):
+    report = _solved(p, path)
     probe = analysis.liouville_probe(
         report.solution, report.s, report.gamma, from_solver=True
     )
@@ -322,32 +271,22 @@ def _run_liouville(cfg, path, out_dir, stem, seed):
     )
 
 
-def _run_slimit(cfg, path, out_dir, stem, seed):
-    grid = _grid_from(cfg)
-    g = _data_from(cfg, grid)
-    s_values = [_parse_number(tok) for tok in cfg["s_list"].split(",")]
+def _run_slimit(p, path, out_dir, stem, seed):
+    grid = make_grid(p.spec)
     rows, local_rep = analysis.s_limit_study(
-        grid, s_values, _reaction_from(cfg), g, _solver_config_from(cfg)
+        grid, p.s_list, p.reaction, _data(p, grid), p.config
     )
     if not local_rep.converged:
         raise SolveFailure(f"{path}: local reference solve did not converge")
     analysis.write_slimit_csv(os.path.join(out_dir, f"{stem}_slimit.csv"), rows)
     local_rep.write_sidecar(
         os.path.join(out_dir, f"{stem}_slimit.meta"),
-        extra={"seed": seed, "s_list": cfg["s_list"]},
+        extra={"seed": seed, "s_list": p.text["s_list"]},
     )
 
 
-def _run_validate(cfg, path, out_dir, stem, seed):
-    # the checks solve and exponent apply, without allocating nodes
-    spec = _grid_spec_from(cfg) if "h" in cfg and "a" in cfg else None
-    if "fit_k" in cfg or "deriv_order" in cfg:
-        k, deriv_order = _fit_k_and_order(cfg)
-        # without a grid there is no node count to bound k by
-        analysis.check_fit(k, deriv_order, spec.n_nodes if spec else k)
-    rep = profiles.validate_params(
-        _parse_number(cfg["s"]), _parse_number(cfg["gamma"])
-    )
+def _run_validate(p, path, out_dir, stem, seed):
+    rep = profiles.validate_params(p.s, p.gamma)
     lines = []
     for err in rep.errors:
         lines.append(f"status=error message={err}")
@@ -369,33 +308,38 @@ def _run_validate(cfg, path, out_dir, stem, seed):
         raise ConfigError(f"{path}: invalid parameters")
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "solve-local": _run_solve_local,
-    "exponent": _run_exponent,
-    "blowup": _run_blowup,
-    "compare": _run_compare,
-    "liouville": _run_liouville,
-    "slimit": _run_slimit,
-    "validate": _run_validate,
+# mode: (runner, required keys, optional keys); validate accepts every key,
+# and exponent with operator = local requires the keys of solve-local instead
+_MODE_TABLE = {
+    "solve": (_run_solve, "h a s gamma", "R residual_tol max_iter mode data amplitude tail"),
+    "solve-local": (_run_solve, "h a gamma left right", "R residual_tol max_iter mode"),
+    "exponent": (
+        _run_exponent,
+        "h a s gamma",
+        "R residual_tol max_iter mode data amplitude tail operator left right x0 fit_rmin fit_rmax fit_k deriv_order",
+    ),
+    "blowup": (_run_blowup, "h a s gamma r", "R residual_tol max_iter mode data amplitude tail x0"),
+    "compare": (_run_compare, "h a s gamma", "R residual_tol max_iter mode pairs"),
+    "liouville": (_run_liouville, "h a s gamma", "R residual_tol max_iter mode data amplitude tail"),
+    "slimit": (_run_slimit, "h a gamma s_list", "R residual_tol max_iter mode data amplitude"),
+    "validate": (_run_validate, "s gamma", " ".join(_KEYS)),
 }
+MODES = tuple(_MODE_TABLE)
 
 
 def _run_one(task) -> int:
     mode, path, out_dir, seed, dry_run = task
     try:
-        cfg = read_config(path)
-        _check_keys(cfg, mode, path)
-        _check_params(cfg, mode, path)
+        p = _parse(read_config(path), mode, path)
         stem = os.path.splitext(os.path.basename(path))[0]
         if dry_run:
             print(f"dry-run: {path} -> {mode} outputs {stem}_{mode}.* in {out_dir}")
             if mode == "validate":
                 # validate's checks need no outputs; run it without writing
-                _RUNNERS[mode](cfg, path, None, stem, seed)
+                _run_validate(p, path, None, stem, seed)
             return 0
         os.makedirs(out_dir, exist_ok=True)
-        _RUNNERS[mode](cfg, path, out_dir, stem, seed)
+        _MODE_TABLE[mode][0](p, path, out_dir, stem, seed)
         return 0
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -420,7 +364,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers across configs, at most one per config")
     parser.add_argument("--seed", type=int, default=0, help="campaign seed, recorded in sidecars")
-    parser.add_argument("--dry-run", action="store_true", help="parse and plan without writing")
+    parser.add_argument("--dry-run", action="store_true", help="parse and check as a run does, without solving or writing")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .fraclap import S_MAX
+from .fraclap import check_order
 from .grid import Grid, GridFunction, TailModel
-from .solver import GAMMA_MAX
+from .solver import ReactionSpec
 
 __all__ = [
     "growth_exponent",
@@ -134,15 +134,17 @@ class ValidationReport:
 def validate_params(s: float, gamma: float) -> ValidationReport:
     """Check parameter ranges and report the exponent regime.
 
-    Errors are out-of-range parameters; an indeterminate derivative-vanishing
-    order (1 - gamma <= s <= 1 - gamma/2) is reported as a warning.
+    Errors are the parameters ReactionSpec and check_order reject; an
+    indeterminate derivative-vanishing order (1 - gamma <= s <= 1 - gamma/2)
+    is reported as a warning.
     """
     errors = []
     warnings_ = []
-    if not (0.0 < gamma < GAMMA_MAX):
-        errors.append(f"gamma={gamma:g} outside (0, 1/3)")
-    if not (0.5 <= s < S_MAX):
-        errors.append(f"s={s:g} outside [0.5, {S_MAX:g})")
+    for check, value in ((ReactionSpec, gamma), (check_order, s)):
+        try:
+            check(value)
+        except ValueError as exc:
+            errors.append(f"{exc}, got {value:g}")
     rows = []
     if not errors:
         rows = exponent_table([s], [gamma])

@@ -69,8 +69,10 @@ from .fraclap import FracLapOperator
 from .grid import Grid, GridFunction, TailModel, dead_core_interval
 
 __all__ = [
+    "REACTION_MODES",
     "ReactionSpec",
     "SolverConfig",
+    "check_finite",
     "SolveReport",
     "reaction_value",
     "reaction_energy",
@@ -82,6 +84,7 @@ __all__ = [
 ]
 
 GAMMA_MAX = 1.0 / 3.0
+REACTION_MODES = ("two_phase", "one_phase")
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ class ReactionSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < GAMMA_MAX):
             raise ValueError("gamma must lie strictly in (0, 1/3)")
-        if self.mode not in ("two_phase", "one_phase"):
+        if self.mode not in REACTION_MODES:
             raise ValueError(f"unknown reaction mode {self.mode!r}")
 
     @property
@@ -125,7 +128,7 @@ class SolverConfig:
     max_iter: int = 1200
 
     def __post_init__(self) -> None:
-        if self.residual_tol < 1e-12:
+        if not self.residual_tol >= 1e-12:  # NaN fails too
             raise ValueError("residual_tol below 1e-12 is not resolvable")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
@@ -174,6 +177,16 @@ class SolveReport:
         with open(path, "w") as fh:
             for key, value in items:
                 fh.write(f"{key}={value}\n")
+
+
+def check_finite(*values) -> None:
+    """Raise ValueError unless every value (scalar or array) is finite.
+
+    A solve checks its data with it before it iterates: NaN or inf data
+    never meets the stopping rule, and would run all max_iter iterations.
+    """
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("data must be finite")
 
 
 def reaction_value(u: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
@@ -421,7 +434,11 @@ def solve(
     reaction: ReactionSpec,
     config: SolverConfig | None = None,
 ) -> SolveReport:
-    """Solve the nonlocal dead-core equation with exterior data g."""
+    """Solve the nonlocal dead-core equation with exterior data g.
+
+    Non-finite values of g or its tail raise ValueError (check_finite).
+    """
+    check_finite(g.values, g.tail.c, g.tail.p)
     clip = reaction.one_phase and bool(
         (g.exterior_values >= 0).all() and _tail_min_nonnegative(g.tail)
     )
@@ -458,9 +475,11 @@ def solve_local(
 
     boundary gives the Dirichlet values at -a and +a.  The report's exterior
     values continue the boundary values as plateaus; they do not enter the
-    local operator.  The sidecar records s = 1 for local runs.
+    local operator.  The sidecar records s = 1 for local runs.  Non-finite
+    boundary values raise ValueError (check_finite).
     """
     uL, uR = float(boundary[0]), float(boundary[1])
+    check_finite(uL, uR)
     values = np.where(grid.x < 0, uL, uR)
     clip = reaction.one_phase and uL >= 0 and uR >= 0
     return _solve(

@@ -338,6 +338,12 @@ class TestCampaignAndSLimit:
             assert t.passed
             assert t.violation == 0.0
 
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_campaign_needs_a_pair(self, n_pairs):
+        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
+        with pytest.raises(ValueError, match="n_pairs"):
+            dc.comparison_campaign(grid, 0.75, ReactionSpec(gamma=0.2), n_pairs=n_pairs, seed=1)
+
     def test_s_limit_smoke(self):
         # h = a/64 keeps the default fit window [8h, a/4] nonempty
         grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))

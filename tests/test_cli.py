@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deadcore import cli
-from deadcore.cli import _MODE_KEYS, ConfigError, main, read_config
+from deadcore.cli import _KEYS, ConfigError, main, read_config
 
 
 def write_config(path, **keys):
@@ -106,7 +106,7 @@ _NUMBER = st.one_of(
 _CONFIG_TEXT = st.tuples(
     st.fixed_dictionaries({}, optional={k: _NUMBER for k in ("h", "a", "R", "s", "gamma")}),
     st.dictionaries(
-        st.sampled_from(sorted(set().union(*_MODE_KEYS.values()))) | st.text(max_size=6),
+        st.sampled_from(sorted(_KEYS)) | st.text(max_size=6),
         _NUMBER,
         max_size=4,
     ),
@@ -275,7 +275,8 @@ class TestDryRun:
              "blowup", "compare", "liouville", "slimit"],
     )
     def test_every_mode_checks_its_parameters(self, tmp_path, capsys, mode, keys, bad):
-        base = dict(h="1/16", a="1", R="2", gamma="0.2")
+        # at h = 1/16 exponent's default fit window [8h, a/4] is empty
+        base = dict(h="1/64" if mode == "exponent" else "1/16", a="1", R="2", gamma="0.2")
         if mode not in ("solve-local", "slimit"):
             base["s"] = "0.75"
         good = write_config(tmp_path / "good.cfg", **{**base, **keys})
@@ -329,6 +330,54 @@ class TestDryRun:
         assert main(["validate", "--config", cfg, "--out", str(out), "--dry-run"]) == 0
         assert "status=ok" in capsys.readouterr().out
         assert not out.exists()
+
+
+# a config of each mode that passes --dry-run; TestDryRunMatchesTheRun adds one bad key
+_BASES = {
+    "solve": SOLVE_KEYS,
+    "solve-local": dict(h="1/16", a="1", gamma="0.2", left="-1", right="1"),
+    "exponent": dict(h="1/64", a="1", R="2", s="0.75", gamma="0.2", amplitude="4"),
+    "blowup": dict(SOLVE_KEYS, h="1/32", r="1/2"),
+    "compare": dict(h="1/16", a="1", R="2", s="0.75", gamma="0.2", pairs="2"),
+}
+
+
+class TestDryRunMatchesTheRun:
+    """A bad value of any key, and a fit window or blow-up the grid cannot
+    hold, fail --dry-run and the run alike, before anything is written."""
+
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            ("solve", "amplitude", "abc"),
+            ("solve", "amplitude", "nan"),
+            ("solve", "max_iter", "1.5"),
+            ("solve", "max_iter", "0"),
+            ("solve", "residual_tol", "abc"),
+            ("solve", "residual_tol", "nan"),
+            ("solve", "tail", "bogus"),
+            ("solve", "data", "bogus"),
+            ("compare", "pairs", "x"),
+            ("compare", "pairs", "-3"),
+            ("compare", "pairs", "0"),
+            ("blowup", "r", "abc"),
+            ("blowup", "r", "2"),
+            ("blowup", "x0", "abc"),
+            ("blowup", "x0", "0.01"),
+            ("solve-local", "left", "abc"),
+            ("exponent", "fit_rmin", "abc"),
+            ("exponent", "fit_rmin", "1/64"),
+            ("exponent", "fit_rmax", "1/32"),
+        ],
+    )
+    def test_both_exit_2_and_write_nothing(self, tmp_path, capsys, mode, key, value):
+        out = str(tmp_path / "out")
+        good = write_config(tmp_path / "good.cfg", **_BASES[mode])
+        assert main([mode, "--config", good, "--out", out, "--dry-run"]) == 0
+        bad = write_config(tmp_path / "bad.cfg", **{**_BASES[mode], key: value})
+        assert main([mode, "--config", bad, "--out", out, "--dry-run"]) == 2
+        assert main([mode, "--config", bad, "--out", out]) == 2
+        assert not os.path.exists(out)
 
 
 class TestDeterminism:

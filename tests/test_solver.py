@@ -29,6 +29,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="residual_tol"):
             SolverConfig(residual_tol=1e-13)
 
+    def test_residual_tol_nan_rejected(self):
+        with pytest.raises(ValueError, match="residual_tol"):
+            SolverConfig(residual_tol=float("nan"))
+
     def test_max_iter_positive(self):
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=0)
@@ -325,6 +329,41 @@ class TestDenseNewtonStep:
             system.newton_delta(np.ones(n), np.ones(n, dtype=bool), np.zeros(n))
         with pytest.raises(np.linalg.LinAlgError):
             system.newton_delta(np.ones(n), free, np.zeros(n))
+
+
+def _forbid_sweeps(monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(solver.kernels, "gs_polish_dense", sweep)
+    monkeypatch.setattr(solver.kernels, "gs_polish_tridiag", sweep)
+
+
+class TestNonFiniteData:
+    """NaN or inf data never meets the stopping rule, so a solve rejects it
+    before its first sweep instead of running all max_iter iterations."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["exterior", "tail_c", "tail_p"])
+    def test_solve_raises_before_sweeping(self, op_small, monkeypatch, where, bad):
+        _forbid_sweeps(monkeypatch)
+        g = dc.odd_exterior_builder(op_small.grid, "ramp", 1.0)
+        values, tail = g.values.copy(), TailModel.zero()
+        if where == "exterior":
+            values[-1] = bad
+        elif where == "tail_c":
+            tail = TailModel.const(bad)
+        else:
+            tail = TailModel.power(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            dc.solve(op_small, GridFunction(op_small.grid, values, tail), ReactionSpec(gamma=0.2))
+
+    @pytest.mark.parametrize("boundary", [(np.nan, 1.0), (0.0, -np.inf)])
+    def test_solve_local_raises_before_sweeping(self, monkeypatch, boundary):
+        _forbid_sweeps(monkeypatch)
+        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
+        with pytest.raises(ValueError, match="finite"):
+            dc.solve_local(grid, ReactionSpec(gamma=0.2), boundary)
 
 
 class TestLocalSolve:

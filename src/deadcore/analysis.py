@@ -119,8 +119,9 @@ def fit_radii(spec: GridSpec, r_min: float | None, r_max: float | None, k: int) 
 
     k radii log-spaced in [r_min, r_max], snapped to distinct lattice
     multiples of h, at least 4h.  Defaults: r_min = 8h, r_max = a/4.  Raise
-    ValueError unless r_min >= 4h, r_max > r_min and at least 4 radii
-    remain; k must have passed check_fit.
+    ValueError unless r_min >= 4h, r_min < r_max <= 2R (the grid's width,
+    so that r_max / h fits an integer) and at least 4 radii remain; k must
+    have passed check_fit.
     """
     h = spec.h
     if r_min is None:
@@ -131,6 +132,8 @@ def fit_radii(spec: GridSpec, r_min: float | None, r_max: float | None, k: int) 
         raise ValueError("fit window must start at or above 4h")
     if not r_max > r_min:
         raise ValueError("empty fit window")
+    if r_max > 2 * spec.R:
+        raise ValueError(f"fit window must end at or below the grid width 2R = {2 * spec.R}")
     raw = np.exp(np.linspace(np.log(r_min), np.log(r_max), k))
     mults = np.unique(np.maximum(np.round(raw / h).astype(int), 4))
     radii = mults * h

@@ -62,9 +62,10 @@ class GridSpec:
         if self.R < 2 * self.a - _INT_TOL:
             raise ValueError("truncation radius must satisfy R >= 2a")
         if self.h > self.a / 16 + _INT_TOL:
+            # 3: past this method and the dataclass-generated __init__
             warnings.warn(
                 f"coarse grid: h={self.h} exceeds a/16={self.a / 16}",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

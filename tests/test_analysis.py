@@ -1,5 +1,7 @@
 """Dead-core detection, exponent fits, blow-up, comparison, and study drivers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from deadcore.analysis import (
     LiouvilleReport,
     SLimitRow,
     dead_core_interval,
+    fit_radii,
     random_ordered_pair,
     write_branching_csv,
     write_exponent_csv,
@@ -107,6 +110,17 @@ class TestFitGrowthExponent:
             dc.fit_growth_exponent(u, 0.0, r_min=0.25, r_max=0.25)
         with pytest.raises(ValueError, match="at least 4 radii"):
             dc.fit_growth_exponent(u, 0.0, k=3)
+
+    @pytest.mark.parametrize("r_max", [4.0 + 1 / 64, 1e300, np.inf])
+    def test_window_ends_within_the_grid(self, r_max):
+        # r_max / h once overflowed the integer cast: numpy warned "invalid
+        # value encountered in cast" and the window was called too narrow
+        spec = GridSpec(h=1 / 64, a=1.0, R=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"grid width 2R = 4\.0"):
+                fit_radii(spec, None, r_max, 8)
+        assert fit_radii(spec, None, 4.0, 8)[-1] == 4.0
 
     @pytest.mark.parametrize("order", [-1, 2, 3])
     def test_derivative_order_is_0_or_1(self, order):

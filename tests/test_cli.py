@@ -291,8 +291,9 @@ class TestDryRun:
             (dict(deriv_order="2"), "deriv_order must be 0 or 1"),
             (dict(fit_k=str(10**12)), "exceeds the grid's 257 nodes"),
             (dict(fit_k="3"), "at least 4 radii"),
+            (dict(fit_rmax="1e300"), "grid width 2R"),
         ],
-        ids=["deriv-order-2", "huge-fit-k", "small-fit-k"],
+        ids=["deriv-order-2", "huge-fit-k", "small-fit-k", "huge-fit-rmax"],
     )
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
     def test_exponent_checks_its_fit(self, tmp_path, capsys, bad, message, dry_run):

@@ -17,9 +17,11 @@ from deadcore.grid import dead_core_interval, mask_runs
 
 class TestGridSpec:
     def test_coarse_example_warns_but_builds(self):
-        with pytest.warns(UserWarning, match="coarse grid"):
+        with pytest.warns(UserWarning, match="coarse grid") as record:
             spec = GridSpec(h=0.25, a=1.0, R=4.0)
         assert spec.n_nodes == 33
+        # the caller, not the dataclass-generated __init__ ("<string>")
+        assert record[0].filename == __file__
 
     def test_fine_example_is_silent(self):
         import warnings

@@ -83,15 +83,17 @@ class TestNonlocalSolve:
         jt = np.asarray(rep.energy_trace)
         assert np.all(np.diff(jt) <= 1e-10 * max(1.0, np.abs(jt).max()))
 
-    def test_odd_equivariance(self, op_small):
-        grid = op_small.grid
-        g = dc.odd_exterior_builder(grid, "ramp", 2.0)
-        g_neg = g.with_values(-g.values)
-        r1 = dc.solve(op_small, g, ReactionSpec(gamma=0.2))
-        r2 = dc.solve(op_small, g_neg, ReactionSpec(gamma=0.2))
-        # the coordinate root is odd, so is every step: exactly opposite iterates
-        assert r1.iterations == r2.iterations
-        np.testing.assert_array_equal(r2.solution.values, -r1.solution.values)
+    def test_odd_equivariance(self, op_small, op_ramp):
+        # h = 2^-9 also covers the nested start: its coarse solves and the
+        # interpolated start are odd as well
+        for op, amplitude in ((op_small, 2.0), (op_ramp, 15.71)):
+            g = dc.odd_exterior_builder(op.grid, "ramp", amplitude)
+            g_neg = g.with_values(-g.values)
+            r1 = dc.solve(op, g, ReactionSpec(gamma=0.2))
+            r2 = dc.solve(op, g_neg, ReactionSpec(gamma=0.2))
+            # the coordinate root is odd, so is every step: exactly opposite iterates
+            assert r1.iterations == r2.iterations
+            np.testing.assert_array_equal(r2.solution.values, -r1.solution.values)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.08, 0.05, 0.01])
     def test_converges_on_odd_ramp_at_small_gamma(self, op_small, gamma):
@@ -150,12 +152,16 @@ class TestNonlocalSolve:
         rep = dc.solve(op_small, g, ReactionSpec(gamma=0.2))
         assert rep.free_boundary is None
 
-    def test_ramp_iterations_do_not_grow_with_n(self):
-        # acceptance 04's ramp one level finer: the iteration count must not
-        # grow with N (17 here, 16 at h = 2^-9)
-        grid = make_grid(GridSpec(h=2.0**-10, a=1.0, R=8.0))
-        g = dc.odd_exterior_builder(grid, "ramp", 15.71)
-        rep = dc.solve(dc.assemble(grid, 0.95), g, ReactionSpec(gamma=0.2))
+    def test_ramp_iterations_do_not_grow_with_n(self, ramp_reports):
+        # acceptance 04's ramp one level finer, nested: 4 fine iterations
+        # here and at h = 2^-9
+        rep = ramp_reports(10)[1]
+        assert rep.converged
+        assert rep.iterations <= 8
+
+    def test_cold_ramp_iterations_do_not_grow_with_n(self, ramp_reports):
+        # the same solve from the linear start: 17 here and at h = 2^-9
+        rep = ramp_reports(10)[0]
         assert rep.converged
         assert rep.iterations <= 25
 
@@ -215,17 +221,98 @@ class TestNonlocalSolve:
         jt = rep.energy_trace
         assert np.all(np.diff(jt) <= 1e-12 * max(1.0, np.abs(jt).max()))
 
-    def test_newton_steps_below_an_ulp_of_the_energy_get_through(self):
+    def test_newton_steps_below_an_ulp_of_the_energy_get_through(self, op_ramp):
         # Acceptance 04's ramp, one dense sweep per iteration.  Near the end
         # the Newton decrease is at or below one ulp of J, so a line search
         # that only compares two recomputed energies drops those steps and
-        # the smoother alone crawls on (84 iterations, against 16); the
+        # the smoother alone crawls on (58 iterations from the linear start,
+        # against 17, and 10 fine iterations nested, against 4); the
         # derivative test delta.r(u + t delta) <= 0 still proves descent.
-        grid = make_grid(GridSpec(h=2.0**-9, a=1.0, R=8.0))
+        g = dc.odd_exterior_builder(op_ramp.grid, "ramp", 15.71)
+        reaction, config = ReactionSpec(gamma=0.2), SolverConfig(max_iter=60)
+        cold = solver._solve_nonlocal(op_ramp, g, reaction, config)
+        assert cold.converged and cold.iterations <= 25
+        nested = dc.solve(op_ramp, g, reaction, config)
+        assert nested.converged and nested.iterations <= 8
+
+
+@pytest.fixture(scope="module")
+def op_ramp():
+    """Acceptance 04's operator: h = 2^-9, R = 8, s = 0.95 (1023 unknowns)."""
+    return dc.assemble(make_grid(GridSpec(h=2.0**-9, a=1.0, R=8.0)), 0.95)
+
+
+@pytest.fixture(scope="module")
+def ramp_reports():
+    """k -> (cold, nested) reports of acceptance 04's ramp at h = 2^-k, solved once."""
+    cache = {}
+
+    def reports(k):
+        if k not in cache:
+            grid = make_grid(GridSpec(h=2.0**-k, a=1.0, R=8.0))
+            op = dc.assemble(grid, 0.95)
+            g = dc.odd_exterior_builder(grid, "ramp", 15.71)
+            reaction = ReactionSpec(gamma=0.2)
+            cache[k] = solver._solve_nonlocal(op, g, reaction, None), dc.solve(op, g, reaction)
+        return cache[k]
+
+    return reports
+
+
+class TestNestedStart:
+    """solve starts from its own solution on the grid of spacing 2h, when
+    that grid nests and keeps at least 255 unknowns."""
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_matches_the_cold_solve(self, ramp_reports, k):
+        cold, nested = ramp_reports(k)
+        assert cold.converged and nested.converged
+        assert nested.iterations < cold.iterations
+        u, v = nested.solution, cold.solution
+        assert np.abs(u.values - v.values).max() <= 1e-12
+        slopes = []
+        for rep in (nested, cold):
+            x0 = float(dc.detect_branching(rep.solution, 0.95, 0.2)[0])
+            fits = [dc.fit_growth_exponent(rep.solution, x0, deriv_order=d) for d in (0, 1)]
+            slopes.append([fit.slope for fit in fits])
+        np.testing.assert_allclose(slopes[0], slopes[1], rtol=0, atol=1e-9)
+
+    def test_levels_down_to_255_unknowns(self, op_ramp, monkeypatch):
+        # 1023 unknowns start from 511, which start from 255
+        sizes = []
+        assemble = solver.assemble
+
+        def recording(grid, s, corrected=True):
+            sizes.append(grid.interior.size)
+            assert s == op_ramp.s and corrected == op_ramp.corrected
+            return assemble(grid, s, corrected)
+
+        monkeypatch.setattr(solver, "assemble", recording)
+        g = dc.odd_exterior_builder(op_ramp.grid, "ramp", 15.71)
+        assert dc.solve(op_ramp, g, ReactionSpec(gamma=0.2)).converged
+        assert sizes == [511, 255]
+
+    @pytest.mark.parametrize(
+        "h, a", [(2.0**-9, 1.0 + 2.0**-9), (2.0**-7, 1.0)], ids=["odd-a-over-h", "255-unknowns"]
+    )
+    def test_other_grids_solve_cold(self, h, a, monkeypatch):
+        # a/h = 513 does not nest; 255 unknowns would leave 127 on the coarse grid
+        grid = make_grid(GridSpec(h=h, a=a, R=8.0))
         op = dc.assemble(grid, 0.95)
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
-        rep = dc.solve(op, g, ReactionSpec(gamma=0.2), SolverConfig(max_iter=60))
+        reaction = ReactionSpec(gamma=0.2)
+        cold = solver._solve_nonlocal(op, g, reaction, None)
+
+        def no_coarse_grid(*args):
+            raise AssertionError("no coarse operator expected")
+
+        monkeypatch.setattr(solver, "assemble", no_coarse_grid)
+        rep = dc.solve(op, g, reaction)
         assert rep.converged
+        assert rep.iterations == cold.iterations
+        np.testing.assert_array_equal(rep.solution.values, cold.solution.values)
+        np.testing.assert_array_equal(rep.residual_trace, cold.residual_trace)
+        np.testing.assert_array_equal(rep.energy_trace, cold.energy_trace)
 
 
 def _reduced_newton_delta(A, r, free, dd):

@@ -25,8 +25,10 @@ Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
    which a Newton step can produce.  Both systems solve the free-set
    system the same way: pinned nodes become identity rows and columns with
    a zero right-hand side, so their delta is exactly 0.0, and the whole
-   symmetric positive definite matrix goes to one Cholesky solve, banded on
-   the tridiagonal system and dense (LAPACK dposv) on the dense one;
+   symmetric positive definite matrix goes to one solve: a banded Cholesky
+   on the tridiagonal system, a dense one (LAPACK dposv) on a dense system
+   below _PCG_MIN = 1023 unknowns, and FFT-based preconditioned CG on a
+   dense system from there up (the _DenseSystem docstring);
 3. a line search on that step, taken only when r.delta < 0.  It accepts
    the largest t = 2^-k (k < 40) at which the recomputed J does not rise,
    or at which delta.r(u + t delta) <= 0: J is convex along delta, so the
@@ -111,6 +113,11 @@ REACTION_MODES = ("two_phase", "one_phase")
 # table).  Nesting the 63-unknown campaign down to 31 saved 20% of the node
 # updates but needed 22% more sweeps, and gained nothing.
 _NEST_MIN = 255
+# Fewest unknowns whose linear solves run PCG instead of dposv, and PCG's
+# relative residual and iteration cap (the _DenseSystem docstring).
+_PCG_MIN = 1023
+_PCG_RTOL = 1e-10
+_PCG_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -253,16 +260,39 @@ class _DenseSystem:
     view with a negative stride: A @ u on it takes 0.96 ms at N = 1023,
     against 0.13 ms for the matvec, so the sweep opens on the matvec.
 
-    The free-set Newton system is solved as in _TridiagSystem: pinned nodes
-    become identity rows and columns with a zero right-hand side, and the
-    whole N x N matrix goes to one dense Cholesky solve (LAPACK dposv) on a
-    Fortran-order copy of the view, with no gather.  Zeroing costs O(N) per
-    pinned node (the nonlocal ramp pins none); the factorisation costs
-    N^3/3 whatever the free set.  A Newton step costs 13 ms at N = 1023 and
-    27 us at N = 63, against 47 ms and 74 us for a gather plus LU (medians
-    of three runs, one BLAS thread, 2 cores).  A matrix that is not
-    positive definite raises np.linalg.LinAlgError instead of returning the
-    solve of a partial factor.
+    The free-set Newton system, and the linear solve of the start, are
+    solved as in _TridiagSystem: pinned nodes become identity rows and
+    columns with a zero right-hand side, so their entries are exactly +0.0.
+    Below _PCG_MIN = 1023 unknowns the whole N x N matrix goes to one dense
+    Cholesky solve (LAPACK dposv) on a Fortran-order copy of the view, with
+    no gather; the factorisation costs N^3/3 whatever the free set.
+
+    From _PCG_MIN up no N x N array is built: the system is solved by
+    preconditioned conjugate gradients (Strang, Stud. Appl. Math. 74 (1986);
+    Chan & Ng, SIAM Review 38 (1996)).  The matvec multiplies by A through
+    numpy.fft on the 2N circulant that embeds it.  The preconditioner is
+    split by node: free nodes whose Newton diagonal dd exceeds A_ii get
+    1 / (A_ii + dd) (the 1 to 3 nodes next to a branching point, where dd
+    reaches 1e48 A_ii), and the other free nodes get the inverse of A's
+    Strang circulant, whose eigenvalues are the rfft of the wrapped row;
+    on pinned nodes residual and direction stay +0.0.  PCG stops at
+    |res|_2 <= 1e-10 |rhs|_2; at its cap of 200 iterations it returns its
+    last iterate, which is still a descent direction (rhs.x = x.H x > 0).
+
+    On the nested ramp (R = 8, s = 0.95, amplitude 15.71) PCG takes 22 to
+    28 iterations at every N from 1023 to 8191; without the diagonal split
+    it took 30 to 163 below N = 8191 and reached the cap there.  One linear
+    solve of that ramp's takes, dposv against PCG, 0.72 against 2.0 ms at
+    N = 255, 3.6 against 4.4 ms at N = 511, 22 against 5.1 ms at N = 1023
+    and 138 against 12 ms at N = 2047 (medians, one BLAS thread); hence
+    _PCG_MIN.  The FFT lengths 2N and N are slow where N has a large prime
+    factor: at N = 8191, a prime, one iteration costs about 6 ms, against
+    about 1 ms at the padded lengths 16384 and 8192.
+
+    A matrix that is not positive definite raises np.linalg.LinAlgError
+    instead of returning a wrong solve: dposv reports a failed factor, and
+    PCG refuses a Strang circulant eigenvalue <= 0 or a direction with
+    p.Hp <= 0.
     """
 
     def __init__(self, row: np.ndarray):
@@ -272,6 +302,13 @@ class _DenseSystem:
         # row i sums |r| over lags 0, 1..i and 1..N-1-i: the middle row is largest
         c = np.concatenate(([0.0], np.cumsum(np.abs(row[1:]))))
         self.abs_row_sum = float(abs(row[0]) + (c + c[::-1]).max())
+        n = row.size
+        if n >= _PCG_MIN:
+            # eigenvalues of the 2N circulant that embeds A and of A's Strang
+            # circulant: real, as both circulants are symmetric
+            self._embed_eig = np.fft.rfft(np.concatenate((row, [0.0], row[:0:-1]))).real
+            k = np.arange(n)
+            self._strang_eig = np.fft.rfft(row[np.minimum(k, n - k)]).real
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return np.convolve(self.W, u, "valid")
@@ -284,7 +321,9 @@ class _DenseSystem:
         return self._solve(free, dd, -r)
 
     def _solve(self, free, dd, rhs):
-        """(A + diag(dd)) x = rhs on the free nodes; x is 0.0 on the others."""
+        """(A + diag(dd)) x = rhs on the free nodes; x is +0.0 on the others."""
+        if self.row.size >= _PCG_MIN:
+            return self._pcg(free, dd, rhs)
         H = self.A.copy(order="F")
         pinned = np.flatnonzero(~free)
         H[pinned, :] = 0.0
@@ -293,6 +332,47 @@ class _DenseSystem:
         _, x, info = dposv(H, np.where(free, rhs, 0.0), lower=1, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dposv info = {info}: not positive definite")
+        return x
+
+    def _pcg(self, free, dd, rhs):
+        """_solve by preconditioned CG with FFT matvecs (see the class docstring)."""
+        if not self._strang_eig.min() > 0.0:
+            raise np.linalg.LinAlgError("Strang circulant not positive definite")
+        n = self.row.size
+        d = np.where(free, dd, 0.0)
+        stiff = free & (d > self.row[0])
+        soft = free & ~stiff
+        # 1 / H_ii on stiff nodes; pinned ones keep residual and direction +0.0
+        diag_inv = np.where(stiff, 1.0 / (self.row[0] + d), 0.0)
+
+        def H(p):
+            Ap = np.fft.irfft(self._embed_eig * np.fft.rfft(p, 2 * n), 2 * n)[:n]
+            return np.where(free, Ap + d * p, 0.0)
+
+        def precondition(v):
+            z = np.fft.irfft(np.fft.rfft(np.where(soft, v, 0.0)) / self._strang_eig, n)
+            return np.where(soft, z, diag_inv * v)
+
+        x = np.zeros(n)
+        res = np.where(free, rhs, 0.0)
+        stop = _PCG_RTOL * np.sqrt(res @ res)
+        if stop == 0.0:
+            return x
+        z = precondition(res)
+        p, rz = z, res @ z
+        for _ in range(_PCG_MAXITER):
+            q = H(p)
+            pq = p @ q
+            if not pq > 0.0:
+                raise np.linalg.LinAlgError("p.Hp <= 0: not positive definite")
+            alpha = rz / pq
+            x += alpha * p
+            res -= alpha * q
+            if np.sqrt(res @ res) <= stop:
+                break
+            z = precondition(res)
+            rz, rz_old = res @ z, rz
+            p = z + (rz / rz_old) * p
         return x
 
     def polish(self, b, u, gamma, one_phase):

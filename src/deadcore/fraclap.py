@@ -197,15 +197,6 @@ class FracLapOperator:
         Au = np.convolve(_mirrored(self.row), u.interior_values, "valid")
         return Au + self.load_vector(u)
 
-    def dump(self, path: str) -> None:
-        """Interior matrix as CSV rows i,j,weight in row-major order."""
-        r = self.row
-        with open(path, "w") as fh:
-            fh.write("i,j,weight\n")
-            for i in range(r.size):
-                for j in range(r.size):
-                    fh.write(f"{i},{j},{r[abs(i - j)]:.17g}\n")
-
 
 def check_order(s: float) -> None:
     """Raise ValueError unless ``assemble`` admits the order s."""

@@ -13,7 +13,11 @@ Gauss-Seidel keeps the asymptotic rate of natural order.  The coordinate
 data is formed as q = -(b + (dl*v_left + du*v_right)); addition commutes, so
 with an odd number of unknowns, odd data and mirror-symmetric bands give
 exactly opposite q at mirrored nodes, and the root is odd, so the sweep is
-odd bit for bit.  The dense sweep stays sequential, in natural order.
+odd bit for bit.  ``gs_polish_dense`` is sequential, in natural order.  In a
+dense matrix nodes of one colour are coupled, so a red-black half-sweep is
+not a block minimization there; the solver's dense system (solver.py) runs
+``gs_polish_dense`` below a size threshold and, from there up, its own
+red-black sweep on ``roots`` with an energy line search per colour.
 
 The root is defined by its property.  For q > 0 it is the least double t
 in (0, q/d] at which the sign test d*t + exp(gamma*log(t)) - q < 0 is
@@ -39,7 +43,7 @@ up to about |log t| ulps, across which log t keeps its double value, and
 the doubling steps cross such a run in a few evaluations.  On the roots of
 a 50-pair comparison campaign a root takes 2.8 evaluations on average.
 
-``roots`` is the array form, used by the tridiagonal sweep only.  It
+``roots`` is the array form, used by the red-black sweeps.  It
 locates every lane at |q| at once with numpy's exp and log, tests the
 doubles from two ulps below the located root to one above it, and negates
 the lanes of q < 0 at the end; every lane whose root is not among them

@@ -15,7 +15,10 @@ multigrid (TNNMG) scheme (Graeser & Kornhuber, J. Comput. Math. 27 (2009);
 Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
 
 1. the system's smoother: one exact coordinate-descent sweep, red-black on
-   the tridiagonal system and in natural order on the dense one;
+   the tridiagonal system; on the dense one in natural order below
+   _RB_MIN = 127 unknowns and red-black from there up, each colour along a
+   line search on its exact energy change (the _DenseSystem.polish
+   docstring);
 2. one truncated Newton step delta from the smoothed iterate, on the free
    set only.  Phi is twice differentiable at every u != 0, so only nodes
    below the roots' snap (|u| < 1e-280, where a sweep puts exact zeros)
@@ -40,21 +43,24 @@ The smoother descends on a strictly convex energy, so every iteration
 descends and the scheme needs no fallback.  The sweeps are what finish the
 job near degenerate nodes, where f has unbounded slope and Newton steps
 stall or chatter; the Newton step carries the smooth part.  The smoother's
-result, and a step the derivative test accepts, are taken without an energy
-comparison: J cannot rise in exact arithmetic, but the recomputed J can
-exceed the previous value by round-off (+2.7e-19 at |J| = 1.9e-4 has been
-seen).  The trace is therefore non-increasing up to round-off; the tests
-allow a rise of 1e-12 * max(1, max|J|).  When one-phase data is nonnegative
-the iterate is clipped at zero after every step; zero is then a subsolution
-and truncation never increases the energy, so the derivative test is made
-at the unclipped u + t delta.
+result, and a step the derivative test accepts, are taken without comparing
+two recomputed energies: a natural-order update is an exact coordinate
+minimization and a red-black colour moves only where its energy change,
+formed as a difference, is <= 0, so J cannot rise in exact arithmetic.  The
+recomputed J can still exceed the previous value by round-off (+2.7e-19 at
+|J| = 1.9e-4 has been seen; up to 5.1e-15 relative on the nested ramp from
+h = 2^-9 to 2^-11).  The trace is therefore non-increasing up to round-off;
+the tests allow a rise of 1e-12 * max(1, max|J|).  When one-phase data is
+nonnegative the iterate is clipped at zero after every step; zero is then a
+subsolution and truncation never increases the energy, so the derivative
+test is made at the unclipped u + t delta.
 
 Each point is evaluated once: one matvec and one f(u) give its residual and
 its energy, and the iterate carries both into the next iteration.  An
 iteration evaluates the smoothed iterate and each line-search trial; a
 clipped trial that clipping changed also needs the residual of its unclipped
 point.  The local h = 2^-10 solve makes 27 evaluations in 13 iterations and
-the nonlocal ramp at h = 2^-9 from the linear start 40 in 17 (50 over the
+the nonlocal ramp at h = 2^-9 from the linear start 30 in 14 (42 over the
 three levels of its nested solve, below).
 
 A nonlocal solve starts from its own coarse-grid solution (nested iteration:
@@ -66,15 +72,15 @@ tail, reaction and config), itself nested by the same rule, and starts from
 the linear interpolant of that solution at the interior nodes.  Any other
 nonlocal solve, and every local one, starts from the linear solve.  On the
 ramp of acceptance 04 (R = 8, s = 0.95, amplitude 15.71; medians of 7 runs,
-one BLAS thread), by the coarsest level:
+one BLAS thread, measured with the natural-order dense sweep), by the
+coarsest level:
 
     coarsest level      none            511            255            127
     ramp at h = 2^-9    0.444 s, 17 it  0.196 s, 4 it  0.169 s, 4 it  0.210 s, 6 it
 
-With 255 the levels are 255 -> 511 -> 1023, with 13, 4 and 4 sweeps; at
-h = 2^-10 the solve takes 0.67 s (2.16 s cold) and 4 fine iterations.  The
-nested solutions differ from the cold ones by at most 2.5e-15 at h = 2^-9
-and 2.2e-14 at h = 2^-10.  The local tridiagonal iteration is cheap, and a
+With 255 the levels are 255 -> 511 -> 1023.  The nested solutions differ
+from the cold ones by at most 1.5e-14 at h = 2^-9 and 1.6e-14 at
+h = 2^-10.  The local tridiagonal iteration is cheap, and a
 ladder gave it no gain (h = 2^-10: 15.5 ms cold, 13.9 to 17.0 ms nested).
 """
 
@@ -118,6 +124,9 @@ _NEST_MIN = 255
 _PCG_MIN = 1023
 _PCG_RTOL = 1e-10
 _PCG_MAXITER = 200
+# Fewest unknowns whose dense sweep runs red-black on kernels.roots (the
+# _DenseSystem.polish docstring).
+_RB_MIN = 127
 
 
 @dataclass(frozen=True)
@@ -241,6 +250,15 @@ def reaction_value(u: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
 def reaction_energy(u: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
     """Primitive Phi with Phi' = f; equals u*f(u)/(1+gamma) nodewise."""
     return u * reaction_value(u, gamma, one_phase) / (1.0 + gamma)
+
+
+def _phi(u, gamma, one_phase):
+    """Phi(u) as |u|^(1+gamma) / (1+gamma), even in two-phase mode bit for bit.
+
+    It does not call reaction_value, whose calls are counted as the
+    solver's evaluations.
+    """
+    return (np.maximum(u, 0.0) if one_phase else np.abs(u)) ** (1.0 + gamma) / (1.0 + gamma)
 
 
 class _DenseSystem:
@@ -376,16 +394,82 @@ class _DenseSystem:
         return x
 
     def polish(self, b, u, gamma, one_phase):
-        """One natural-order sweep, in place.
+        """One sweep, in place: natural order below _RB_MIN unknowns, red-black from there up.
 
-        One sweep is enough: the line search lets through Newton decreases
-        below one ulp of J.  With 1, 2 and 3 sweeps per iteration the ramp
-        at h=2^-9 (acceptance 04) took 16, 14 and 14 iterations in 0.40,
-        0.41 and 0.70 s, and the 100-pair comparison campaign at h=2^-6
-        (seed 11) took 1810, 1557 and 1419 iterations over its 200 solves in
-        2.4, 4.2 and 5.2 s (single runs on 2 cores, one BLAS thread).
+        Below _RB_MIN the sweep is kernels.gs_polish_dense, one exact
+        coordinate minimization per node in a Python loop.  From _RB_MIN up
+        each colour c (even indices, then odd) takes one step: the exact
+        roots (kernels.roots) of all of c's nodes at once, from the current
+        A u, give the step delta on c, one matvec gives A delta, and the
+        colour moves by t delta for the largest t = 2^-k (k < 40) with
+
+            dJ(t) = t delta.(A u + b) + t^2/2 delta.A delta
+                    + sum over c of (Phi(u + t delta) - Phi(u))  <=  0.
+
+        dJ is formed as a difference, so it never cancels against |J|.  At
+        t = 1 the colour takes the roots' bits, so snapped zeros stay +0.0;
+        if no t passes, the colour is left as it is.  Every operation
+        commutes with negation and Phi is even, so data -g still gives
+        exactly -u.  Nodes of one colour are coupled through the even lags
+        of A, so t = 1 is not a block minimum.  On the operators tried (s
+        from 0.5 to 0.99, h from 2^-4 to 2^-10, R from 2 to 8) the even lags
+        sum to at most 25% of A_ii, so the colour's block is diagonally
+        dominant and t = 1 descends in exact arithmetic.  A shorter t is
+        taken where round-off decides the sign of dJ: in 4 of the 36 colour
+        steps of the nested ramp at h = 2^-9 (all three levels, one BLAS
+        thread), and at N = 127 in 203 of the 34,308 steps of 80 two- and
+        one-phase solves of random ordered pairs, with no t passing in 52.
+
+        Why _RB_MIN = 127: one-level solves (no nested start), sequential
+        against red-black, medians of 7 alternating runs, one BLAS thread.
+        Campaign-type is comparison_campaign's random ordered pairs (s =
+        0.75, R = 4, seed 1001), ramp-type acceptance 04's ramp (s = 0.95,
+        R = 8, amplitude 15.71) from the linear start:
+
+            N                        63          127         255         511
+            campaign-type solves     40          40          20          8
+              time (ms)              321 / 363   661 / 517   943 / 578   1108 / 645
+              iterations             316 / 330   359 / 387   235 / 262   112 / 122
+            ramp-type time (ms)      10.6 / 7.1  34.5 / 18.8 43.4 / 16.8 189 / 69
+              iterations             11 / 7      13 / 11     13 / 10     13 / 12
+
+        The 50-pair campaigns at N = 63 (seeds 1001 to 1003) took 0.85,
+        0.82 and 0.88 s sequential against 0.99, 1.28 and 0.93 s red-black
+        (medians of 4).  At N = 63 red-black needs more sweeps and its fixed
+        numpy cost per colour outweighs the Python loop it saves; from 127 up
+        it wins on both kinds of solve.
+
+        One sweep is enough: the line search of _iterate lets through Newton
+        decreases below one ulp of J.  With 1 and 2 red-black sweeps per
+        iteration the nested ramp took 0.062 and 0.063 s (4 and 3 fine
+        iterations) at h = 2^-9 and 0.135 and 0.149 s (3 and 3) at 2^-10,
+        and 40 campaign-type solves at N = 127 took 0.46 and 0.64 s (387 and
+        323 iterations); medians of 5.  With 1, 2 and 3 natural-order sweeps
+        the 100-pair comparison campaign at h=2^-6 (seed 11) took 1810, 1557
+        and 1419 iterations over its 200 solves in 2.4, 4.2 and 5.2 s
+        (single runs on 2 cores, one BLAS thread).
         """
-        return kernels.gs_polish_dense(self.A, b, u, self.matvec(u), gamma, one_phase, sweeps=1)
+        Au = self.matvec(u)
+        if u.size < _RB_MIN:
+            return kernels.gs_polish_dense(self.A, b, u, Au, gamma, one_phase, sweeps=1)
+        d = self.row[0]
+        for c in (0, 1):
+            uc = u[c::2]
+            t_c = kernels.roots(d, d * uc - Au[c::2] - b[c::2], gamma, one_phase)
+            delta = np.zeros(u.size)
+            delta[c::2] = t_c - uc
+            Ad = self.matvec(delta)
+            slope, curv = delta @ (Au + b), 0.5 * (delta @ Ad)
+            phi = _phi(uc, gamma, one_phase)
+            t, v = 1.0, t_c
+            for _ in range(40):
+                if t * slope + t * t * curv + (_phi(v, gamma, one_phase) - phi).sum() <= 0.0:
+                    u[c::2] = v
+                    Au += t * Ad
+                    break
+                t *= 0.5
+                v = uc + t * delta[c::2]
+        return u
 
 
 class _TridiagSystem:

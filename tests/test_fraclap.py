@@ -280,15 +280,3 @@ class TestTailInfluenceBound:
             u = GridFunction(grid, np.zeros(grid.n), tail)
             vals.append(tail_influence_bound(op, u))
         assert vals[0] > vals[1] > vals[2]
-
-
-class TestDump:
-    def test_round_trip(self, op_mid, tmp_path):
-        path = tmp_path / "op.csv"
-        op_mid.dump(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "i,j,weight"
-        n_int = op_mid.A.shape[0]
-        assert len(lines) == 1 + n_int * n_int
-        data = np.array([float(line.split(",")[2]) for line in lines[1:]])
-        np.testing.assert_array_equal(data.reshape(n_int, n_int), op_mid.A)

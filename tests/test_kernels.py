@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import deadcore as dc
-from deadcore import GridSpec, ReactionSpec, kernels, make_grid
+from deadcore import GridSpec, ReactionSpec, kernels, make_grid, solver
 from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, roots, scalar_root
 
 
@@ -431,12 +431,26 @@ class TestSolvesMatchReferenceRoot:
         self._assert_within_tolerance(new, ref)
 
     def test_nonlocal_ramp(self, monkeypatch):
-        # The dense path never calls roots: its sweep calls only scalar_root,
-        # which gives the reference's bits, so the solves are the same bits.
-        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=4.0))
+        # Below _RB_MIN the dense path never calls roots: its sweep calls
+        # only scalar_root, which gives the reference's bits, so the solves
+        # are the same bits.
+        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=4.0))
+        assert grid.interior.size < solver._RB_MIN
         op = dc.assemble(grid, 0.95)
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
         lanes = self._counting_roots(monkeypatch)
         new, ref = self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
         assert lanes == []
         self._assert_same_bits(new, ref)
+
+    def test_nonlocal_ramp_red_black(self, monkeypatch):
+        # from _RB_MIN up every dense root goes through roots, one call per colour
+        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=4.0))
+        n = grid.interior.size
+        assert n >= solver._RB_MIN
+        op = dc.assemble(grid, 0.95)
+        g = dc.odd_exterior_builder(grid, "ramp", 15.71)
+        lanes = self._counting_roots(monkeypatch)
+        new, ref = self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
+        assert set(lanes) == {(n + 1) // 2, n // 2}
+        self._assert_within_tolerance(new, ref)

@@ -18,6 +18,7 @@ from deadcore import (
     make_grid,
 )
 from deadcore import solver
+from deadcore.analysis import random_ordered_pair
 
 
 class TestValidation:
@@ -158,14 +159,14 @@ class TestNonlocalSolve:
         assert rep.free_boundary is None
 
     def test_ramp_iterations_do_not_grow_with_n(self, ramp_reports):
-        # acceptance 04's ramp one level finer, nested: 4 fine iterations
-        # here and at h = 2^-9
+        # acceptance 04's ramp one level finer, nested: 3 fine iterations
+        # here and 4 at h = 2^-9
         rep = ramp_reports(10)[1]
         assert rep.converged
         assert rep.iterations <= 8
 
     def test_cold_ramp_iterations_do_not_grow_with_n(self, ramp_reports):
-        # the same solve from the linear start: 17 here and at h = 2^-9
+        # the same solve from the linear start: 19 here and 14 at h = 2^-9
         rep = ramp_reports(10)[0]
         assert rep.converged
         assert rep.iterations <= 25
@@ -461,6 +462,147 @@ class TestDenseNewtonStep:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+@pytest.fixture(scope="module")
+def op_127():
+    """h = 2^-6, R = 4, s = 0.75: 127 unknowns, the smallest red-black size."""
+    return dc.assemble(make_grid(GridSpec(h=2.0**-6, a=1.0, R=4.0)), 0.75)
+
+
+def _polish_case(case, op_acceptance_08):
+    """(system, b, u0, reaction, clip) of a dense polish at N >= solver._RB_MIN."""
+    grid = op_acceptance_08.grid
+    if case == "coupled":
+        # A = (1/2) I + (1/2) 1 1^T on each colour and nothing across: positive
+        # definite, but far from diagonally dominant, so the step of all of a
+        # colour's roots at once (t = 1) raises J and only a shorter one descends
+        n = grid.interior.size
+        row = np.zeros(n)
+        row[0] = 1.0
+        row[2::2] = 0.5
+        return solver._DenseSystem(row), -np.ones(n), np.zeros(n), ReactionSpec(gamma=0.2), False
+    system = solver._DenseSystem(op_acceptance_08.row)
+    if case == "one_phase_clipped":
+        vals = np.zeros(grid.n)
+        vals[grid.exterior] = 0.05
+        g = GridFunction(grid, vals, TailModel.zero())
+    else:
+        g = dc.odd_exterior_builder(grid, "ramp", 15.71)
+    mode = "two_phase" if case == "two_phase" else "one_phase"
+    b = op_acceptance_08.load_vector(g)
+    clip = case == "one_phase_clipped"
+    u0 = system.init_solve(b)
+    return system, b, np.maximum(u0, 0.0) if clip else u0, ReactionSpec(gamma=0.2, mode=mode), clip
+
+
+class TestRedBlackPolish:
+    """From solver._RB_MIN unknowns up the dense sweep is red-black: each
+    colour takes kernels.roots of all its nodes at once, along a line
+    search on the exact energy change."""
+
+    @pytest.mark.parametrize(
+        "case", ["two_phase", "one_phase_unclipped", "one_phase_clipped", "coupled"]
+    )
+    def test_energy_never_rises(self, case, op_acceptance_08):
+        system, b, u, reaction, clip = _polish_case(case, op_acceptance_08)
+        assert u.size >= solver._RB_MIN
+
+        def J(v):
+            return solver._evaluate(system, b, 1.0, v, reaction.gamma, reaction.one_phase)[1]
+
+        trace = [J(u)]
+        for _ in range(8):
+            u = system.polish(b, u.copy(), reaction.gamma, reaction.one_phase)
+            if clip:
+                u = np.maximum(u, 0.0)
+            trace.append(J(u))
+        rises = np.diff(trace) / np.maximum(1.0, np.abs(trace[:-1]))
+        assert rises.max() <= 1e-12
+        assert trace[-1] < trace[0]
+
+    @pytest.mark.parametrize("matrix", ["diagonal", "h2^-6"])
+    def test_a_full_step_takes_the_roots_bits(self, matrix, op_127, monkeypatch):
+        # From u = 1 a colour's roots reach down to 1e-150, where 1 + (t - 1)
+        # is 0.0: the step must copy the roots, not add delta.  On a
+        # diagonal A, q = -b exactly, so the roots are known beforehand, and
+        # q = +-1e-250 snaps to +0.0.
+        n = op_127.row.size
+        row = op_127.row if matrix == "h2^-6" else np.r_[op_127.row[0], np.zeros(n - 1)]
+        system = solver._DenseSystem(row)
+        b = -np.resize([1e-250, -1e-250, 1e-30, -1e-30, 1.0, -0.5, 1e-3], n)
+        calls = []
+        roots = solver.kernels.roots
+
+        def recording(d, q, gamma, one_phase):
+            t = roots(d, q, gamma, one_phase)
+            calls.append((q.copy(), t.copy()))
+            return t
+
+        monkeypatch.setattr(solver.kernels, "roots", recording)
+        out = system.polish(b, np.ones(n), 0.2, False)
+        assert len(calls) == 2
+        for c, (_, t) in enumerate(calls):
+            np.testing.assert_array_equal(out[c::2].view(np.int64), t.view(np.int64))
+        # the odd colour's data is formed at the even colour's new values
+        mid = np.ones(n)
+        mid[::2] = out[::2]
+        q_odd = row[0] * mid[1::2] - system.matvec(mid)[1::2] - b[1::2]
+        np.testing.assert_allclose(calls[1][0], q_odd, rtol=0.0, atol=1e-12 * system.abs_row_sum)
+        if not row[1:].any():
+            snapped = np.abs(b) == 1e-250
+            assert np.all(out[snapped] == 0.0) and not np.signbit(out[snapped]).any()
+            tiny = np.abs(b) == 1e-30
+            assert np.all((np.abs(out[tiny]) < 1e-100) & (1.0 + (out[tiny] - 1.0) != out[tiny]))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_negated_data_gives_the_negated_solution(self, op_127, seed, monkeypatch):
+        # every operation of a colour step commutes with negation, and Phi is
+        # even, so the line search takes the same t on both
+        _forbid_sweeps(monkeypatch)
+        g = random_ordered_pair(op_127.grid, np.random.default_rng(seed))[0]
+        r1 = dc.solve(op_127, g, ReactionSpec(gamma=0.2))
+        r2 = dc.solve(op_127, g.with_values(-g.values), ReactionSpec(gamma=0.2))
+        assert r1.converged and r1.iterations == r2.iterations
+        np.testing.assert_array_equal(r2.solution.values, -r1.solution.values)
+        np.testing.assert_array_equal(r2.energy_trace, r1.energy_trace)
+
+    @pytest.mark.parametrize("h", [2.0**-5, 2.0**-6, 2.0**-7], ids=["63", "127", "255"])
+    def test_path_by_size(self, h, monkeypatch):
+        grid = make_grid(GridSpec(h=h, a=1.0, R=4.0))
+        n = grid.interior.size
+        op = dc.assemble(grid, 0.75)
+        counts = {"roots": [], "scalar_root": 0, "gs_polish_dense": 0}
+        roots, scalar_root, dense = (
+            solver.kernels.roots, solver.kernels.scalar_root, solver.kernels.gs_polish_dense
+        )
+
+        def counting_roots(d, q, gamma, one_phase):
+            counts["roots"].append(q.size)
+            return roots(d, q, gamma, one_phase)
+
+        def counting_scalar_root(*args):
+            counts["scalar_root"] += 1
+            return scalar_root(*args)
+
+        def counting_dense(*args, **kwargs):
+            counts["gs_polish_dense"] += 1
+            return dense(*args, **kwargs)
+
+        monkeypatch.setattr(solver.kernels, "roots", counting_roots)
+        monkeypatch.setattr(solver.kernels, "scalar_root", counting_scalar_root)
+        monkeypatch.setattr(solver.kernels, "gs_polish_dense", counting_dense)
+        g = random_ordered_pair(grid, np.random.default_rng(3))[0]
+        rep = dc.solve(op, g, ReactionSpec(gamma=0.2))
+        assert rep.converged
+        if n < solver._RB_MIN:
+            assert counts["roots"] == [] and counts["gs_polish_dense"] == rep.iterations
+            assert counts["scalar_root"] >= n * rep.iterations
+        else:
+            # roots hands the odd lane out to scalar_root, but no sweep is per node
+            assert counts["gs_polish_dense"] == 0
+            assert counts["roots"] == [(n + 1) // 2, n // 2] * rep.iterations
+            assert counts["scalar_root"] <= n * rep.iterations // 20
 
 
 def test_import_loads_no_scipy_fft_or_sparse():

@@ -70,23 +70,31 @@ def detect_branching(
     coalesced to the single node minimizing the combined normalized score,
     so an exact profile yields exactly one point.
     """
-    h = u.grid.h
-    beta = growth_exponent(s, gamma)
     if thresholds is None:
-        thresholds = (10 * h**beta, 10 * h ** (beta - 1), 10 * h ** (beta - 2))
+        thresholds = _default_thresholds(u.grid.h, s, gamma)
     t0, t1, t2 = thresholds
-    du = discrete_derivative(u, 1)
-    d2u = discrete_derivative(u, 2)
-    idx = u.grid.interior
-    v0 = np.abs(u.values[idx])
-    v1 = np.abs(du.values[idx])
-    v2 = np.abs(d2u.values[idx])
+    v0, v1, v2 = np.abs(_vanishing(u))
     cand = (v0 <= t0) & (v1 <= t1) & (v2 <= t2)
     if not cand.any():
         return np.array([])
     score = v0 / t0 + v1 / t1 + v2 / t2
     x_int = u.grid.x_interior
     return np.array([x_int[i + np.argmin(score[i : j + 1])] for i, j in mask_runs(cand)])
+
+
+def _default_thresholds(h: float, s: float, gamma: float) -> tuple[float, float, float]:
+    """(10 h^beta, 10 h^(beta-1), 10 h^(beta-2)) with beta = 2s/(1-gamma)."""
+    beta = growth_exponent(s, gamma)
+    return 10 * h**beta, 10 * h ** (beta - 1), 10 * h ** (beta - 2)
+
+
+def _vanishing(u: GridFunction, points=None) -> np.ndarray:
+    """Rows u, Du, D2u: at the interior nodes, or at the node nearest each of ``points``."""
+    if points is None:
+        idx = u.grid.interior
+    else:
+        idx = [int(np.argmin(np.abs(u.grid.x - x0))) for x0 in points]
+    return np.array([v.values[idx] for v in (u, discrete_derivative(u, 1), discrete_derivative(u, 2))])
 
 
 @dataclass
@@ -320,16 +328,8 @@ def one_phase_branching_check(report: SolveReport) -> bool:
     if report.free_boundary is None:
         raise ValueError("no free boundary")
     u = report.solution
-    h = u.grid.h
-    beta = growth_exponent(report.s, report.gamma)
-    du = discrete_derivative(u, 1)
-    d2u = discrete_derivative(u, 2)
-    i = int(np.argmin(np.abs(u.grid.x - report.free_boundary)))
-    return bool(
-        abs(u.values[i]) <= 10 * h**beta
-        and abs(du.values[i]) <= 10 * h ** (beta - 1)
-        and abs(d2u.values[i]) <= 10 * h ** (beta - 2)
-    )
+    v = _vanishing(u, [report.free_boundary])[:, 0]
+    return bool((np.abs(v) <= _default_thresholds(u.grid.h, report.s, report.gamma)).all())
 
 
 def random_ordered_pair(grid: Grid, rng: np.random.Generator) -> tuple[GridFunction, GridFunction]:
@@ -456,15 +456,11 @@ def write_exponent_csv(path: str, rows) -> None:
 
 def write_branching_csv(path: str, u: GridFunction, points: np.ndarray) -> None:
     """Detected branching points with their vanishing quantities."""
-    du = discrete_derivative(u, 1)
-    d2u = discrete_derivative(u, 2)
+    rows = _vanishing(u, points)
     with open(path, "w") as fh:
         fh.write("x0,u,du,d2u\n")
-        for x0 in points:
-            i = int(np.argmin(np.abs(u.grid.x - x0)))
-            fh.write(
-                f"{x0:.17g},{u.values[i]:.17g},{du.values[i]:.17g},{d2u.values[i]:.17g}\n"
-            )
+        for x0, (v, dv, d2v) in zip(points, rows.T):
+            fh.write(f"{x0:.17g},{v:.17g},{dv:.17g},{d2v:.17g}\n")
 
 
 def write_slimit_csv(path: str, rows: list[SLimitRow]) -> None:

@@ -9,8 +9,9 @@ runner gets the parsed values.  Every key a mode accepts is parsed and
 checked, with every rule that needs only the grid, before anything is
 assembled or written; --dry-run stops there.
 
-Exit codes: 0 success, 2 for validation failures or malformed config lines
-(reported with their line number), 3 when a solve fails to converge.
+Exit codes: 0 success, 2 for validation failures, malformed config lines
+(reported with their line number) or a grid too large to allocate, 3 when a
+solve fails to converge.
 Single-threaded runs are byte-deterministic for a fixed config and seed;
 --jobs only parallelizes across independent configs.
 """
@@ -136,8 +137,9 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
     """Parse and check every value of ``cfg``: all that a run of ``mode`` checks before it solves.
 
     Returns each key's value (its default when absent), the config text and
-    the GridSpec, ReactionSpec and SolverConfig they build.  validate builds
-    no ReactionSpec and needs no grid: it reports bad s and gamma itself.
+    the GridSpec, Grid, ReactionSpec and SolverConfig they build.  validate
+    builds no ReactionSpec and needs no grid: it reports bad s and gamma
+    itself.
     """
     _, required, optional = _MODE_TABLE[mode]
     accepted = f"{required} {optional}".split()
@@ -167,8 +169,9 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
     if mode == "validate":
         return p
     p.reaction = ReactionSpec(gamma=p.gamma, mode=p.mode)
-    if "s" in required:
-        check_order(p.s)
+    for s in [p.s] if "s" in required else p.s_list or []:
+        check_order(s, p.h)
+    p.grid = make_grid(p.spec)
     if mode == "exponent":
         analysis.fit_radii(p.spec, p.fit_rmin, p.fit_rmax, p.fit_k)
     if mode == "blowup":
@@ -187,11 +190,10 @@ def _data(p, grid) -> GridFunction:
 
 def _solved(p, path):
     """The converged solve of a parsed config: solve-local's, or the nonlocal one."""
-    grid = make_grid(p.spec)
     if p.local:
-        report = solve_local(grid, p.reaction, (p.left, p.right), p.config)
+        report = solve_local(p.grid, p.reaction, (p.left, p.right), p.config)
     else:
-        report = solve(assemble(grid, p.s), _data(p, grid), p.reaction, p.config)
+        report = solve(assemble(p.grid, p.s), _data(p, p.grid), p.reaction, p.config)
     if not report.converged:
         raise SolveFailure(f"{path}: solve did not converge")
     return report
@@ -237,7 +239,7 @@ def _run_blowup(p, path, out_dir, stem, seed):
 
 def _run_compare(p, path, out_dir, stem, seed):
     trials = analysis.comparison_campaign(
-        make_grid(p.spec), p.s, p.reaction, n_pairs=p.pairs, seed=seed, config=p.config
+        p.grid, p.s, p.reaction, n_pairs=p.pairs, seed=seed, config=p.config
     )
     if not all(t.converged for t in trials):
         raise SolveFailure(f"{path}: a campaign solve did not converge")
@@ -272,9 +274,8 @@ def _run_liouville(p, path, out_dir, stem, seed):
 
 
 def _run_slimit(p, path, out_dir, stem, seed):
-    grid = make_grid(p.spec)
     rows, local_rep = analysis.s_limit_study(
-        grid, p.s_list, p.reaction, _data(p, grid), p.config
+        p.grid, p.s_list, p.reaction, _data(p, p.grid), p.config
     )
     if not local_rep.converged:
         raise SolveFailure(f"{path}: local reference solve did not converge")
@@ -341,7 +342,7 @@ def _run_one(task) -> int:
         os.makedirs(out_dir, exist_ok=True)
         _MODE_TABLE[mode][0](p, path, out_dir, stem, seed)
         return 0
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolveFailure as exc:

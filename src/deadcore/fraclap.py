@@ -11,6 +11,7 @@ grid function being applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,10 +199,20 @@ class FracLapOperator:
         return Au + self.load_vector(u)
 
 
-def check_order(s: float) -> None:
-    """Raise ValueError unless ``assemble`` admits the order s."""
+def check_order(s: float, h: float | None = None) -> None:
+    """Raise ValueError unless ``assemble`` admits the order s and, if given, the spacing h.
+
+    h is admitted when the factor c h^(-2s) of every weight is finite, a
+    rule that needs no grid.
+    """
     if not (0.5 <= s < S_MAX):
         raise ValueError(f"s must lie in [0.5, {S_MAX})")
+    try:
+        finite = h is None or math.isfinite(normalization_constant(s) * h ** (-2.0 * s))
+    except OverflowError:  # a Python float power raises where numpy's gives inf
+        finite = False
+    if not finite:
+        raise ValueError(f"h = {h:.17g} is too small for s = {s:.17g}: h^(-2s) overflows")
 
 
 def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
@@ -211,7 +222,7 @@ def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
     and the closed-form weights lose relative accuracy there.  Storage and
     time are O(n): no N x N or N x n_ext array is built.
     """
-    check_order(s)
+    check_order(s, grid.h)
     c = normalization_constant(s)
     h = grid.h
     n = grid.n
@@ -265,11 +276,8 @@ def tail_norm(u: GridFunction, s: float) -> float:
     w = np.abs(v) / (1.0 + np.abs(x) ** (1 + 2 * s))
     h = u.grid.h
     total = h * (w.sum() - 0.5 * w[0] - 0.5 * w[-1])
-    R = u.grid.R
-    if tail.kind == "const":
-        total += _tail_weight_integral(abs(tail.c), 0.0, R, s)
-    elif tail.kind == "power":
-        total += _tail_weight_integral(abs(tail.c), tail.p, R, s)
+    # zero tails carry c = 0 and const tails p = 0
+    total += _tail_weight_integral(abs(tail.c), tail.p, u.grid.R, s)
     return float(total)
 
 
@@ -282,13 +290,8 @@ def tail_influence_bound(op: FracLapOperator, u: GridFunction) -> float:
     """
     s = op.s
     a, R = op.grid.a, op.grid.R
-    tail = u.tail
-    if tail.kind == "zero":
-        tail_part = 0.0
-    elif tail.kind == "const":
-        tail_part = _tail_weight_integral(abs(tail.c), 0.0, R, s)
-    else:
-        tail_part = _tail_weight_integral(abs(tail.c), tail.p, R, s)
+    # zero tails carry c = 0 and const tails p = 0
+    tail_part = _tail_weight_integral(abs(u.tail.c), u.tail.p, R, s)
     return float(
         op.c * (1 - a / R) ** (-1 - 2 * s) * (1 + R ** (-1 - 2 * s)) * tail_part
     )

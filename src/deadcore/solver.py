@@ -32,36 +32,43 @@ Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
    on the tridiagonal system, a dense one (LAPACK dposv) on a dense system
    below _PCG_MIN = 1023 unknowns, and FFT-based preconditioned CG on a
    dense system from there up (the _DenseSystem docstring);
-3. a line search on that step, taken only when r.delta < 0.  It accepts
-   the largest t = 2^-k (k < 40) at which the recomputed J does not rise,
-   or at which delta.r(u + t delta) <= 0: J is convex along delta, so the
-   second test proves J(u + t delta) < J(u) even where the decrease lies
-   below one ulp of J and two recomputed energies cannot show it.  If no t
-   passes, the Newton update is dropped.
+3. a line search on that step, taken only when r.delta < 0: the largest
+   t = 2^-k (k < 40) whose energy change dJ(t) is <= 0 (_step, the line
+   search of the red-black colour step too).  If no t passes, the Newton
+   update is dropped.
 
 The smoother descends on a strictly convex energy, so every iteration
 descends and the scheme needs no fallback.  The sweeps are what finish the
 job near degenerate nodes, where f has unbounded slope and Newton steps
-stall or chatter; the Newton step carries the smooth part.  The smoother's
-result, and a step the derivative test accepts, are taken without comparing
-two recomputed energies: a natural-order update is an exact coordinate
-minimization and a red-black colour moves only where its energy change,
-formed as a difference, is <= 0, so J cannot rise in exact arithmetic.  The
-recomputed J can still exceed the previous value by round-off (+2.7e-19 at
-|J| = 1.9e-4 has been seen; up to 5.1e-15 relative on the nested ramp from
-h = 2^-9 to 2^-11).  The trace is therefore non-increasing up to round-off;
-the tests allow a rise of 1e-12 * max(1, max|J|).  When one-phase data is
-nonnegative the iterate is clipped at zero after every step; zero is then a
-subsolution and truncation never increases the energy, so the derivative
-test is made at the unclipped u + t delta.
+stall or chatter; the Newton step carries the smooth part.  No step is taken
+by comparing two recomputed energies.  A natural-order update is an exact
+coordinate minimization, and a red-black colour and a Newton step move only
+by a t with
 
-Each point is evaluated once: one matvec and one f(u) give its residual and
-its energy, and the iterate carries both into the next iteration.  An
-iteration evaluates the smoothed iterate and each line-search trial; a
-clipped trial that clipping changed also needs the residual of its unclipped
-point.  The local h = 2^-10 solve makes 27 evaluations in 13 iterations and
-the nonlocal ramp at h = 2^-9 from the linear start 30 in 14 (42 over the
-three levels of its nested solve, below).
+    dJ(t) / h = t delta.(A u + b) + t^2/2 delta.A delta
+                + sum(Phi(u + t delta) - Phi(u))  <=  0,
+
+so J cannot rise in exact arithmetic.  Each change of Phi is formed without
+cancellation (_dphi), so dJ keeps its sign where the decrease lies far below
+one ulp of J.  Two recomputed energies cannot show such a decrease, and a
+test on them, or on the derivative delta.r(u + t delta), let round-off
+decide whether t = 1 passed: the nested ramp's fine iterations at h = 2^-9
+then varied from 2 to 5 with the amplitude and with the BLAS thread count.
+The recomputed J can still exceed the previous value by round-off (+2.7e-19
+at |J| = 1.9e-4 has been seen; up to 3.3e-15 relative on the nested ramp
+from h = 2^-9 to 2^-11).  The trace is therefore non-increasing up to
+round-off; the tests allow a rise of 1e-12 * max(1, max|J|).  When one-phase
+data is nonnegative the iterate is clipped at zero after every step; zero is
+then a subsolution and truncation never increases the energy, so dJ is
+taken at the unclipped u + t delta.
+
+Each point is evaluated once: one matvec and one f(u) give its residual, its
+energy and Phi(u) = u f(u) / (1 + gamma), and the iterate carries them into
+the next iteration.  An iteration evaluates the smoothed iterate and the
+point its Newton step reaches; the line search needs one matvec A delta and
+no evaluation.  The local h = 2^-10 solve makes 27 evaluations in 13
+iterations and the nonlocal ramp at h = 2^-9 from the linear start 27 in
+13 (35 over the three levels of its nested solve, below).
 
 A nonlocal solve starts from its own coarse-grid solution (nested iteration:
 Brandt, Math. Comp. 31 (1977); Hackbusch, Multi-Grid Methods and
@@ -79,7 +86,7 @@ coarsest level:
     ramp at h = 2^-9    0.444 s, 17 it  0.196 s, 4 it  0.169 s, 4 it  0.210 s, 6 it
 
 With 255 the levels are 255 -> 511 -> 1023.  The nested solutions differ
-from the cold ones by at most 1.5e-14 at h = 2^-9 and 1.6e-14 at
+from the cold ones by at most 1.3e-14 at h = 2^-9 and 5.8e-14 at
 h = 2^-10.  The local tridiagonal iteration is cheap, and a
 ladder gave it no gain (h = 2^-10: 15.5 ms cold, 13.9 to 17.0 ms nested).
 """
@@ -401,12 +408,9 @@ class _DenseSystem:
         each colour c (even indices, then odd) takes one step: the exact
         roots (kernels.roots) of all of c's nodes at once, from the current
         A u, give the step delta on c, one matvec gives A delta, and the
-        colour moves by t delta for the largest t = 2^-k (k < 40) with
-
-            dJ(t) = t delta.(A u + b) + t^2/2 delta.A delta
-                    + sum over c of (Phi(u + t delta) - Phi(u))  <=  0.
-
-        dJ is formed as a difference, so it never cancels against |J|.  At
+        colour moves by t delta for the largest t = 2^-k (k < 40) whose
+        energy change dJ(t), over c's nodes, is <= 0: _step, the line search
+        the Newton step of _iterate takes too (the module docstring).  At
         t = 1 the colour takes the roots' bits, so snapped zeros stay +0.0;
         if no t passes, the colour is left as it is.  Every operation
         commutes with negation and Phi is even, so data -g still gives
@@ -414,11 +418,13 @@ class _DenseSystem:
         of A, so t = 1 is not a block minimum.  On the operators tried (s
         from 0.5 to 0.99, h from 2^-4 to 2^-10, R from 2 to 8) the even lags
         sum to at most 25% of A_ii, so the colour's block is diagonally
-        dominant and t = 1 descends in exact arithmetic.  A shorter t is
-        taken where round-off decides the sign of dJ: in 4 of the 36 colour
-        steps of the nested ramp at h = 2^-9 (all three levels, one BLAS
-        thread), and at N = 127 in 203 of the 34,308 steps of 80 two- and
-        one-phase solves of random ordered pairs, with no t passing in 52.
+        dominant and t = 1 descends in exact arithmetic.  With dJ formed
+        without cancellation every colour step took t = 1: the 32 of the
+        nested ramp at h = 2^-9 (all three levels, one BLAS thread) and, at
+        N = 127, the 34,152 of 80 two- and one-phase solves of random
+        ordered pairs (s = 0.75, R = 4, seed 1001).  With Phi(u + t delta) -
+        Phi(u) as a plain difference, round-off had decided the sign of dJ
+        in 4 of 36 and 203 of 34,308 such steps.
 
         Why _RB_MIN = 127: one-level solves (no nested start), sequential
         against red-black, medians of 7 alternating runs, one BLAS thread.
@@ -439,9 +445,10 @@ class _DenseSystem:
         numpy cost per colour outweighs the Python loop it saves; from 127 up
         it wins on both kinds of solve.
 
-        One sweep is enough: the line search of _iterate lets through Newton
-        decreases below one ulp of J.  With 1 and 2 red-black sweeps per
-        iteration the nested ramp took 0.062 and 0.063 s (4 and 3 fine
+        One sweep is enough: the line search lets through Newton decreases
+        below one ulp of J.  With 1 and 2 red-black sweeps per iteration
+        (and a Newton line search on two recomputed energies and a
+        derivative test) the nested ramp took 0.062 and 0.063 s (4 and 3 fine
         iterations) at h = 2^-9 and 0.135 and 0.149 s (3 and 3) at 2^-10,
         and 40 campaign-type solves at N = 127 took 0.46 and 0.64 s (387 and
         323 iterations); medians of 5.  With 1, 2 and 3 natural-order sweeps
@@ -459,16 +466,11 @@ class _DenseSystem:
             delta = np.zeros(u.size)
             delta[c::2] = t_c - uc
             Ad = self.matvec(delta)
-            slope, curv = delta @ (Au + b), 0.5 * (delta @ Ad)
-            phi = _phi(uc, gamma, one_phase)
-            t, v = 1.0, t_c
-            for _ in range(40):
-                if t * slope + t * t * curv + (_phi(v, gamma, one_phase) - phi).sum() <= 0.0:
-                    u[c::2] = v
-                    Au += t * Ad
-                    break
-                t *= 0.5
-                v = uc + t * delta[c::2]
+            t = _step(uc, delta[c::2], _phi(uc, gamma, one_phase), delta @ (Au + b),
+                      0.5 * (delta @ Ad), gamma, one_phase)
+            if t > 0.0:
+                u[c::2] = t_c if t == 1.0 else uc + t * delta[c::2]
+                Au += t * Ad
         return u
 
 
@@ -511,29 +513,65 @@ class _TridiagSystem:
 
 
 def _evaluate(system, b, h, v, gamma, one_phase):
-    """Residual A v + b + f(v) and energy J(v) from one matvec and one f(v)."""
+    """Residual A v + b + f(v), energy J(v) and f(v) from one matvec and one f(v)."""
     Av = system.matvec(v)
     f = reaction_value(v, gamma, one_phase)
     J = h * (0.5 * v @ Av + b @ v + (v * f / (1.0 + gamma)).sum())
-    return Av + b + f, J
+    return Av + b + f, J, f
+
+
+def _dphi(u, step, phi, gamma, one_phase):
+    """Phi(u + step) - Phi(u) nodewise, given phi = Phi(u), without cancellation.
+
+    Where |step| < |u|, u + step keeps u's sign and the change is
+    phi * expm1((1 + gamma) log1p(step / u)), exact to a few ulps of itself
+    however small.  Elsewhere it is the plain difference: the identity needs
+    u's sign kept, and a step that at least doubles |u| cancels by at most a
+    factor of about 2 (there (1 + step / u)^(1 + gamma) could overflow).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = step / u
+        out = phi * np.expm1((1.0 + gamma) * np.log1p(x))
+    far = ~(np.abs(x) < 1.0)
+    out[far] = _phi(u[far] + step[far], gamma, one_phase) - phi[far]
+    return out
+
+
+def _step(u, delta, phi, slope, curv, gamma, one_phase):
+    """The line search of a smoother colour and of a Newton step.
+
+    Returns the largest t = 2^-k (k < 40) with
+
+        dJ(t) = t slope + t^2 curv + sum(Phi(u + t delta) - Phi(u))  <=  0,
+
+    where slope = delta.(A u + b), curv = delta.A delta / 2 and phi = Phi(u)
+    over u's nodes, or 0.0 if no t passes.  h dJ(t) is J(u + t delta) -
+    J(u), and every term is formed as a difference (_dphi), so its sign is
+    not lost against |J| or Phi(u) even where the decrease lies many orders
+    of magnitude below one ulp of J.
+    """
+    t = 1.0
+    for _ in range(40):
+        if t * slope + t * t * curv + _dphi(u, t * delta, phi, gamma, one_phase).sum() <= 0.0:
+            return t
+        t *= 0.5
+    return 0.0
 
 
 def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip: bool, start=None):
     """Smoother + truncated Newton iteration; returns (u, iters, traces, converged).
 
     The iteration starts from ``start`` (None: the linear solve), clipped.
-    u travels with its residual r and energy Ju (see the module docstring).
+    u travels with its residual r, energy Ju and f(u) (see the module
+    docstring).
     """
     gamma, one_phase = reaction.gamma, reaction.one_phase
 
     def clipped(v):
         return np.maximum(v, 0.0) if clip else v
 
-    def evaluate(v):
-        return _evaluate(system, b, h, v, gamma, one_phase)
-
     u = clipped(system.init_solve(b) if start is None else start)
-    r, Ju = evaluate(u)
+    r, Ju, f = _evaluate(system, b, h, u, gamma, one_phase)
     r_trace: list[float] = []
     j_trace: list[float] = []
     for it in range(config.max_iter + 1):
@@ -545,7 +583,7 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip: b
             return u, it, np.array(r_trace), np.array(j_trace), ok
 
         u = clipped(system.polish(b, u, gamma, one_phase))
-        r, Ju = evaluate(u)
+        r, Ju, f = _evaluate(system, b, h, u, gamma, one_phase)
         free = np.abs(u) >= kernels._SNAP
         dd = np.zeros_like(u)
         dd[free] = gamma * np.abs(u[free]) ** (gamma - 1.0)
@@ -555,21 +593,11 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip: b
         delta = system.newton_delta(r, free, dd)
         if not r @ delta < 0.0:
             continue
-        t = 1.0
-        for _ in range(40):
-            v = u + t * delta
-            un = clipped(v)
-            rt, Jt = evaluate(un)
-            if Jt <= Ju or delta @ (rt if np.array_equal(un, v) else evaluate(v)[0]) <= 0.0:
-                u, r, Ju = un, rt, Jt
-                break
-            t *= 0.5
-
-
-def _tail_min_nonnegative(tail: TailModel) -> bool:
-    if tail.kind == "zero":
-        return True
-    return tail.c >= 0.0
+        t = _step(u, delta, u * f / (1.0 + gamma), delta @ (r - f),
+                  0.5 * (delta @ system.matvec(delta)), gamma, one_phase)
+        if t > 0.0:
+            u = clipped(u + t * delta)
+            r, Ju, f = _evaluate(system, b, h, u, gamma, one_phase)
 
 
 def _beta(s: float, gamma: float) -> float:
@@ -664,9 +692,8 @@ def _solve_nested(op: FracLapOperator, g: GridFunction, reaction, config) -> Sol
 
 def _solve_nonlocal(op: FracLapOperator, g: GridFunction, reaction, config, start=None) -> SolveReport:
     """One nonlocal solve from ``start`` (None: the linear solve), on op's grid only."""
-    clip = reaction.one_phase and bool(
-        (g.exterior_values >= 0).all() and _tail_min_nonnegative(g.tail)
-    )
+    # a zero tail carries c = 0
+    clip = reaction.one_phase and bool((g.exterior_values >= 0).all() and g.tail.c >= 0.0)
     return _solve(
         _DenseSystem(op.row), op.load_vector(g), op.grid, g.values.copy(), g.tail,
         op.s, reaction, config, clip, start,

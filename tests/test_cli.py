@@ -89,6 +89,27 @@ class TestExitCodes:
         assert "division by zero" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    @pytest.mark.parametrize(
+        "mode, keys, message",
+        [
+            # 2^47 + 1 nodes: numpy refuses the PiB at once, before any work
+            ("solve", dict(h="1/35184372088832", a="1", s="0.75", gamma="0.2"), ""),
+            ("compare", dict(h="1/35184372088832", a="1", s="0.75", gamma="0.2"), ""),
+            # 41 nodes, but h^(-2s) = 1e450 overflows a double
+            ("solve", dict(h="1e-300", a="1e-299", s="0.75", gamma="0.2"), "h^(-2s) overflows"),
+            ("slimit", dict(h="1e-300", a="1e-299", gamma="0.2", s_list="0.75"), "h^(-2s) overflows"),
+        ],
+        ids=["memory-solve", "memory-compare", "scale-solve", "scale-slimit"],
+    )
+    def test_grids_beyond_the_machine_exit_2(self, tmp_path, capsys, mode, keys, message, dry_run):
+        out = str(tmp_path / "out")
+        cfg = write_config(tmp_path / "c.cfg", **keys)
+        assert main([mode, "--config", cfg, "--out", out, *dry_run]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
     def test_validate_checks_the_grid(self, tmp_path, capsys, dry_run):
         cfg = write_config(tmp_path / "c.cfg", h="0.3", a="1", s="0.75", gamma="0.2")
         code = main(["validate", "--config", cfg, "--out", str(tmp_path / "o"), *dry_run])

@@ -10,7 +10,7 @@ import pytest
 import deadcore as dc
 from deadcore import fraclap, solver
 from deadcore import GridFunction, GridSpec, TailModel, make_grid
-from deadcore.fraclap import tail_influence_bound, tail_norm
+from deadcore.fraclap import check_order, tail_influence_bound, tail_norm
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +25,15 @@ class TestAssemblyInvariants:
         for s in (0.49, 0.999, 1.2):
             with pytest.raises(ValueError, match="s must lie"):
                 dc.assemble(grid, s)
+
+    def test_spacing_whose_scale_overflows_is_rejected(self):
+        # c h^(-2s): 1e450 at h = 1e-300 and s = 0.75, which no double holds
+        grid = make_grid(GridSpec(h=1e-300, a=1e-298, R=2e-298))
+        with pytest.raises(ValueError, match="overflows"):
+            dc.assemble(grid, 0.75)
+        with pytest.raises(ValueError, match="overflows"):
+            check_order(0.75, 1e-300)
+        check_order(0.75, 1e-150)
 
     def test_symmetric(self, op_mid):
         A = op_mid.A

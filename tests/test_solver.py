@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -160,13 +161,13 @@ class TestNonlocalSolve:
 
     def test_ramp_iterations_do_not_grow_with_n(self, ramp_reports):
         # acceptance 04's ramp one level finer, nested: 3 fine iterations
-        # here and 4 at h = 2^-9
+        # here and 3 at h = 2^-9
         rep = ramp_reports(10)[1]
         assert rep.converged
         assert rep.iterations <= 8
 
     def test_cold_ramp_iterations_do_not_grow_with_n(self, ramp_reports):
-        # the same solve from the linear start: 19 here and 14 at h = 2^-9
+        # the same solve from the linear start: 15 here and 13 at h = 2^-9
         rep = ramp_reports(10)[0]
         assert rep.converged
         assert rep.iterations <= 25
@@ -230,10 +231,10 @@ class TestNonlocalSolve:
     def test_newton_steps_below_an_ulp_of_the_energy_get_through(self, op_ramp):
         # Acceptance 04's ramp, one dense sweep per iteration.  Near the end
         # the Newton decrease is at or below one ulp of J, so a line search
-        # that only compares two recomputed energies drops those steps and
-        # the smoother alone crawls on (58 iterations from the linear start,
-        # against 17, and 10 fine iterations nested, against 4); the
-        # derivative test delta.r(u + t delta) <= 0 still proves descent.
+        # that only compares two recomputed energies drops or shortens those
+        # steps (18 iterations from the linear start, against 13, and 5 fine
+        # iterations nested, against 3); the energy change dJ(t), formed as
+        # a difference, still shows the descent.
         g = dc.odd_exterior_builder(op_ramp.grid, "ramp", 15.71)
         reaction, config = ReactionSpec(gamma=0.2), SolverConfig(max_iter=60)
         cold = solver._solve_nonlocal(op_ramp, g, reaction, config)
@@ -603,6 +604,109 @@ class TestRedBlackPolish:
             assert counts["gs_polish_dense"] == 0
             assert counts["roots"] == [(n + 1) // 2, n // 2] * rep.iterations
             assert counts["scalar_root"] <= n * rep.iterations // 20
+
+
+def _dphi_reference(u, step, gamma, one_phase):
+    """Phi(u + step) - Phi(u) at 50 digits, with Phi's exponent 1 + gamma as a double."""
+    with mpmath.workdps(50):
+        e = mpmath.mpf(1.0 + gamma)
+
+        def phi(x):
+            return mpmath.mpf(0) if one_phase and x <= 0 else abs(x) ** e / e
+
+        u = mpmath.mpf(float(u))
+        return phi(u + mpmath.mpf(float(step))) - phi(u)
+
+
+class TestEnergyDifferenceLineSearch:
+    """A Newton step and a red-black colour move by the largest t = 2^-k with
+    dJ(t) <= 0, formed as a difference by solver._step: round-off, and so the
+    BLAS thread count, no longer decides whether t = 1 passes."""
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_ramp_fine_iterations_near_the_branching_amplitude(self, k):
+        # with two recomputed energies and a derivative test these read
+        # 2, 5, 3, 4, 4 (h = 2^-9) and 7, 3, 3, 3, 7 (h = 2^-10), one BLAS thread
+        grid = make_grid(GridSpec(h=2.0**-k, a=1.0, R=8.0))
+        op = dc.assemble(grid, 0.95)
+        for amplitude in (15.0, 15.4, 15.6, 15.71, 16.2):
+            g = dc.odd_exterior_builder(grid, "ramp", amplitude)
+            rep = dc.solve(op, g, ReactionSpec(gamma=0.2))
+            assert rep.converged and rep.iterations <= 3, amplitude
+            jt = rep.energy_trace
+            assert np.diff(jt).max() <= 1e-12 * max(1.0, np.abs(jt).max())
+
+    def test_blas_threads_do_not_change_the_iterates(self, tmp_path):
+        # dposv rounds differently with 1 and 2 threads; with a line search
+        # that compared recomputed energies this solve took 4 and 5 iterations
+        code = (
+            "import sys, numpy as np, deadcore as dc\n"
+            "grid = dc.make_grid(dc.GridSpec(h=2.0**-9, a=1.0, R=8.0))\n"
+            "g = dc.odd_exterior_builder(grid, 'ramp', 15.71)\n"
+            "rep = dc.solve(dc.assemble(grid, 0.95), g, dc.ReactionSpec(gamma=0.2))\n"
+            "np.save(sys.argv[1], rep.solution.values)\n"
+            "print(rep.iterations, rep.converged)"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(dc.__file__)),
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+            )
+            path = str(tmp_path / f"u{threads}.npy")
+            out = subprocess.run(
+                [sys.executable, "-c", code, path], env=env, capture_output=True, text=True, check=True
+            )
+            runs.append((out.stdout.split(), np.load(path)))
+        (count1, u1), (count2, u2) = runs
+        assert count1 == count2 and count1[1] == "True"
+        assert np.abs(u1 - u2).max() <= 1e-12
+
+    @pytest.mark.parametrize("phi_of", ["_phi", "u f(u) / (1 + gamma)"])
+    @pytest.mark.parametrize("one_phase", [False, True], ids=["two_phase", "one_phase"])
+    def test_dphi_matches_a_50_digit_reference(self, phi_of, one_phase):
+        gamma = 0.2
+        # every change stays a normal double, where relative error is defined
+        nodes = np.array([1.0, 0.37, 3e5, 1e-100, 1e-200, -0.8, -2e-7])
+        kept = [1e-16, -1e-16, 1e-12, -1e-9, 1e-6, -1e-3, 0.1, -0.5, 0.99, -0.99, 1.0, 10.0, 1e4, 1e10]
+        crossing = [-1.0, -1.5, -2.0, -1e10]
+        u = np.concatenate([np.repeat(nodes, len(kept) + len(crossing)), np.zeros(4)])
+        x = np.concatenate([np.tile(kept + crossing, nodes.size), [1.0, -1.0, 1e-100, 0.0]])
+        step = np.where(u == 0.0, x, x * u)
+        if phi_of == "_phi":
+            phi = solver._phi(u, gamma, one_phase)
+        else:
+            phi = u * solver.reaction_value(u, gamma, one_phase) / (1.0 + gamma)
+        got = solver._dphi(u, step, phi, gamma, one_phase)
+        for ui, si, xi, gi in zip(u, step, x, got):
+            ref = _dphi_reference(ui, si, gamma, one_phase)
+            if ui != 0.0 and xi > -1.0:
+                # u + step keeps u's sign: relative to the change itself
+                bound = 1e-13 * abs(ref)
+            else:
+                bound = 1e-13 * float(
+                    _dphi_reference(0.0, ui, gamma, one_phase)
+                    + _dphi_reference(0.0, ui + si, gamma, one_phase)
+                )
+            assert abs(gi - ref) <= bound, (ui, xi, gi, ref)
+
+    def test_step_lengths(self):
+        u = np.array([1.0, -2.0, 0.5])
+        delta = np.array([0.25, 0.5, -0.125])
+        phi = solver._phi(u, 0.2, False)
+        # an ascent: no t passes
+        assert solver._step(u, delta, phi, 1.0, 1.0, 0.2, False) == 0.0
+        # dJ(t) = -1.5 t + 0.5 t^2 + ((1 + t)^1.2 - 1) / 1.2 is +0.08 at t = 1
+        # and -0.10 at t = 1/2
+        one = np.ones(1)
+        assert solver._step(one, one, solver._phi(one, 0.2, False), -1.5, 0.5, 0.2, False) == 0.5
+        # a decrease far below one ulp of Phi(u) still passes at t = 1
+        tiny = 1e-18 * delta
+        slope = -2.0 * abs(tiny @ solver.reaction_value(u, 0.2, False))
+        assert solver._step(u, tiny, phi, slope, 0.0, 0.2, False) == 1.0
 
 
 def test_import_loads_no_scipy_fft_or_sparse():

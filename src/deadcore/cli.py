@@ -30,7 +30,7 @@ import numpy as np
 from . import analysis, profiles
 from .fraclap import assemble, check_order
 from .grid import GridFunction, GridSpec, TailModel, make_grid
-from .solver import REACTION_MODES, ReactionSpec, SolverConfig, check_finite, solve, solve_local
+from .solver import REACTION_MODES, ReactionSpec, SolverConfig, check_finite, local_operator, solve, solve_local
 
 __all__ = ["main"]
 
@@ -172,6 +172,8 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
     for s in [p.s] if "s" in required else p.s_list or []:
         check_order(s, p.h)
     p.grid = make_grid(p.spec)
+    if p.local or mode == "slimit":  # slimit's reference solve is local
+        local_operator(p.grid)  # its scale rule
     if mode == "exponent":
         analysis.fit_radii(p.spec, p.fit_rmin, p.fit_rmax, p.fit_k)
     if mode == "blowup":

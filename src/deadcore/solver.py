@@ -14,15 +14,16 @@ Each iteration is one step of a one-level truncated nonsmooth Newton
 multigrid (TNNMG) scheme (Graeser & Kornhuber, J. Comput. Math. 27 (2009);
 Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
 
-1. the system's smoother: one exact coordinate-descent sweep, red-black on
-   the tridiagonal system; on the dense one in natural order below
-   _RB_MIN = 127 unknowns and red-black from there up, each colour along a
-   line search on its exact energy change (the _DenseSystem.polish
+1. the system's smoother: one exact coordinate-descent sweep, red-black
+   (kernels.gs_polish_red_black) on the tridiagonal system and on the dense
+   one from _RB_MIN = 127 unknowns up, and in natural order
+   (kernels.gs_polish_dense) on the dense one below (the _DenseSystem.polish
    docstring);
 2. one truncated Newton step delta from the smoothed iterate, on the free
    set only.  Phi is twice differentiable at every u != 0, so only nodes
    below the roots' snap (|u| < 1e-280, where a sweep puts exact zeros)
-   are pinned, and one-phase mode additionally respects the active set.
+   are pinned; in one-phase mode f vanishes for u < 0, so the Newton
+   diagonal is zero there, and a nonnegative run clips the step.
    The snap, not u != 0, bounds the Newton diagonal gamma |u|^(gamma - 1)
    by gamma * 1e280: at gamma = 0.01 it is inf at the subnormal 5e-324,
    which a Newton step can produce.  Both systems solve the free-set
@@ -33,27 +34,25 @@ Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
    below _PCG_MIN = 1023 unknowns, and FFT-based preconditioned CG on a
    dense system from there up (the _DenseSystem docstring);
 3. a line search on that step, taken only when r.delta < 0: the largest
-   t = 2^-k (k < 40) whose energy change dJ(t) is <= 0 (_step, the line
-   search of the red-black colour step too).  If no t passes, the Newton
-   update is dropped.
+   t = 2^-k (k < 40) whose energy change dJ(t) is <= 0 (_step).  If no t
+   passes, the Newton update is dropped.
 
 The smoother descends on a strictly convex energy, so every iteration
 descends and the scheme needs no fallback.  The sweeps are what finish the
 job near degenerate nodes, where f has unbounded slope and Newton steps
-stall or chatter; the Newton step carries the smooth part.  No step is taken
-by comparing two recomputed energies.  A natural-order update is an exact
-coordinate minimization, and a red-black colour and a Newton step move only
-by a t with
+stall or chatter; the Newton step carries the smooth part.  As in TNNMG, the
+smoother descends by construction and only the Newton step needs a line
+search.  A natural-order update is an exact coordinate minimization, and a
+red-black colour step descends because every assembled operator is an
+M-matrix whose same-colour couplings sum to at most 0.246 of its diagonal
+(the kernels docstring).  The Newton step moves only by a t with
 
     dJ(t) / h = t delta.(A u + b) + t^2/2 delta.A delta
                 + sum(Phi(u + t delta) - Phi(u))  <=  0,
 
 so J cannot rise in exact arithmetic.  Each change of Phi is formed without
 cancellation (_dphi), so dJ keeps its sign where the decrease lies far below
-one ulp of J.  Two recomputed energies cannot show such a decrease, and a
-test on them, or on the derivative delta.r(u + t delta), let round-off
-decide whether t = 1 passed: the nested ramp's fine iterations at h = 2^-9
-then varied from 2 to 5 with the amplitude and with the BLAS thread count.
+one ulp of J, and round-off does not decide whether t = 1 passes.
 The recomputed J can still exceed the previous value by round-off (+2.7e-19
 at |J| = 1.9e-4 has been seen; up to 3.3e-15 relative on the nested ramp
 from h = 2^-9 to 2^-11).  The trace is therefore non-increasing up to
@@ -170,7 +169,8 @@ class SolverConfig:
     h = 2^-10 and 3.7e-12 on the nonlocal ramp at h = 2^-9 (acceptance 04),
     where residual_tol governs.  max_iter bounds the iterations; a solve
     that reaches it reports converged = False unless its last iterate meets
-    the same rule.
+    the same rule.  A solve also stops, with converged = False, at the first
+    residual or energy that is not finite.
     """
 
     residual_tol: float = 1e-9
@@ -405,26 +405,16 @@ class _DenseSystem:
 
         Below _RB_MIN the sweep is kernels.gs_polish_dense, one exact
         coordinate minimization per node in a Python loop.  From _RB_MIN up
-        each colour c (even indices, then odd) takes one step: the exact
-        roots (kernels.roots) of all of c's nodes at once, from the current
-        A u, give the step delta on c, one matvec gives A delta, and the
-        colour moves by t delta for the largest t = 2^-k (k < 40) whose
-        energy change dJ(t), over c's nodes, is <= 0: _step, the line search
-        the Newton step of _iterate takes too (the module docstring).  At
-        t = 1 the colour takes the roots' bits, so snapped zeros stay +0.0;
-        if no t passes, the colour is left as it is.  Every operation
-        commutes with negation and Phi is even, so data -g still gives
-        exactly -u.  Nodes of one colour are coupled through the even lags
-        of A, so t = 1 is not a block minimum.  On the operators tried (s
-        from 0.5 to 0.99, h from 2^-4 to 2^-10, R from 2 to 8) the even lags
-        sum to at most 25% of A_ii, so the colour's block is diagonally
-        dominant and t = 1 descends in exact arithmetic.  With dJ formed
-        without cancellation every colour step took t = 1: the 32 of the
-        nested ramp at h = 2^-9 (all three levels, one BLAS thread) and, at
-        N = 127, the 34,152 of 80 two- and one-phase solves of random
-        ordered pairs (s = 0.75, R = 4, seed 1001).  With Phi(u + t delta) -
-        Phi(u) as a plain difference, round-off had decided the sign of dJ
-        in 4 of 36 and 203 of 34,308 such steps.
+        it is kernels.gs_polish_red_black, as on the tridiagonal system:
+        each colour (even indices, then odd) moves to the exact roots of all
+        its nodes at once (kernels.roots), from the current A u, and A u
+        moves by one matvec.  A colour takes the roots' bits, so snapped
+        zeros stay +0.0.  Every operation commutes with negation and the
+        root is odd, so data -g still gives exactly -u.  Nodes of one colour
+        are coupled through the even lags of A, so a colour step is not a
+        block minimum, but it descends with no line search: A is an M-matrix
+        whose same-colour couplings sum to at most 0.246 of A_ii (the
+        kernels docstring).
 
         Why _RB_MIN = 127: one-level solves (no nested start), sequential
         against red-black, medians of 7 alternating runs, one BLAS thread.
@@ -443,35 +433,23 @@ class _DenseSystem:
         0.82 and 0.88 s sequential against 0.99, 1.28 and 0.93 s red-black
         (medians of 4).  At N = 63 red-black needs more sweeps and its fixed
         numpy cost per colour outweighs the Python loop it saves; from 127 up
-        it wins on both kinds of solve.
+        it wins on both kinds of solve.  Without a line search in the colour
+        step, the 50-pair campaign at N = 63 (seed 1001) takes 0.45 s
+        sequential against 0.62 s red-black (medians of 9 alternating runs
+        in one process).
 
-        One sweep is enough: the line search lets through Newton decreases
-        below one ulp of J.  With 1 and 2 red-black sweeps per iteration
-        (and a Newton line search on two recomputed energies and a
-        derivative test) the nested ramp took 0.062 and 0.063 s (4 and 3 fine
-        iterations) at h = 2^-9 and 0.135 and 0.149 s (3 and 3) at 2^-10,
-        and 40 campaign-type solves at N = 127 took 0.46 and 0.64 s (387 and
-        323 iterations); medians of 5.  With 1, 2 and 3 natural-order sweeps
-        the 100-pair comparison campaign at h=2^-6 (seed 11) took 1810, 1557
-        and 1419 iterations over its 200 solves in 2.4, 4.2 and 5.2 s
-        (single runs on 2 cores, one BLAS thread).
+        One sweep per iteration: with 1 and 2 red-black sweeps the nested
+        ramp took 0.062 and 0.063 s at h = 2^-9 and 0.135 and 0.149 s at
+        2^-10, and 40 campaign-type solves at N = 127 took 0.46 and 0.64 s
+        (387 and 323 iterations); medians of 5.  With 1, 2 and 3
+        natural-order sweeps the 100-pair comparison campaign at h=2^-6
+        (seed 11) took 1810, 1557 and 1419 iterations over its 200 solves in
+        2.4, 4.2 and 5.2 s (single runs on 2 cores, one BLAS thread).
         """
         Au = self.matvec(u)
         if u.size < _RB_MIN:
             return kernels.gs_polish_dense(self.A, b, u, Au, gamma, one_phase, sweeps=1)
-        d = self.row[0]
-        for c in (0, 1):
-            uc = u[c::2]
-            t_c = kernels.roots(d, d * uc - Au[c::2] - b[c::2], gamma, one_phase)
-            delta = np.zeros(u.size)
-            delta[c::2] = t_c - uc
-            Ad = self.matvec(delta)
-            t = _step(uc, delta[c::2], _phi(uc, gamma, one_phase), delta @ (Au + b),
-                      0.5 * (delta @ Ad), gamma, one_phase)
-            if t > 0.0:
-                u[c::2] = t_c if t == 1.0 else uc + t * delta[c::2]
-                Au += t * Ad
-        return u
+        return kernels.gs_polish_red_black(self.matvec, self.row[0], b, u, Au, gamma, one_phase)
 
 
 class _TridiagSystem:
@@ -507,9 +485,7 @@ class _TridiagSystem:
 
     def polish(self, b, u, gamma, one_phase):
         """One red-black sweep, in place."""
-        return kernels.gs_polish_tridiag(
-            self.dl, self.d, self.du, b, u, gamma, one_phase, sweeps=1
-        )
+        return kernels.gs_polish_red_black(self.matvec, self.d, b, u, self.matvec(u), gamma, one_phase)
 
 
 def _evaluate(system, b, h, v, gamma, one_phase):
@@ -538,7 +514,7 @@ def _dphi(u, step, phi, gamma, one_phase):
 
 
 def _step(u, delta, phi, slope, curv, gamma, one_phase):
-    """The line search of a smoother colour and of a Newton step.
+    """The Newton step's line search.
 
     Returns the largest t = 2^-k (k < 40) with
 
@@ -562,6 +538,9 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip: b
     """Smoother + truncated Newton iteration; returns (u, iters, traces, converged).
 
     The iteration starts from ``start`` (None: the linear solve), clipped.
+    It stops, not converged, at the first residual or energy that is not
+    finite: data whose products overflow would otherwise pass the stopping
+    rule's round-off floor.
     u travels with its residual r, energy Ju and f(u) (see the module
     docstring).
     """
@@ -578,8 +557,9 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip: b
         rn = float(np.abs(r).max())
         r_trace.append(rn)
         j_trace.append(Ju)
-        ok = rn <= max(config.residual_tol, np.spacing(np.abs(u).max()) * system.abs_row_sum)
-        if ok or it == config.max_iter:
+        finite = np.isfinite(rn) and np.isfinite(Ju)
+        ok = finite and rn <= max(config.residual_tol, np.spacing(np.abs(u).max()) * system.abs_row_sum)
+        if ok or not finite or it == config.max_iter:
             return u, it, np.array(r_trace), np.array(j_trace), ok
 
         u = clipped(system.polish(b, u, gamma, one_phase))
@@ -588,7 +568,6 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip: b
         dd = np.zeros_like(u)
         dd[free] = gamma * np.abs(u[free]) ** (gamma - 1.0)
         if one_phase:
-            free &= (u > 0) | (r < 0)
             dd = dd * (u > 0)
         delta = system.newton_delta(r, free, dd)
         if not r @ delta < 0.0:
@@ -701,9 +680,15 @@ def _solve_nonlocal(op: FracLapOperator, g: GridFunction, reaction, config, star
 
 
 def local_operator(grid: Grid) -> _TridiagSystem:
-    """Second-difference operator -u'' on the interior nodes of ``grid``."""
+    """Second-difference operator -u'' on the interior nodes of ``grid``.
+
+    Raises ValueError unless its diagonal 2/h^2 is a finite double, the
+    local operator's scale rule (fraclap.check_order has the nonlocal one).
+    """
     m = grid.interior.size
     h = grid.h
+    if not h * h > 2.0 / np.finfo(float).max:
+        raise ValueError(f"h = {h:.17g} is too small for the local operator: h^-2 overflows")
     d = np.full(m, 2.0 / h**2)
     off = np.full(m - 1, -1.0 / h**2)
     return _TridiagSystem(off, d, off.copy())

@@ -1,5 +1,6 @@
 """Command-line front end: config parsing, modes, exit codes, determinism."""
 
+import contextlib
 import os
 import shutil
 import subprocess
@@ -75,6 +76,15 @@ class TestExitCodes:
         assert code == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_overflowing_data_exits_3(self, tmp_path, capsys):
+        # the energy overflows to NaN at the first iterate: exit 0 with
+        # converged=true before the solver stopped at non-finite values
+        cfg = write_config(tmp_path / "c.cfg", **SOLVE_KEYS, tail="power:1e300,-0.5")
+        with pytest.warns(RuntimeWarning):
+            code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_bad_grid_parameters_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.cfg", h="0.3", a="1", s="0.75", gamma="0.2"
@@ -98,8 +108,13 @@ class TestExitCodes:
             # 41 nodes, but h^(-2s) = 1e450 overflows a double
             ("solve", dict(h="1e-300", a="1e-299", s="0.75", gamma="0.2"), "h^(-2s) overflows"),
             ("slimit", dict(h="1e-300", a="1e-299", gamma="0.2", s_list="0.75"), "h^(-2s) overflows"),
+            # the local operator's 2/h^2: h^2 underflows to 0.0
+            ("solve-local", dict(h="1e-300", a="1e-299", gamma="0.2", left="1", right="1"), "h^-2 overflows"),
+            # h^(-2s) = 1e200 at s = 0.5 passes, but slimit's local reference needs 2/h^2 = 2e400
+            ("slimit", dict(h="1e-200", a="1e-199", gamma="0.2", s_list="0.5"), "h^-2 overflows"),
         ],
-        ids=["memory-solve", "memory-compare", "scale-solve", "scale-slimit"],
+        ids=["memory-solve", "memory-compare", "scale-solve", "scale-slimit", "scale-solve-local",
+             "scale-slimit-local"],
     )
     def test_grids_beyond_the_machine_exit_2(self, tmp_path, capsys, mode, keys, message, dry_run):
         out = str(tmp_path / "out")
@@ -303,7 +318,12 @@ class TestDryRun:
         good = write_config(tmp_path / "good.cfg", **{**base, **keys})
         bad = write_config(tmp_path / "bad.cfg", **{**base, **keys, **bad})
         out = str(tmp_path / "out")
-        assert main([mode, "--config", good, "--out", out, "--dry-run"]) == 0
+        # blowup's rescaled window on this grid is coarse, and GridSpec says so
+        coarse = (
+            pytest.warns(UserWarning, match="coarse grid") if mode == "blowup" else contextlib.nullcontext()
+        )
+        with coarse:
+            assert main([mode, "--config", good, "--out", out, "--dry-run"]) == 0
         assert main([mode, "--config", bad, "--out", out, "--dry-run"]) == 2
 
     @pytest.mark.parametrize(

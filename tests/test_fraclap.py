@@ -46,6 +46,19 @@ class TestAssemblyInvariants:
         assert np.all(off <= 1e-14)
         assert np.all(op_mid.exterior_weights <= 1e-14)
 
+    @pytest.mark.parametrize("corrected", [True, False])
+    @pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.85, 0.95, 0.99, 0.998])
+    def test_same_colour_couplings_are_dominated(self, s, corrected):
+        # the premise of the red-black sweep's descent without a line search
+        # (kernels docstring): off-diagonals <= 0, and the couplings of a node
+        # to its own colour (even lags, both sides) at most A_ii; they reach
+        # 0.246 A_ii over these grids
+        for h in [2.0**-k for k in range(4, 11)] + [1 / 20, 1 / 24]:
+            for R in (2.0, 3.0, 4.0, 8.0):
+                row = dc.assemble(make_grid(GridSpec(h=h, a=1.0, R=R)), s, corrected).row
+                assert row[1:].max() <= 0.0, (h, R)
+                assert 2.0 * np.abs(row[2::2]).sum() <= row[0], (h, R)
+
     def test_positive_definite(self, op_mid):
         ev = np.linalg.eigvalsh(op_mid.A)
         assert ev.min() > 0

@@ -8,7 +8,7 @@ import pytest
 
 import deadcore as dc
 from deadcore import GridSpec, ReactionSpec, kernels, make_grid, solver
-from deadcore.kernels import gs_polish_dense, gs_polish_tridiag, roots, scalar_root
+from deadcore.kernels import gs_polish_dense, gs_polish_red_black, roots, scalar_root
 
 
 def _reference_root(d, q, gamma, one_phase):
@@ -256,15 +256,24 @@ def _small_problem(seed, n=12):
     return A, b, u0
 
 
+def _tridiag(A):
+    """The tridiagonal matrix A as the solver's tridiagonal system."""
+    return solver._TridiagSystem(np.diag(A, -1).copy(), np.diag(A).copy(), np.diag(A, 1).copy())
+
+
+def _red_black(system, b, u, gamma, one_phase, sweeps):
+    """``sweeps`` calls of gs_polish_red_black on a tridiagonal system; returns u."""
+    for _ in range(sweeps):
+        gs_polish_red_black(system.matvec, system.d, b, u, system.matvec(u), gamma, one_phase)
+    return u
+
+
 class TestBackendEquivalence:
     def test_tridiag_matches_dense_on_tridiagonal_matrix(self):
         # natural order on the red-first permuted system P A P^T is exactly
         # red-black order on A
         A, b, u0 = _small_problem(29)
-        dl = np.diag(A, -1).copy()
-        du = np.diag(A, 1).copy()
-        d = np.diag(A).copy()
-        u_t = gs_polish_tridiag(dl, d, du, b, u0.copy(), 0.2, False, sweeps=4)
+        u_t = _red_black(_tridiag(A), b, u0.copy(), 0.2, False, sweeps=4)
         p = np.r_[0 : b.size : 2, 1 : b.size : 2]
         u_d = np.empty_like(u0)
         Ap = A[np.ix_(p, p)]
@@ -291,16 +300,19 @@ class TestNumpyKernelsMatchReferenceLoops:
         return u
 
     @staticmethod
-    def _tridiag_loop(dl, d, du, b, u, gamma, one_phase, sweeps):
-        # red-black order, one node and one 1-lane root at a time
+    def _red_black_loop(A, matvec, b, u, gamma, one_phase):
+        # one sweep: a colour's data from the same A u, then one node and one
+        # 1-lane root at a time, then A u moves by the same matvec
         n = u.size
-        for _ in range(sweeps):
-            for colour in (0, 1):
-                for i in range(colour, n, 2):
-                    left = dl[i - 1] * u[i - 1] if i > 0 else 0.0
-                    right = du[i] * u[i + 1] if i < n - 1 else 0.0
-                    q = -(b[i] + (left + right))
-                    u[i] = roots(d[i : i + 1], np.array([q]), gamma, one_phase)[0]
+        Au = matvec(u)
+        for colour in (0, 1):
+            delta = np.zeros(n)
+            for i in range(colour, n, 2):
+                q = A[i, i] * u[i] - Au[i] - b[i]
+                t = roots(A[i, i : i + 1], np.array([q]), gamma, one_phase)[0]
+                delta[i] = t - u[i]
+                u[i] = t
+            Au = Au + matvec(delta)
         return u
 
     @pytest.mark.parametrize("one_phase", [False, True])
@@ -313,41 +325,38 @@ class TestNumpyKernelsMatchReferenceLoops:
         assert gs_polish_dense(A, b, u, A @ u, 0.2, one_phase, sweeps=3) is u
         np.testing.assert_array_equal(u, ref)
 
+    def _check_red_black(self, A, matvec, d, b, u0, one_phase):
+        ref = u0.copy()
+        for _ in range(3):
+            ref = self._red_black_loop(A, matvec, b, ref, 0.25, one_phase)
+        u = u0.copy()
+        for _ in range(3):
+            assert gs_polish_red_black(matvec, d, b, u, matvec(u), 0.25, one_phase) is u
+        np.testing.assert_array_equal(u, ref)
+
     @pytest.mark.parametrize("one_phase", [False, True])
     def test_tridiag(self, one_phase):
         A, b, u0 = _small_problem(17)
-        bands = np.diag(A, -1).copy(), np.diag(A).copy(), np.diag(A, 1).copy()
-        ref = self._tridiag_loop(*bands, b, u0.copy(), 0.25, one_phase, 3)
-        u = u0.copy()
-        assert gs_polish_tridiag(*bands, b, u, 0.25, one_phase, sweeps=3) is u
-        np.testing.assert_array_equal(u, ref)
+        system = _tridiag(A)
+        self._check_red_black(A, system.matvec, system.d, b, u0, one_phase)
+
+    @pytest.mark.parametrize("one_phase", [False, True])
+    def test_red_black_dense(self, one_phase):
+        # a dense A couples nodes of one colour; the sweep's arithmetic is the same
+        A, b, u0 = _small_problem(17)
+        M = np.random.default_rng(17).random(A.shape)
+        A = A + 0.01 * (M + M.T)
+        self._check_red_black(A, lambda v: A @ v, A.diagonal(), b, u0, one_phase)
 
 
 class TestRedBlackSweep:
-    @staticmethod
-    def _odd_problem(seed=41, n=13):
-        # n odd: the mirror i -> n-1-i maps each colour onto itself
-        rng = np.random.default_rng(seed)
-        half_b, half_u = rng.standard_normal(n // 2), 0.5 * rng.standard_normal(n // 2)
-        b = np.r_[half_b, 0.0, -half_b[::-1]]
-        u0 = np.r_[half_u, 0.0, -half_u[::-1]]
-        off = np.full(n - 1, -1.0)
-        return (off, np.full(n, 4.0), off.copy()), b, u0
-
-    def test_odd_data_gives_an_odd_sweep_with_an_odd_root(self):
-        # q is formed mirror-exactly, the order of updates is mirror-symmetric
-        # and the root is odd, so the sweep is odd bit for bit
-        bands, b, u0 = self._odd_problem()
-        u = gs_polish_tridiag(*bands, b, u0.copy(), 0.2, False, sweeps=5)
-        np.testing.assert_array_equal(u, -u[::-1])
-
     def test_sweeps_decrease_energy(self):
         A, b, u = _small_problem(7, n=13)
-        bands = np.diag(A, -1).copy(), np.diag(A).copy(), np.diag(A, 1).copy()
+        system = _tridiag(A)
         J = TestSweepsDecreaseEnergy._J
         vals = [J(A, b, u, 0.2)]
         for _ in range(6):
-            u = gs_polish_tridiag(*bands, b, u, 0.2, False, sweeps=1)
+            u = _red_black(system, b, u, 0.2, False, sweeps=1)
             vals.append(J(A, b, u, 0.2))
         assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
         assert vals[-1] < vals[0]

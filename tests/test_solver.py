@@ -153,6 +153,22 @@ class TestNonlocalSolve:
         # u down to the (1/gamma)-th power of the operator scale
         assert u.min() < 1e-8
 
+    def test_one_phase_sign_changing_data_converges(self):
+        # Unclipped one-phase nodes with u <= 0 are free: f vanishes there and
+        # the equation is linear.  Pinning those with r >= 0 out of the Newton
+        # step left 13 of these 40 solves unconverged at max_iter, 16,695
+        # iterations in all; they take 125.
+        grid = make_grid(GridSpec(h=2.0**-6, a=1.0, R=4.0))
+        op = dc.assemble(grid, 0.75)
+        rng = np.random.default_rng(1001)
+        iterations = 0
+        for _ in range(20):
+            for g in random_ordered_pair(grid, rng):
+                rep = dc.solve(op, g, ReactionSpec(gamma=0.2, mode="one_phase"))
+                assert rep.converged and rep.iterations <= 20
+                iterations += rep.iterations
+        assert iterations <= 250
+
     def test_two_phase_reports_no_free_boundary(self, op_small):
         grid = op_small.grid
         g = dc.odd_exterior_builder(grid, "ramp", 2.0)
@@ -472,17 +488,13 @@ def op_127():
 
 
 def _polish_case(case, op_acceptance_08):
-    """(system, b, u0, reaction, clip) of a dense polish at N >= solver._RB_MIN."""
+    """(system, b, u0, reaction, clip) of a red-black polish: local, or dense at N >= solver._RB_MIN."""
+    if case == "local":
+        grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0))
+        kappa = dc.profile_coefficient(0.2)
+        system, b = solver.local_operator(grid), solver._local_load(grid, -kappa, kappa)
+        return system, b, system.init_solve(b), ReactionSpec(gamma=0.2), False
     grid = op_acceptance_08.grid
-    if case == "coupled":
-        # A = (1/2) I + (1/2) 1 1^T on each colour and nothing across: positive
-        # definite, but far from diagonally dominant, so the step of all of a
-        # colour's roots at once (t = 1) raises J and only a shorter one descends
-        n = grid.interior.size
-        row = np.zeros(n)
-        row[0] = 1.0
-        row[2::2] = 0.5
-        return solver._DenseSystem(row), -np.ones(n), np.zeros(n), ReactionSpec(gamma=0.2), False
     system = solver._DenseSystem(op_acceptance_08.row)
     if case == "one_phase_clipped":
         vals = np.zeros(grid.n)
@@ -498,16 +510,16 @@ def _polish_case(case, op_acceptance_08):
 
 
 class TestRedBlackPolish:
-    """From solver._RB_MIN unknowns up the dense sweep is red-black: each
-    colour takes kernels.roots of all its nodes at once, along a line
-    search on the exact energy change."""
+    """The local sweep, and from solver._RB_MIN unknowns up the dense one, is
+    kernels.gs_polish_red_black: each colour takes kernels.roots of all its
+    nodes at once, with no line search."""
 
     @pytest.mark.parametrize(
-        "case", ["two_phase", "one_phase_unclipped", "one_phase_clipped", "coupled"]
+        "case", ["two_phase", "one_phase_unclipped", "one_phase_clipped", "local"]
     )
     def test_energy_never_rises(self, case, op_acceptance_08):
         system, b, u, reaction, clip = _polish_case(case, op_acceptance_08)
-        assert u.size >= solver._RB_MIN
+        assert case == "local" or u.size >= solver._RB_MIN
 
         def J(v):
             return solver._evaluate(system, b, 1.0, v, reaction.gamma, reaction.one_phase)[1]
@@ -558,9 +570,9 @@ class TestRedBlackPolish:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_negated_data_gives_the_negated_solution(self, op_127, seed, monkeypatch):
-        # every operation of a colour step commutes with negation, and Phi is
-        # even, so the line search takes the same t on both
-        _forbid_sweeps(monkeypatch)
+        # every operation of a colour step commutes with negation and the
+        # root is odd, so the sweeps and the Newton steps are exactly negated
+        _forbid_sweeps(monkeypatch, ["gs_polish_dense"])
         g = random_ordered_pair(op_127.grid, np.random.default_rng(seed))[0]
         r1 = dc.solve(op_127, g, ReactionSpec(gamma=0.2))
         r2 = dc.solve(op_127, g.with_values(-g.values), ReactionSpec(gamma=0.2))
@@ -573,9 +585,10 @@ class TestRedBlackPolish:
         grid = make_grid(GridSpec(h=h, a=1.0, R=4.0))
         n = grid.interior.size
         op = dc.assemble(grid, 0.75)
-        counts = {"roots": [], "scalar_root": 0, "gs_polish_dense": 0}
-        roots, scalar_root, dense = (
-            solver.kernels.roots, solver.kernels.scalar_root, solver.kernels.gs_polish_dense
+        counts = {"roots": [], "scalar_root": 0, "gs_polish_dense": 0, "gs_polish_red_black": 0}
+        roots, scalar_root, dense, red_black = (
+            solver.kernels.roots, solver.kernels.scalar_root, solver.kernels.gs_polish_dense,
+            solver.kernels.gs_polish_red_black,
         )
 
         def counting_roots(d, q, gamma, one_phase):
@@ -590,18 +603,25 @@ class TestRedBlackPolish:
             counts["gs_polish_dense"] += 1
             return dense(*args, **kwargs)
 
+        def counting_red_black(*args):
+            counts["gs_polish_red_black"] += 1
+            return red_black(*args)
+
         monkeypatch.setattr(solver.kernels, "roots", counting_roots)
         monkeypatch.setattr(solver.kernels, "scalar_root", counting_scalar_root)
         monkeypatch.setattr(solver.kernels, "gs_polish_dense", counting_dense)
+        monkeypatch.setattr(solver.kernels, "gs_polish_red_black", counting_red_black)
         g = random_ordered_pair(grid, np.random.default_rng(3))[0]
         rep = dc.solve(op, g, ReactionSpec(gamma=0.2))
         assert rep.converged
         if n < solver._RB_MIN:
             assert counts["roots"] == [] and counts["gs_polish_dense"] == rep.iterations
+            assert counts["gs_polish_red_black"] == 0
             assert counts["scalar_root"] >= n * rep.iterations
         else:
             # roots hands the odd lane out to scalar_root, but no sweep is per node
             assert counts["gs_polish_dense"] == 0
+            assert counts["gs_polish_red_black"] == rep.iterations
             assert counts["roots"] == [(n + 1) // 2, n // 2] * rep.iterations
             assert counts["scalar_root"] <= n * rep.iterations // 20
 
@@ -619,9 +639,9 @@ def _dphi_reference(u, step, gamma, one_phase):
 
 
 class TestEnergyDifferenceLineSearch:
-    """A Newton step and a red-black colour move by the largest t = 2^-k with
-    dJ(t) <= 0, formed as a difference by solver._step: round-off, and so the
-    BLAS thread count, no longer decides whether t = 1 passes."""
+    """A Newton step moves by the largest t = 2^-k with dJ(t) <= 0, formed as
+    a difference by solver._step: round-off, and so the BLAS thread count,
+    does not decide whether t = 1 passes."""
 
     @pytest.mark.parametrize("k", [9, 10])
     def test_ramp_fine_iterations_near_the_branching_amplitude(self, k):
@@ -722,12 +742,12 @@ def test_import_loads_no_scipy_fft_or_sparse():
     assert out.stdout.strip() == "[]"
 
 
-def _forbid_sweeps(monkeypatch):
+def _forbid_sweeps(monkeypatch, names=("gs_polish_dense", "gs_polish_red_black")):
     def sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")
 
-    monkeypatch.setattr(solver.kernels, "gs_polish_dense", sweep)
-    monkeypatch.setattr(solver.kernels, "gs_polish_tridiag", sweep)
+    for name in names:
+        monkeypatch.setattr(solver.kernels, name, sweep)
 
 
 class TestNonFiniteData:
@@ -756,8 +776,42 @@ class TestNonFiniteData:
         with pytest.raises(ValueError, match="finite"):
             dc.solve_local(grid, ReactionSpec(gamma=0.2), boundary)
 
+    def test_overflowing_data_stops_unconverged(self, monkeypatch):
+        # finite data whose energy overflows: the residual (6e285) passed the
+        # stopping rule's round-off floor, ulp(max|u|) times a row sum, and the
+        # solve reported converged with energy NaN
+        _forbid_sweeps(monkeypatch)
+        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
+        g = GridFunction(grid, np.zeros(grid.n), TailModel.power(1e300, -0.5))
+        with pytest.warns(RuntimeWarning):  # overflow, then NaN
+            rep = dc.solve(dc.assemble(grid, 0.75), g, ReactionSpec(gamma=0.2))
+        assert not rep.converged and rep.iterations == 0
+        assert not np.isfinite(rep.energy)
+
+    def test_residual_within_the_rule_with_a_nan_energy_is_not_converged(self, op_small, monkeypatch):
+        evaluate = solver._evaluate
+
+        def nan_energy(*args):
+            r, _, f = evaluate(*args)
+            return np.zeros_like(r), np.nan, f
+
+        # a zero residual meets the stopping rule; the NaN energy must not count as converged
+        monkeypatch.setattr(solver, "_evaluate", nan_energy)
+        g = dc.odd_exterior_builder(op_small.grid, "ramp", 1.0)
+        rep = dc.solve(op_small, g, ReactionSpec(gamma=0.2))
+        assert not rep.converged and rep.iterations == 0 and rep.residual_inf == 0.0
+
 
 class TestLocalSolve:
+    def test_spacing_whose_scale_overflows_is_rejected(self):
+        # 2 / h^2 must be a finite double: h^2 underflows to 0.0 at h = 1e-300,
+        # and 2 / h^2 overflows at h = 1e-155
+        for h in (1e-300, 1e-155):
+            grid = make_grid(GridSpec(h=h, a=16 * h, R=32 * h))
+            with pytest.raises(ValueError, match="overflows"):
+                dc.solve_local(grid, ReactionSpec(gamma=0.2), (1.0, 1.0))
+        solver.local_operator(make_grid(GridSpec(h=1e-150, a=16e-150, R=32e-150)))
+
     def test_recovers_exact_profile(self):
         gamma = 0.2
         grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))

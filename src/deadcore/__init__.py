@@ -56,6 +56,7 @@ from .solver import (
     reaction_value,
     solve,
     solve_local,
+    solve_many,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .grid import (
     sup_on_ball,
 )
 from .profiles import growth_exponent
-from .solver import ReactionSpec, SolveReport, SolverConfig, solve, solve_local
+from .solver import ReactionSpec, SolveReport, SolverConfig, solve, solve_local, solve_many
 
 __all__ = [
     "dead_core_interval",
@@ -380,17 +380,20 @@ def comparison_campaign(
     seed: int,
     config: SolverConfig | None = None,
 ) -> list[ComparisonTrial]:
-    """Solve random ordered data pairs and test the discrete comparison property."""
+    """Solve random ordered data pairs and test the discrete comparison property.
+
+    All pairs are drawn first and solved as one batch (solve_many).
+    """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     config = config or SolverConfig()
     op = assemble(grid, s)
     rng = np.random.default_rng(seed)
+    data = [g for _ in range(n_pairs) for g in random_ordered_pair(grid, rng)]
+    reports = solve_many(op, data, reaction, config)
     trials = []
     for k in range(n_pairs):
-        g1, g2 = random_ordered_pair(grid, rng)
-        rep1 = solve(op, g1, reaction, config)
-        rep2 = solve(op, g2, reaction, config)
+        rep1, rep2 = reports[2 * k], reports[2 * k + 1]
         gap = float(
             (rep2.solution.interior_values - rep1.solution.interior_values).max()
         )

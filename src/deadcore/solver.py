@@ -14,11 +14,9 @@ Each iteration is one step of a one-level truncated nonsmooth Newton
 multigrid (TNNMG) scheme (Graeser & Kornhuber, J. Comput. Math. 27 (2009);
 Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
 
-1. the system's smoother: one exact coordinate-descent sweep, red-black
-   (kernels.gs_polish_red_black) on the tridiagonal system and on the dense
-   one from _RB_MIN = 127 unknowns up, and in natural order
-   (kernels.gs_polish_dense) on the dense one below (the _DenseSystem.polish
-   docstring);
+1. the system's smoother: one exact coordinate-descent sweep in red-black
+   order (kernels.gs_polish_red_black), on either system and at every size
+   (the _DenseSystem.polish docstring);
 2. one truncated Newton step delta from the smoothed iterate, on the free
    set only.  Phi is twice differentiable at every u != 0, so only nodes
    below the roots' snap (|u| < 1e-280, where a sweep puts exact zeros)
@@ -42,10 +40,11 @@ descends and the scheme needs no fallback.  The sweeps are what finish the
 job near degenerate nodes, where f has unbounded slope and Newton steps
 stall or chatter; the Newton step carries the smooth part.  As in TNNMG, the
 smoother descends by construction and only the Newton step needs a line
-search.  A natural-order update is an exact coordinate minimization, and a
-red-black colour step descends because every assembled operator is an
-M-matrix whose same-colour couplings sum to at most 0.246 of its diagonal
-(the kernels docstring).  The Newton step moves only by a t with
+search.  A red-black colour step is an exact block minimization on the
+tridiagonal system, and on the dense one it descends because every
+assembled operator is an M-matrix whose same-colour couplings sum to at
+most 0.246 of its diagonal (the kernels docstring).  The Newton step moves
+only by a t with
 
     dJ(t) / h = t delta.(A u + b) + t^2/2 delta.A delta
                 + sum(Phi(u + t delta) - Phi(u))  <=  0,
@@ -69,14 +68,30 @@ no evaluation.  The local h = 2^-10 solve makes 27 evaluations in 13
 iterations and the nonlocal ramp at h = 2^-9 from the linear start 27 in
 13 (35 over the three levels of its nested solve, below).
 
+Data sets that share an operator are solved as one batch (solve_many): u,
+b, r, f and J carry one row or entry per data set, a lane, and every lane
+runs the iteration above as if alone (_iterate).  The smoother takes the
+roots of one colour of all lanes in one kernels.roots call and multiplies
+each lane by A; the evaluations run on all lanes at once; the Newton step
+and its line search run lane by lane, on the same per-lane systems as a lone
+solve.  Lanes are not coupled and every operation acts on a lane's row as
+on a lone vector (one convolution, one BLAS dot or one pairwise sum per
+row), so a lane's iterates are those of its lone solve, bit for bit.  A
+lane that meets its stopping rule leaves the batch.  A lone solve is the
+batch of one.  A 50-pair comparison campaign at 63 unknowns, 100 solves,
+took 0.57 s solved one at a time with the natural-order sweep, and 0.23 s
+as one batch (medians of 20 alternating runs in one process each, one BLAS
+thread).
+
 A nonlocal solve starts from its own coarse-grid solution (nested iteration:
 Brandt, Math. Comp. 31 (1977); Hackbusch, Multi-Grid Methods and
 Applications (1985)) when the grid nests, that is a/h and R/h are even, and
 the grid GridSpec(2h, a, R) keeps at least _NEST_MIN = 255 interior unknowns,
 so N >= 511.  It solves the same data there (every other node, the same
 tail, reaction and config), itself nested by the same rule, and starts from
-the linear interpolant of that solution at the interior nodes.  Any other
-nonlocal solve, and every local one, starts from the linear solve.  On the
+the linear interpolant of that solution at the interior nodes; a batch
+nests as a whole.  Any other nonlocal solve, and every local one, starts
+from the linear solve.  On the
 ramp of acceptance 04 (R = 8, s = 0.95, amplitude 15.71; medians of 7 runs,
 one BLAS thread, measured with the natural-order dense sweep), by the
 coarsest level:
@@ -92,6 +107,7 @@ ladder gave it no gain (h = 2^-10: 15.5 ms cold, 13.9 to 17.0 ms nested).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +130,7 @@ __all__ = [
     "energy",
     "energy_local",
     "solve",
+    "solve_many",
     "solve_local",
     "local_operator",
 ]
@@ -130,9 +147,6 @@ _NEST_MIN = 255
 _PCG_MIN = 1023
 _PCG_RTOL = 1e-10
 _PCG_MAXITER = 200
-# Fewest unknowns whose dense sweep runs red-black on kernels.roots (the
-# _DenseSystem.polish docstring).
-_RB_MIN = 127
 
 
 @dataclass(frozen=True)
@@ -243,15 +257,11 @@ def check_finite(*values) -> None:
 def reaction_value(u: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
     """f(u) = u_+^gamma - u_-^gamma, with powers taken as exp(gamma*log)."""
     u = np.asarray(u)
-    out = np.zeros_like(u, dtype=float)
-    pos = u > 0
-    if pos.any():
-        out[pos] = np.exp(gamma * np.log(u[pos]))
-    if not one_phase:
-        neg = u < 0
-        if neg.any():
-            out[neg] = -np.exp(gamma * np.log(-u[neg]))
-    return out
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0
+        p = np.exp(gamma * np.log(np.abs(u)))
+    if one_phase:
+        return np.where(u > 0, p, 0.0)
+    return np.where(u > 0, p, np.where(u < 0, -p, 0.0))
 
 
 def reaction_energy(u: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
@@ -336,6 +346,9 @@ class _DenseSystem:
             self._strang_eig = np.fft.rfft(row[np.minimum(k, n - k)]).real
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
+        """A u; for a stack of lanes (K x N), A times each row."""
+        if u.ndim == 2:
+            return np.array([np.convolve(self.W, v, "valid") for v in u])
         return np.convolve(self.W, u, "valid")
 
     def init_solve(self, b: np.ndarray) -> np.ndarray:
@@ -401,26 +414,26 @@ class _DenseSystem:
         return x
 
     def polish(self, b, u, gamma, one_phase):
-        """One sweep, in place: natural order below _RB_MIN unknowns, red-black from there up.
+        """One red-black sweep, in place, over every lane of u, at every size.
 
-        Below _RB_MIN the sweep is kernels.gs_polish_dense, one exact
-        coordinate minimization per node in a Python loop.  From _RB_MIN up
-        it is kernels.gs_polish_red_black, as on the tridiagonal system:
+        It is kernels.gs_polish_red_black, as on the tridiagonal system:
         each colour (even indices, then odd) moves to the exact roots of all
-        its nodes at once (kernels.roots), from the current A u, and A u
-        moves by one matvec.  A colour takes the roots' bits, so snapped
-        zeros stay +0.0.  Every operation commutes with negation and the
-        root is odd, so data -g still gives exactly -u.  Nodes of one colour
-        are coupled through the even lags of A, so a colour step is not a
-        block minimum, but it descends with no line search: A is an M-matrix
-        whose same-colour couplings sum to at most 0.246 of A_ii (the
-        kernels docstring).
+        its nodes, in all lanes, at once (one kernels.roots call), from the
+        current A u, and A u moves by one matvec per lane.  A colour takes
+        the roots' bits, so snapped zeros stay +0.0.  Every operation
+        commutes with negation and the root is odd, so data -g still gives
+        exactly -u.  Nodes of one colour are coupled through the even lags
+        of A, so a colour step is not a block minimum, but it descends with
+        no line search: A is an M-matrix whose same-colour couplings sum to
+        at most 0.246 of A_ii (the kernels docstring).
 
-        Why _RB_MIN = 127: one-level solves (no nested start), sequential
-        against red-black, medians of 7 alternating runs, one BLAS thread.
-        Campaign-type is comparison_campaign's random ordered pairs (s =
-        0.75, R = 4, seed 1001), ramp-type acceptance 04's ramp (s = 0.95,
-        R = 8, amplitude 15.71) from the linear start:
+        Red-black against the natural-order sweep (kernels.gs_polish_dense,
+        one exact coordinate minimization per node in a Python loop, now
+        the tests' reference): one-level solves (no nested start),
+        natural order / red-black, medians of 7 alternating runs, one BLAS
+        thread.  Campaign-type is comparison_campaign's random ordered pairs
+        (s = 0.75, R = 4, seed 1001), ramp-type acceptance 04's ramp (s =
+        0.95, R = 8, amplitude 15.71) from the linear start:
 
             N                        63          127         255         511
             campaign-type solves     40          40          20          8
@@ -429,14 +442,13 @@ class _DenseSystem:
             ramp-type time (ms)      10.6 / 7.1  34.5 / 18.8 43.4 / 16.8 189 / 69
               iterations             11 / 7      13 / 11     13 / 10     13 / 12
 
-        The 50-pair campaigns at N = 63 (seeds 1001 to 1003) took 0.85,
-        0.82 and 0.88 s sequential against 0.99, 1.28 and 0.93 s red-black
-        (medians of 4).  At N = 63 red-black needs more sweeps and its fixed
-        numpy cost per colour outweighs the Python loop it saves; from 127 up
-        it wins on both kinds of solve.  Without a line search in the colour
-        step, the 50-pair campaign at N = 63 (seed 1001) takes 0.45 s
-        sequential against 0.62 s red-black (medians of 9 alternating runs
-        in one process).
+        From 127 up red-black wins on both kinds of solve.  At N = 63 a lone
+        solve needs more red-black sweeps, and the fixed numpy cost per
+        colour outweighs the Python loop it saves: 100 lone campaign-type
+        solves (seed 1001) take 0.59 s in natural order against 0.73 s
+        red-black (medians of 20 alternating runs in one process each).
+        Batched, the numpy cost is paid once per colour for all lanes, and
+        the 50-pair campaign at N = 63 takes 0.23 s (the module docstring).
 
         One sweep per iteration: with 1 and 2 red-black sweeps the nested
         ramp took 0.062 and 0.063 s at h = 2^-9 and 0.135 and 0.149 s at
@@ -446,10 +458,7 @@ class _DenseSystem:
         (seed 11) took 1810, 1557 and 1419 iterations over its 200 solves in
         2.4, 4.2 and 5.2 s (single runs on 2 cores, one BLAS thread).
         """
-        Au = self.matvec(u)
-        if u.size < _RB_MIN:
-            return kernels.gs_polish_dense(self.A, b, u, Au, gamma, one_phase, sweeps=1)
-        return kernels.gs_polish_red_black(self.matvec, self.row[0], b, u, Au, gamma, one_phase)
+        return kernels.gs_polish_red_black(self.matvec, self.row[0], b, u, self.matvec(u), gamma, one_phase)
 
 
 class _TridiagSystem:
@@ -461,9 +470,10 @@ class _TridiagSystem:
         self.abs_row_sum = float(sums.max())
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
+        """A u; for a stack of lanes (K x N), A times each row."""
         out = self.d * u
-        out[1:] += self.dl * u[:-1]
-        out[:-1] += self.du * u[1:]
+        out[..., 1:] += self.dl * u[..., :-1]
+        out[..., :-1] += self.du * u[..., 1:]
         return out
 
     def _banded_solve(self, diag, sup, rhs):
@@ -484,16 +494,27 @@ class _TridiagSystem:
         return self._banded_solve(diag, sup, rhs)
 
     def polish(self, b, u, gamma, one_phase):
-        """One red-black sweep, in place."""
+        """One red-black sweep, in place, over every lane of u."""
         return kernels.gs_polish_red_black(self.matvec, self.d, b, u, self.matvec(u), gamma, one_phase)
 
 
+def _dots(x, y):
+    """x.y along the last axis: one BLAS dot per lane, bit for bit x @ y of its rows."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _evaluate(system, b, h, v, gamma, one_phase):
-    """Residual A v + b + f(v), energy J(v) and f(v) from one matvec and one f(v)."""
-    Av = system.matvec(v)
-    f = reaction_value(v, gamma, one_phase)
-    J = h * (0.5 * v @ Av + b @ v + (v * f / (1.0 + gamma)).sum())
-    return Av + b + f, J, f
+    """Residual A v + b + f(v), energy J(v) and f(v) from one matvec and one f(v).
+
+    v and b may hold one lane per row (K x N); J then holds one energy per
+    lane.  Data that overflow give inf or NaN here, which the caller's
+    finiteness check reports, so numpy is not asked to warn about them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        Av = system.matvec(v)
+        f = reaction_value(v, gamma, one_phase)
+        J = h * (_dots(0.5 * v, Av) + _dots(b, v) + (v * f / (1.0 + gamma)).sum(axis=-1))
+        return Av + b + f, J, f
 
 
 def _dphi(u, step, phi, gamma, one_phase):
@@ -534,49 +555,72 @@ def _step(u, delta, phi, slope, curv, gamma, one_phase):
     return 0.0
 
 
-def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip: bool, start=None):
-    """Smoother + truncated Newton iteration; returns (u, iters, traces, converged).
+def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, start=None):
+    """Smoother + truncated Newton iteration on a batch of lanes.
 
-    The iteration starts from ``start`` (None: the linear solve), clipped.
-    It stops, not converged, at the first residual or energy that is not
+    b holds one data set per row (K x N), clip one flag per lane and start
+    (None: the linear solves) one starting row per lane; each lane starts
+    from its row, clipped if its flag is set.  Returns one (u, iters,
+    residual trace, energy trace, converged) per lane.
+    Every lane meets its own stopping rule and then leaves the batch, frozen;
+    it stops, not converged, at the first residual or energy that is not
     finite: data whose products overflow would otherwise pass the stopping
-    rule's round-off floor.
-    u travels with its residual r, energy Ju and f(u) (see the module
+    rule's round-off floor.  The smoother and the evaluations run on all
+    live lanes at once, the Newton step and its line search lane by lane;
+    every operation acts on each lane as on a lone one, so a lane's iterates
+    do not depend on the batch.  After the Newton steps every live lane is
+    evaluated again if any lane moved: a lane that did not move gets the
+    same bits again.
+    u travels with its residual r, energy J and f(u) (see the module
     docstring).
     """
     gamma, one_phase = reaction.gamma, reaction.one_phase
-
-    def clipped(v):
-        return np.maximum(v, 0.0) if clip else v
-
-    u = clipped(system.init_solve(b) if start is None else start)
-    r, Ju, f = _evaluate(system, b, h, u, gamma, one_phase)
-    r_trace: list[float] = []
-    j_trace: list[float] = []
+    floor = np.where(clip, 0.0, -np.inf)[:, None]  # each lane's clip: u = max(u, floor)
+    if start is None:
+        start = np.array([system.init_solve(row) for row in b])
+    u = np.maximum(start, floor)
+    r, J, f = _evaluate(system, b, h, u, gamma, one_phase)
+    lanes = list(range(b.shape[0]))  # the lane of each live row
+    traces = [([], []) for _ in lanes]
+    out = [None] * len(lanes)
     for it in range(config.max_iter + 1):
-        rn = float(np.abs(r).max())
-        r_trace.append(rn)
-        j_trace.append(Ju)
-        finite = np.isfinite(rn) and np.isfinite(Ju)
-        ok = finite and rn <= max(config.residual_tol, np.spacing(np.abs(u).max()) * system.abs_row_sum)
-        if ok or not finite or it == config.max_iter:
-            return u, it, np.array(r_trace), np.array(j_trace), ok
+        rn = np.abs(r).max(axis=1)
+        tol = np.maximum(config.residual_tol, np.spacing(np.abs(u).max(axis=1)) * system.abs_row_sum)
+        live = []
+        for i, k in enumerate(lanes):
+            r_trace, j_trace = traces[k]
+            r_trace.append(rn[i])
+            j_trace.append(J[i])
+            finite = math.isfinite(rn[i]) and math.isfinite(J[i])
+            ok = finite and bool(rn[i] <= tol[i])
+            if ok or not finite or it == config.max_iter:
+                out[k] = (u[i].copy(), it, np.array(r_trace), np.array(j_trace), ok)
+            else:
+                live.append(i)
+        if not live:
+            return out
+        lanes = [lanes[i] for i in live]
+        b, floor, u = b[live], floor[live], u[live]
 
-        u = clipped(system.polish(b, u, gamma, one_phase))
-        r, Ju, f = _evaluate(system, b, h, u, gamma, one_phase)
+        u = np.maximum(system.polish(b, u, gamma, one_phase), floor)
+        r, J, f = _evaluate(system, b, h, u, gamma, one_phase)
         free = np.abs(u) >= kernels._SNAP
         dd = np.zeros_like(u)
         dd[free] = gamma * np.abs(u[free]) ** (gamma - 1.0)
         if one_phase:
             dd = dd * (u > 0)
-        delta = system.newton_delta(r, free, dd)
-        if not r @ delta < 0.0:
-            continue
-        t = _step(u, delta, u * f / (1.0 + gamma), delta @ (r - f),
-                  0.5 * (delta @ system.matvec(delta)), gamma, one_phase)
-        if t > 0.0:
-            u = clipped(u + t * delta)
-            r, Ju, f = _evaluate(system, b, h, u, gamma, one_phase)
+        moved = False
+        for i in range(len(lanes)):
+            delta = system.newton_delta(r[i], free[i], dd[i])
+            if not r[i] @ delta < 0.0:
+                continue
+            t = _step(u[i], delta, u[i] * f[i] / (1.0 + gamma), delta @ (r[i] - f[i]),
+                      0.5 * (delta @ system.matvec(delta)), gamma, one_phase)
+            if t > 0.0:
+                u[i] = np.maximum(u[i] + t * delta, floor[i])
+                moved = True
+        if moved:
+            r, J, f = _evaluate(system, b, h, u, gamma, one_phase)
 
 
 def _beta(s: float, gamma: float) -> float:
@@ -596,32 +640,34 @@ def _find_free_boundary(x_int: np.ndarray, u: np.ndarray, threshold: float, a: f
     return None
 
 
-def _solve(system, b, grid: Grid, values, tail, s, reaction, config, clip, start=None) -> SolveReport:
-    """Iterate on ``system`` from ``start``, write u into ``values`` and report.
+def _solve(system, b, grid: Grid, values, tails, s, reaction, config, clip, start=None) -> list[SolveReport]:
+    """Iterate on ``system`` from ``start``, one lane per row of b; write each
+    lane's u into its array of ``values`` and report, lane by lane.
 
     s sets the core threshold.
     """
-    u, iters, r_trace, j_trace, ok = _iterate(
-        system, b, grid.h, reaction, config or SolverConfig(), clip, start
-    )
-    values[grid.interior] = u
-    fb = None
-    if reaction.one_phase:
-        threshold = grid.h ** _beta(s, reaction.gamma)
-        fb = _find_free_boundary(grid.x_interior, u, threshold, grid.a, grid.h)
-    return SolveReport(
-        solution=GridFunction(grid, values, tail),
-        converged=bool(ok),
-        iterations=iters,
-        residual_inf=float(r_trace[-1]),
-        energy=float(j_trace[-1]),
-        residual_trace=r_trace,
-        energy_trace=j_trace,
-        s=s,
-        gamma=reaction.gamma,
-        mode=reaction.mode,
-        free_boundary=fb,
-    )
+    reports = []
+    lanes = _iterate(system, b, grid.h, reaction, config or SolverConfig(), clip, start)
+    for (u, iters, r_trace, j_trace, ok), v, tail in zip(lanes, values, tails):
+        v[grid.interior] = u
+        fb = None
+        if reaction.one_phase:
+            threshold = grid.h ** _beta(s, reaction.gamma)
+            fb = _find_free_boundary(grid.x_interior, u, threshold, grid.a, grid.h)
+        reports.append(SolveReport(
+            solution=GridFunction(grid, v, tail),
+            converged=ok,
+            iterations=iters,
+            residual_inf=float(r_trace[-1]),
+            energy=float(j_trace[-1]),
+            residual_trace=r_trace,
+            energy_trace=j_trace,
+            s=s,
+            gamma=reaction.gamma,
+            mode=reaction.mode,
+            free_boundary=fb,
+        ))
+    return reports
 
 
 def energy(op: FracLapOperator, g: GridFunction, u_interior: np.ndarray, reaction: ReactionSpec) -> float:
@@ -643,8 +689,24 @@ def solve(
     its own solution on the grid of spacing 2h.  Non-finite values of g or
     its tail raise ValueError (check_finite).
     """
-    check_finite(g.values, g.tail.c, g.tail.p)
-    return _solve_nested(op, g, reaction, config)
+    return solve_many(op, [g], reaction, config)[0]
+
+
+def solve_many(
+    op: FracLapOperator,
+    gs: list[GridFunction],
+    reaction: ReactionSpec,
+    config: SolverConfig | None = None,
+) -> list[SolveReport]:
+    """``solve`` for each data set of gs, as one batch of lanes; one report per data set.
+
+    The lanes share op, and each report is the one ``solve`` gives for its
+    data set alone (the module docstring).  Non-finite data in any of gs
+    raise ValueError before any lane iterates; no data sets give no reports.
+    """
+    for g in gs:
+        check_finite(g.values, g.tail.c, g.tail.p)
+    return _solve_nested(op, gs, reaction, config) if gs else []
 
 
 def _coarse_spec(spec: GridSpec) -> GridSpec | None:
@@ -655,27 +717,27 @@ def _coarse_spec(spec: GridSpec) -> GridSpec | None:
     return GridSpec(2 * spec.h, spec.a, spec.R)
 
 
-def _solve_nested(op: FracLapOperator, g: GridFunction, reaction, config) -> SolveReport:
-    """solve without the data check: the same data on the coarse grid first, if any."""
+def _solve_nested(op: FracLapOperator, gs, reaction, config) -> list[SolveReport]:
+    """solve_many without the data check: the same data on the coarse grid first, if any."""
     start = None
     coarse = _coarse_spec(op.grid.spec)
     if coarse is not None:
         grid = make_grid(coarse)
-        rep = _solve_nested(
-            assemble(grid, op.s, op.corrected), GridFunction(grid, g.values[::2], g.tail),
+        reps = _solve_nested(
+            assemble(grid, op.s, op.corrected), [GridFunction(grid, g.values[::2], g.tail) for g in gs],
             reaction, config,
         )
-        start = np.interp(op.grid.x_interior, grid.x, rep.solution.values)
-    return _solve_nonlocal(op, g, reaction, config, start)
+        start = np.array([np.interp(op.grid.x_interior, grid.x, rep.solution.values) for rep in reps])
+    return _solve_nonlocal(op, gs, reaction, config, start)
 
 
-def _solve_nonlocal(op: FracLapOperator, g: GridFunction, reaction, config, start=None) -> SolveReport:
-    """One nonlocal solve from ``start`` (None: the linear solve), on op's grid only."""
+def _solve_nonlocal(op: FracLapOperator, gs, reaction, config, start=None) -> list[SolveReport]:
+    """One batch of nonlocal solves from ``start`` (None: the linear solves), on op's grid only."""
     # a zero tail carries c = 0
-    clip = reaction.one_phase and bool((g.exterior_values >= 0).all() and g.tail.c >= 0.0)
+    clip = [reaction.one_phase and bool((g.exterior_values >= 0).all() and g.tail.c >= 0.0) for g in gs]
     return _solve(
-        _DenseSystem(op.row), op.load_vector(g), op.grid, g.values.copy(), g.tail,
-        op.s, reaction, config, clip, start,
+        _DenseSystem(op.row), np.array([op.load_vector(g) for g in gs]), op.grid,
+        [g.values.copy() for g in gs], [g.tail for g in gs], op.s, reaction, config, clip, start,
     )
 
 
@@ -720,9 +782,9 @@ def solve_local(
     values = np.where(grid.x < 0, uL, uR)
     clip = reaction.one_phase and uL >= 0 and uR >= 0
     return _solve(
-        local_operator(grid), _local_load(grid, uL, uR), grid, values, TailModel.zero(),
-        1.0, reaction, config, clip,
-    )
+        local_operator(grid), _local_load(grid, uL, uR)[None], grid, [values], [TailModel.zero()],
+        1.0, reaction, config, [clip],
+    )[0]
 
 
 def energy_local(

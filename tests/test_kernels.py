@@ -401,12 +401,6 @@ class TestSolvesMatchReferenceRoot:
         return new, run()
 
     @staticmethod
-    def _assert_same_bits(new, ref):
-        np.testing.assert_array_equal(new.solution.interior_values, ref.solution.interior_values)
-        np.testing.assert_array_equal(new.energy_trace, ref.energy_trace)
-        np.testing.assert_array_equal(new.residual_trace, ref.residual_trace)
-
-    @staticmethod
     def _assert_within_tolerance(new, ref):
         # a root a few ulps off moves the energy by round-off, and the
         # solution by no more than the solver tolerance
@@ -440,23 +434,21 @@ class TestSolvesMatchReferenceRoot:
         self._assert_within_tolerance(new, ref)
 
     def test_nonlocal_ramp(self, monkeypatch):
-        # Below _RB_MIN the dense path never calls roots: its sweep calls
-        # only scalar_root, which gives the reference's bits, so the solves
-        # are the same bits.
+        # 63 unknowns, the campaign's size: the dense sweep is red-black
+        # there too, so every root goes through roots, one call per colour
         grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=4.0))
-        assert grid.interior.size < solver._RB_MIN
+        n = grid.interior.size
         op = dc.assemble(grid, 0.95)
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
         lanes = self._counting_roots(monkeypatch)
         new, ref = self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
-        assert lanes == []
-        self._assert_same_bits(new, ref)
+        assert set(lanes) == {(n + 1) // 2, n // 2}
+        self._assert_within_tolerance(new, ref)
 
     def test_nonlocal_ramp_red_black(self, monkeypatch):
-        # from _RB_MIN up every dense root goes through roots, one call per colour
+        # 127 unknowns: every dense root goes through roots, one call per colour
         grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=4.0))
         n = grid.interior.size
-        assert n >= solver._RB_MIN
         op = dc.assemble(grid, 0.95)
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
         lanes = self._counting_roots(monkeypatch)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -201,7 +202,7 @@ class TestNonlocalSolve:
         def subnormal_once(self, b, u, gamma, one_phase):
             u = polish(self, b, u, gamma, one_phase)
             if not steps:
-                u[k] = 5e-324
+                u[..., k] = 5e-324
             return u
 
         monkeypatch.setattr(solver._DenseSystem, "polish", subnormal_once)
@@ -253,7 +254,7 @@ class TestNonlocalSolve:
         # a difference, still shows the descent.
         g = dc.odd_exterior_builder(op_ramp.grid, "ramp", 15.71)
         reaction, config = ReactionSpec(gamma=0.2), SolverConfig(max_iter=60)
-        cold = solver._solve_nonlocal(op_ramp, g, reaction, config)
+        cold = solver._solve_nonlocal(op_ramp, [g], reaction, config)[0]
         assert cold.converged and cold.iterations <= 25
         nested = dc.solve(op_ramp, g, reaction, config)
         assert nested.converged and nested.iterations <= 8
@@ -276,7 +277,7 @@ def ramp_reports():
             op = dc.assemble(grid, 0.95)
             g = dc.odd_exterior_builder(grid, "ramp", 15.71)
             reaction = ReactionSpec(gamma=0.2)
-            cache[k] = solver._solve_nonlocal(op, g, reaction, None), dc.solve(op, g, reaction)
+            cache[k] = solver._solve_nonlocal(op, [g], reaction, None)[0], dc.solve(op, g, reaction)
         return cache[k]
 
     return reports
@@ -324,7 +325,7 @@ class TestNestedStart:
         op = dc.assemble(grid, 0.95)
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
         reaction = ReactionSpec(gamma=0.2)
-        cold = solver._solve_nonlocal(op, g, reaction, None)
+        cold = solver._solve_nonlocal(op, [g], reaction, None)[0]
 
         def no_coarse_grid(*args):
             raise AssertionError("no coarse operator expected")
@@ -488,7 +489,7 @@ def op_127():
 
 
 def _polish_case(case, op_acceptance_08):
-    """(system, b, u0, reaction, clip) of a red-black polish: local, or dense at N >= solver._RB_MIN."""
+    """(system, b, u0, reaction, clip) of a red-black polish: local, or dense at N = 255."""
     if case == "local":
         grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0))
         kappa = dc.profile_coefficient(0.2)
@@ -510,16 +511,14 @@ def _polish_case(case, op_acceptance_08):
 
 
 class TestRedBlackPolish:
-    """The local sweep, and from solver._RB_MIN unknowns up the dense one, is
-    kernels.gs_polish_red_black: each colour takes kernels.roots of all its
-    nodes at once, with no line search."""
+    """The local sweep and the dense one are kernels.gs_polish_red_black: each
+    colour takes kernels.roots of all its nodes at once, with no line search."""
 
     @pytest.mark.parametrize(
         "case", ["two_phase", "one_phase_unclipped", "one_phase_clipped", "local"]
     )
     def test_energy_never_rises(self, case, op_acceptance_08):
         system, b, u, reaction, clip = _polish_case(case, op_acceptance_08)
-        assert case == "local" or u.size >= solver._RB_MIN
 
         def J(v):
             return solver._evaluate(system, b, 1.0, v, reaction.gamma, reaction.one_phase)[1]
@@ -614,16 +613,116 @@ class TestRedBlackPolish:
         g = random_ordered_pair(grid, np.random.default_rng(3))[0]
         rep = dc.solve(op, g, ReactionSpec(gamma=0.2))
         assert rep.converged
-        if n < solver._RB_MIN:
-            assert counts["roots"] == [] and counts["gs_polish_dense"] == rep.iterations
-            assert counts["gs_polish_red_black"] == 0
-            assert counts["scalar_root"] >= n * rep.iterations
-        else:
-            # roots hands the odd lane out to scalar_root, but no sweep is per node
-            assert counts["gs_polish_dense"] == 0
-            assert counts["gs_polish_red_black"] == rep.iterations
-            assert counts["roots"] == [(n + 1) // 2, n // 2] * rep.iterations
-            assert counts["scalar_root"] <= n * rep.iterations // 20
+        # one path at every size: roots hands the odd lane out to
+        # scalar_root, but no sweep is per node
+        assert counts["gs_polish_dense"] == 0
+        assert counts["gs_polish_red_black"] == rep.iterations
+        assert counts["roots"] == [(n + 1) // 2, n // 2] * rep.iterations
+        assert counts["scalar_root"] <= n * rep.iterations // 20
+
+
+def _campaign_data(h, n_pairs, seed=1001):
+    """(op, data) of a comparison campaign at spacing h: R = 4, s = 0.75, its pairs in draw order."""
+    grid = make_grid(GridSpec(h=h, a=1.0, R=4.0))
+    rng = np.random.default_rng(seed)
+    return dc.assemble(grid, 0.75), [g for _ in range(n_pairs) for g in random_ordered_pair(grid, rng)]
+
+
+def _assert_lanes_match_lone_solves(op, data, reaction, many):
+    assert len(many) == len(data)
+    for g, rep in zip(data, many):
+        lone = dc.solve(op, g, reaction)
+        assert rep.converged == lone.converged and rep.iterations == lone.iterations
+        # bit for bit: each lane takes its lone solve's iterates
+        assert np.array_equal(rep.solution.values, lone.solution.values)
+        assert np.array_equal(rep.energy_trace, lone.energy_trace)
+        assert np.array_equal(rep.residual_trace, lone.residual_trace)
+
+
+class TestLaneBatch:
+    """solve_many runs one batch of lanes that share the operator; each lane
+    stops on its own and gives the report of its lone solve."""
+
+    @pytest.mark.parametrize("h", [2.0**-5, 2.0**-6], ids=["63", "127"])
+    def test_lanes_match_lone_solves(self, h):
+        op, data = _campaign_data(h, 20)
+        reaction = ReactionSpec(gamma=0.2)
+        many = dc.solve_many(op, data, reaction)
+        assert all(rep.converged for rep in many)
+        # lanes stop at different iterations, so the batch shrinks as it runs
+        assert len({rep.iterations for rep in many}) > 1
+        _assert_lanes_match_lone_solves(op, data, reaction, many)
+
+    def test_one_phase_batch_clips_lane_by_lane(self):
+        # nonnegative data is clipped at zero, sign-changing data is not
+        op, data = _campaign_data(2.0**-5, 4)
+        data = [v for g in data for v in (g, g.with_values(np.abs(g.values)))]
+        reaction = ReactionSpec(gamma=0.2, mode="one_phase")
+        many = dc.solve_many(op, data, reaction)
+        assert all(rep.converged for rep in many)
+        clipped = [rep.solution.interior_values for rep in many[1::2]]
+        assert all(u.min() >= 0.0 for u in clipped)
+        assert any(rep.solution.interior_values.min() < 0.0 for rep in many[::2])
+        _assert_lanes_match_lone_solves(op, data, reaction, many)
+
+    def test_an_overflowing_lane_stops_alone(self):
+        # the overflowing lane stops unconverged at once, without a warning;
+        # its siblings converge as if alone
+        op, data = _campaign_data(2.0**-5, 1)
+        grid = op.grid
+        overflow = GridFunction(grid, np.zeros(grid.n), TailModel.power(1e300, -0.5))
+        data = [data[0], overflow, data[1]]
+        reaction = ReactionSpec(gamma=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            many = dc.solve_many(op, data, reaction)
+        assert not many[1].converged and many[1].iterations == 0
+        assert not np.isfinite(many[1].energy)
+        assert many[0].converged and many[2].converged
+        _assert_lanes_match_lone_solves(op, data[::2], reaction, many[::2])
+
+    def test_no_data_gives_no_reports(self, op_small):
+        assert dc.solve_many(op_small, [], ReactionSpec(gamma=0.2)) == []
+
+    def test_campaign_takes_two_roots_calls_per_batch_iteration(self, monkeypatch):
+        # a 50-pair campaign at 63 unknowns is one batch of 100 lanes: each
+        # iteration makes one roots call per colour over all live lanes,
+        # where a solve at a time made two per solve and iteration
+        calls, reports = [], []
+        roots, solve_many = solver.kernels.roots, dc.analysis.solve_many
+
+        def counting_roots(d, q, gamma, one_phase):
+            calls.append(q.size)
+            return roots(d, q, gamma, one_phase)
+
+        def recording(*args):
+            reports.extend(solve_many(*args))
+            return reports
+
+        monkeypatch.setattr(solver.kernels, "roots", counting_roots)
+        monkeypatch.setattr(dc.analysis, "solve_many", recording)
+        grid = make_grid(GridSpec(h=2.0**-5, a=1.0, R=4.0))
+        trials = dc.comparison_campaign(grid, 0.75, ReactionSpec(gamma=0.2), n_pairs=50, seed=1001)
+        assert all(t.converged and t.passed for t in trials)
+        iterations = [rep.iterations for rep in reports]
+        assert len(iterations) == 100
+        assert len(calls) == 2 * max(iterations)
+        assert 10 * len(calls) < 2 * sum(iterations)
+        assert calls[:2] == [100 * 32, 100 * 31]
+
+    def test_peak_memory_per_lane(self):
+        # a batch holds O(N K) arrays: about 31 KB per lane of 127 unknowns
+        # at its peak (in the first colour's roots call), its reports
+        # included; nothing bounds it in K yet, so its growth is pinned here
+        op, data = _campaign_data(2.0**-6, 20)
+        tracemalloc.start()
+        try:
+            many = dc.solve_many(op, data, ReactionSpec(gamma=0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rep.converged for rep in many)
+        assert peak <= 40e3 * len(data)
 
 
 def _dphi_reference(u, step, gamma, one_phase):
@@ -783,7 +882,10 @@ class TestNonFiniteData:
         _forbid_sweeps(monkeypatch)
         grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
         g = GridFunction(grid, np.zeros(grid.n), TailModel.power(1e300, -0.5))
-        with pytest.warns(RuntimeWarning):  # overflow, then NaN
+        # the energy overflows, then turns NaN: the report says so, and numpy
+        # prints no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = dc.solve(dc.assemble(grid, 0.75), g, ReactionSpec(gamma=0.2))
         assert not rep.converged and rep.iterations == 0
         assert not np.isfinite(rep.energy)
@@ -792,8 +894,8 @@ class TestNonFiniteData:
         evaluate = solver._evaluate
 
         def nan_energy(*args):
-            r, _, f = evaluate(*args)
-            return np.zeros_like(r), np.nan, f
+            r, J, f = evaluate(*args)
+            return np.zeros_like(r), np.full_like(J, np.nan), f
 
         # a zero residual meets the stopping rule; the NaN energy must not count as converged
         monkeypatch.setattr(solver, "_evaluate", nan_energy)

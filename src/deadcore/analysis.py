@@ -39,6 +39,7 @@ __all__ = [
     "blow_up",
     "comparison_check",
     "LiouvilleReport",
+    "liouville_radii",
     "liouville_probe",
     "one_phase_branching_check",
     "SLimitRow",
@@ -273,6 +274,24 @@ class LiouvilleReport:
     asserted_small: bool | None  # set only for solver-produced inputs
 
 
+def liouville_radii(spec: GridSpec, radii: np.ndarray | None = None) -> np.ndarray:
+    """The radii of liouville_probe on a grid with ``spec``.
+
+    radii, or by default the doubling radii 4h, 8h, ... up to a.  Raise
+    ValueError unless at least three remain.
+    """
+    if radii is None:
+        r = 4 * spec.h
+        rs = []
+        while r <= spec.a:
+            rs.append(r)
+            r *= 2
+        radii = np.array(rs)
+    if radii.size < 3:
+        raise ValueError("need at least three doubling radii")
+    return radii
+
+
 def liouville_probe(
     u: GridFunction,
     s: float,
@@ -287,20 +306,10 @@ def liouville_probe(
     small), staying within factor 1.1 as "critical", anything else as
     "growing".  This is a classifier over a truncated grid, not a proof
     device: only the growth hypothesis and the smallness conclusion are
-    examined.
+    examined.  The radii are those of liouville_radii.
     """
-    h = u.grid.h
-    a = u.grid.a
     beta = growth_exponent(s, gamma)
-    if radii is None:
-        r = 4 * h
-        rs = []
-        while r <= a:
-            rs.append(r)
-            r *= 2
-        radii = np.array(rs)
-    if radii.size < 3:
-        raise ValueError("need at least three doubling radii")
+    radii = liouville_radii(u.grid.spec, radii)
     q = np.array([sup_on_ball(u, 0.0, r) / r**beta for r in radii])
     sup_abs = sup_on_ball(u, 0.0, float(radii[-1]))
     if np.all(q < 1e-300):

@@ -174,8 +174,10 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
     p.grid = make_grid(p.spec)
     if p.local or mode == "slimit":  # slimit's reference solve is local
         local_operator(p.grid)  # its scale rule
-    if mode == "exponent":
+    if mode in ("exponent", "slimit"):  # slimit takes no fit keys: fit_radii(spec, None, None, 8)
         analysis.fit_radii(p.spec, p.fit_rmin, p.fit_rmax, p.fit_k)
+    if mode == "liouville":
+        analysis.liouville_radii(p.spec)
     if mode == "blowup":
         analysis.blow_up_window(p.spec, p.x0, p.r)
     return p

@@ -6,19 +6,21 @@ such update is an exact coordinate minimization of the convex energy, so
 sweeps never increase it.
 
 The red-black sweep ``gs_polish_red_black`` serves both of the solver's
-systems.  It updates every even-index node at once, then every odd-index
-node: colour c takes the exact roots of q_c = d_c u_c - (A u)_c - b_c from
-the current A u, and A u then moves by A delta, one matvec of the caller's
-operator.  In a tridiagonal matrix nodes of one colour are not coupled, so a
-colour step is an exact block coordinate minimization, and red-black order
-is consistently ordered (Young, 1971): Gauss-Seidel keeps the asymptotic
-rate of natural order.  In the dense nonlocal matrix nodes of one colour are
-coupled through the even lags, so a colour step is not a block minimum, but
-it descends without a line search.  Take x a colour's values, B = D + O its
-block of A (D its diagonal, O its couplings) and delta the step to its
-roots.  The roots solve D delta + f(x + delta) - f(x) = -grad J(x) nodewise,
-where J is the energy as a function of x, and its primitive Phi of f is
-convex, so Phi(x + delta) - Phi(x) <= f(x + delta).delta and
+systems.  It takes the system's matvec and diagonal, and forms A u by one
+matvec.  Then it updates every even-index node at once, then every
+odd-index node: colour c takes the exact roots of q_c = d_c u_c - (A u)_c -
+b_c from the current A u, and A u then moves by A delta, one more matvec.
+So a sweep costs three matvecs.  In a tridiagonal matrix nodes of one
+colour are not coupled, so a colour step is an exact block coordinate
+minimization, and red-black order is consistently ordered (Young, 1971):
+Gauss-Seidel keeps the asymptotic rate of natural order.  In the dense
+nonlocal matrix nodes of one colour are coupled through the even lags, so a
+colour step is not a block minimum, but it descends without a line search.
+Take x a colour's values, B = D + O its block of A (D its diagonal, O its
+couplings) and delta the step to its roots.  The roots solve
+D delta + f(x + delta) - f(x) = -grad J(x) nodewise, where J is the energy
+as a function of x, and its primitive Phi of f is convex, so
+Phi(x + delta) - Phi(x) <= f(x + delta).delta and
 
     J(x + delta) - J(x)  <=  -(delta.D delta - delta.O delta) / 2
                          <=  -(1 - rho) delta.D delta / 2,
@@ -266,17 +268,17 @@ def gs_polish_dense(A, b, u, Au, gamma, one_phase, sweeps):
     return u
 
 
-def gs_polish_red_black(matvec, d, b, u, Au, gamma, one_phase):
+def gs_polish_red_black(matvec, d, b, u, gamma, one_phase):
     """One in-place red-black sweep for the system A u + b + f(u) = 0; returns u.
 
-    matvec(v) is A v, d is A's diagonal (an array or one number) and Au the
-    caller's product A @ u, which the sweep updates in place.  Each colour c
-    (even indices, then odd) takes the exact roots of all its nodes at once,
-    from the current A u, and A u moves by A delta.  u, b and Au may hold one
-    system per row (K x N, one lane each, sharing A): a colour then takes the
-    roots of all lanes in one ``roots`` call, and matvec must multiply each
-    row by A.
+    matvec(v) is A v and d is A's diagonal (an array or one number).  The
+    sweep opens on A u = matvec(u).  Each colour c (even indices, then odd)
+    takes the exact roots of all its nodes at once, from the current A u,
+    and A u moves by A delta.  u and b may hold one system per row (K x N,
+    one lane each, sharing A): a colour then takes the roots of all lanes in
+    one ``roots`` call, and matvec must multiply each row by A.
     """
+    Au = matvec(u)
     d = np.broadcast_to(d, u.shape)
     for c in (0, 1):
         uc, dc = u[..., c::2], d[..., c::2]

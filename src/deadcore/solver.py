@@ -12,11 +12,14 @@ and reports expose the full energy trace.
 
 Each iteration is one step of a one-level truncated nonsmooth Newton
 multigrid (TNNMG) scheme (Graeser & Kornhuber, J. Comput. Math. 27 (2009);
-Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
+Graeser & Sander, IMA J. Numer. Anal. 39 (2019)).  It needs four things of
+a system: its matvec, its diagonal, its largest absolute row sum (the
+stopping rule's round-off floor) and solve(free, dd, rhs), which solves
+(A + diag(dd)) x = rhs on the free nodes and returns +0.0 on the others.
 
-1. the system's smoother: one exact coordinate-descent sweep in red-black
-   order (kernels.gs_polish_red_black), on either system and at every size
-   (the _DenseSystem.polish docstring);
+1. the smoother: one exact coordinate-descent sweep in red-black order
+   (kernels.gs_polish_red_black), on either system and at every size (the
+   _iterate docstring);
 2. one truncated Newton step delta from the smoothed iterate, on the free
    set only.  Phi is twice differentiable at every u != 0, so only nodes
    below the roots' snap (|u| < 1e-280, where a sweep puts exact zeros)
@@ -24,13 +27,14 @@ Graeser & Sander, IMA J. Numer. Anal. 39 (2019)):
    diagonal is zero there, and a nonnegative run clips the step.
    The snap, not u != 0, bounds the Newton diagonal gamma |u|^(gamma - 1)
    by gamma * 1e280: at gamma = 0.01 it is inf at the subnormal 5e-324,
-   which a Newton step can produce.  Both systems solve the free-set
-   system the same way: pinned nodes become identity rows and columns with
-   a zero right-hand side, so their delta is exactly 0.0, and the whole
-   symmetric positive definite matrix goes to one solve: a banded Cholesky
-   on the tridiagonal system, a dense one (LAPACK dposv) on a dense system
-   below _PCG_MIN = 1023 unknowns, and FFT-based preconditioned CG on a
-   dense system from there up (the _DenseSystem docstring);
+   which a Newton step can produce.  The step is solve(free, dd, -r), and
+   the linear start is solve(every node, 0, -b).  Both systems solve the
+   same way: pinned nodes become identity rows and columns with a zero
+   right-hand side, so their delta is exactly 0.0, and the whole symmetric
+   positive definite matrix goes to one solve: a banded Cholesky on the
+   tridiagonal system, a dense one (LAPACK dposv) on a dense system below
+   _PCG_MIN = 1023 unknowns, and FFT-based preconditioned CG on a dense
+   system from there up (the _DenseSystem docstring);
 3. a line search on that step, taken only when r.delta < 0: the largest
    t = 2^-k (k < 40) whose energy change dJ(t) is <= 0 (_step).  If no t
    passes, the Newton update is dropped.
@@ -78,10 +82,7 @@ solve.  Lanes are not coupled and every operation acts on a lane's row as
 on a lone vector (one convolution, one BLAS dot or one pairwise sum per
 row), so a lane's iterates are those of its lone solve, bit for bit.  A
 lane that meets its stopping rule leaves the batch.  A lone solve is the
-batch of one.  A 50-pair comparison campaign at 63 unknowns, 100 solves,
-took 0.57 s solved one at a time with the natural-order sweep, and 0.23 s
-as one batch (medians of 20 alternating runs in one process each, one BLAS
-thread).
+batch of one.
 
 A nonlocal solve starts from its own coarse-grid solution (nested iteration:
 Brandt, Math. Comp. 31 (1977); Hackbusch, Multi-Grid Methods and
@@ -91,13 +92,12 @@ so N >= 511.  It solves the same data there (every other node, the same
 tail, reaction and config), itself nested by the same rule, and starts from
 the linear interpolant of that solution at the interior nodes; a batch
 nests as a whole.  Any other nonlocal solve, and every local one, starts
-from the linear solve.  On the
-ramp of acceptance 04 (R = 8, s = 0.95, amplitude 15.71; medians of 7 runs,
-one BLAS thread, measured with the natural-order dense sweep), by the
-coarsest level:
+from the linear solve.  On the ramp of acceptance 04 (R = 8, s = 0.95,
+amplitude 15.71; medians of 21 runs, one BLAS thread), by the coarsest
+level:
 
     coarsest level      none            511            255            127
-    ramp at h = 2^-9    0.444 s, 17 it  0.196 s, 4 it  0.169 s, 4 it  0.210 s, 6 it
+    ramp at h = 2^-9    0.084 s, 13 it  0.093 s, 3 it  0.065 s, 3 it  0.061 s, 3 it
 
 With 255 the levels are 255 -> 511 -> 1023.  The nested solutions differ
 from the cold ones by at most 1.3e-14 at h = 2^-9 and 5.8e-14 at
@@ -137,10 +137,11 @@ __all__ = [
 
 GAMMA_MAX = 1.0 / 3.0
 REACTION_MODES = ("two_phase", "one_phase")
-# Fewest unknowns of a coarse grid a nonlocal solve starts from; the ramp at
-# h = 2^-9 is fastest with its coarsest level at 255 (the module docstring's
-# table).  Nesting the 63-unknown campaign down to 31 saved 20% of the node
-# updates but needed 22% more sweeps, and gained nothing.
+# Fewest unknowns of a coarse grid a nonlocal solve starts from; on the ramp
+# at h = 2^-9, 255 and 127 are within 6% of each other and ahead of no
+# nesting (the module docstring's table).  Nesting the 63-unknown campaign
+# down to 31 saved 20% of the node updates but needed 22% more sweeps, and
+# gained nothing.
 _NEST_MIN = 255
 # Fewest unknowns whose linear solves run PCG instead of dposv, and PCG's
 # relative residual and iteration cap (the _DenseSystem docstring).
@@ -295,10 +296,10 @@ class _DenseSystem:
     view with a negative stride: A @ u on it takes 0.96 ms at N = 1023,
     against 0.13 ms for the matvec, so the sweep opens on the matvec.
 
-    The free-set Newton system, and the linear solve of the start, are
-    solved as in _TridiagSystem: pinned nodes become identity rows and
-    columns with a zero right-hand side, so their entries are exactly +0.0.
-    Below _PCG_MIN = 1023 unknowns the whole N x N matrix goes to one dense
+    solve(free, dd, rhs) solves (A + diag(dd)) x = rhs on the free nodes, as
+    _TridiagSystem.solve does: pinned nodes become identity rows and columns
+    with a zero right-hand side, so their entries are exactly +0.0.  Below
+    _PCG_MIN = 1023 unknowns the whole N x N matrix goes to one dense
     Cholesky solve (LAPACK dposv) on a Fortran-order copy of the view, with
     no gather; the factorisation costs N^3/3 whatever the free set.
 
@@ -332,6 +333,7 @@ class _DenseSystem:
 
     def __init__(self, row: np.ndarray):
         self.row = row
+        self.diagonal = row[0]
         self.W = np.concatenate((row[:0:-1], row))
         self.A = sliding_window_view(self.W, row.size)[:, ::-1]
         # row i sums |r| over lags 0, 1..i and 1..N-1-i: the middle row is largest
@@ -351,14 +353,7 @@ class _DenseSystem:
             return np.array([np.convolve(self.W, v, "valid") for v in u])
         return np.convolve(self.W, u, "valid")
 
-    def init_solve(self, b: np.ndarray) -> np.ndarray:
-        n = b.size
-        return self._solve(np.ones(n, dtype=bool), np.zeros(n), -b)
-
-    def newton_delta(self, r, free, dd):
-        return self._solve(free, dd, -r)
-
-    def _solve(self, free, dd, rhs):
+    def solve(self, free, dd, rhs):
         """(A + diag(dd)) x = rhs on the free nodes; x is +0.0 on the others."""
         if self.row.size >= _PCG_MIN:
             return self._pcg(free, dd, rhs)
@@ -373,7 +368,7 @@ class _DenseSystem:
         return x
 
     def _pcg(self, free, dd, rhs):
-        """_solve by preconditioned CG with FFT matvecs (see the class docstring)."""
+        """solve by preconditioned CG with FFT matvecs (see the class docstring)."""
         if not self._strang_eig.min() > 0.0:
             raise np.linalg.LinAlgError("Strang circulant not positive definite")
         n = self.row.size
@@ -413,89 +408,34 @@ class _DenseSystem:
             p = z + (rz / rz_old) * p
         return x
 
-    def polish(self, b, u, gamma, one_phase):
-        """One red-black sweep, in place, over every lane of u, at every size.
-
-        It is kernels.gs_polish_red_black, as on the tridiagonal system:
-        each colour (even indices, then odd) moves to the exact roots of all
-        its nodes, in all lanes, at once (one kernels.roots call), from the
-        current A u, and A u moves by one matvec per lane.  A colour takes
-        the roots' bits, so snapped zeros stay +0.0.  Every operation
-        commutes with negation and the root is odd, so data -g still gives
-        exactly -u.  Nodes of one colour are coupled through the even lags
-        of A, so a colour step is not a block minimum, but it descends with
-        no line search: A is an M-matrix whose same-colour couplings sum to
-        at most 0.246 of A_ii (the kernels docstring).
-
-        Red-black against the natural-order sweep (kernels.gs_polish_dense,
-        one exact coordinate minimization per node in a Python loop, now
-        the tests' reference): one-level solves (no nested start),
-        natural order / red-black, medians of 7 alternating runs, one BLAS
-        thread.  Campaign-type is comparison_campaign's random ordered pairs
-        (s = 0.75, R = 4, seed 1001), ramp-type acceptance 04's ramp (s =
-        0.95, R = 8, amplitude 15.71) from the linear start:
-
-            N                        63          127         255         511
-            campaign-type solves     40          40          20          8
-              time (ms)              321 / 363   661 / 517   943 / 578   1108 / 645
-              iterations             316 / 330   359 / 387   235 / 262   112 / 122
-            ramp-type time (ms)      10.6 / 7.1  34.5 / 18.8 43.4 / 16.8 189 / 69
-              iterations             11 / 7      13 / 11     13 / 10     13 / 12
-
-        From 127 up red-black wins on both kinds of solve.  At N = 63 a lone
-        solve needs more red-black sweeps, and the fixed numpy cost per
-        colour outweighs the Python loop it saves: 100 lone campaign-type
-        solves (seed 1001) take 0.59 s in natural order against 0.73 s
-        red-black (medians of 20 alternating runs in one process each).
-        Batched, the numpy cost is paid once per colour for all lanes, and
-        the 50-pair campaign at N = 63 takes 0.23 s (the module docstring).
-
-        One sweep per iteration: with 1 and 2 red-black sweeps the nested
-        ramp took 0.062 and 0.063 s at h = 2^-9 and 0.135 and 0.149 s at
-        2^-10, and 40 campaign-type solves at N = 127 took 0.46 and 0.64 s
-        (387 and 323 iterations); medians of 5.  With 1, 2 and 3
-        natural-order sweeps the 100-pair comparison campaign at h=2^-6
-        (seed 11) took 1810, 1557 and 1419 iterations over its 200 solves in
-        2.4, 4.2 and 5.2 s (single runs on 2 cores, one BLAS thread).
-        """
-        return kernels.gs_polish_red_black(self.matvec, self.row[0], b, u, self.matvec(u), gamma, one_phase)
-
 
 class _TridiagSystem:
-    def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray):
-        self.dl, self.d, self.du = dl, d, du
+    """A symmetric tridiagonal system: diagonal d, off-diagonal e."""
+
+    def __init__(self, d: np.ndarray, e: np.ndarray):
+        self.diagonal, self.e = d, e
         sums = np.abs(d)
-        sums[1:] += np.abs(dl)
-        sums[:-1] += np.abs(du)
+        sums[1:] += np.abs(e)
+        sums[:-1] += np.abs(e)
         self.abs_row_sum = float(sums.max())
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """A u; for a stack of lanes (K x N), A times each row."""
-        out = self.d * u
-        out[..., 1:] += self.dl * u[..., :-1]
-        out[..., :-1] += self.du * u[..., 1:]
+        out = self.diagonal * u
+        out[..., 1:] += self.e * u[..., :-1]
+        out[..., :-1] += self.e * u[..., 1:]
         return out
 
-    def _banded_solve(self, diag, sup, rhs):
-        ab = np.zeros((2, diag.size))
-        ab[0, 1:] = sup
-        ab[1, :] = diag
-        return solveh_banded(ab, rhs)
+    def solve(self, free, dd, rhs):
+        """(A + diag(dd)) x = rhs on the free nodes by a banded Cholesky; x is +0.0 on the others.
 
-    def init_solve(self, b: np.ndarray) -> np.ndarray:
-        return self._banded_solve(self.d, self.du, -b)
-
-    def newton_delta(self, r, free, dd):
-        # Pinned nodes become identity rows; couplings through them vanish,
-        # which reproduces the reduced system exactly for a tridiagonal A.
-        diag = np.where(free, self.d + dd, 1.0)
-        sup = np.where(free[:-1] & free[1:], self.du, 0.0)
-        rhs = np.where(free, -r, 0.0)
-        return self._banded_solve(diag, sup, rhs)
-
-    def polish(self, b, u, gamma, one_phase):
-        """One red-black sweep, in place, over every lane of u."""
-        return kernels.gs_polish_red_black(self.matvec, self.d, b, u, self.matvec(u), gamma, one_phase)
+        Pinned nodes become identity rows; couplings through them vanish,
+        which reproduces the reduced system exactly for a tridiagonal A.
+        """
+        ab = np.zeros((2, rhs.size))
+        ab[0, 1:] = np.where(free[:-1] & free[1:], self.e, 0.0)
+        ab[1] = np.where(free, self.diagonal + dd, 1.0)
+        return solveh_banded(ab, np.where(free, rhs, 0.0))
 
 
 def _dots(x, y):
@@ -572,12 +512,21 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
     evaluated again if any lane moved: a lane that did not move gets the
     same bits again.
     u travels with its residual r, energy J and f(u) (see the module
-    docstring).
+    docstring).  system is a _DenseSystem or a _TridiagSystem; the
+    iteration uses only its matvec, diagonal, abs_row_sum and solve.
+
+    One red-black sweep per iteration: with 1 and 2 sweeps the nested ramp
+    took 0.062 and 0.063 s at h = 2^-9 and 0.135 and 0.149 s at 2^-10, and
+    40 campaign-type solves at N = 127 (R = 4, s = 0.75) took 0.46 and
+    0.64 s (387 and 323 iterations); medians of 5.  Every operation of a
+    sweep commutes with negation and the root is odd, so data -g gives
+    exactly -u.
     """
     gamma, one_phase = reaction.gamma, reaction.one_phase
     floor = np.where(clip, 0.0, -np.inf)[:, None]  # each lane's clip: u = max(u, floor)
     if start is None:
-        start = np.array([system.init_solve(row) for row in b])
+        every = np.ones(b.shape[1], dtype=bool)
+        start = np.array([system.solve(every, np.zeros_like(row), -row) for row in b])
     u = np.maximum(start, floor)
     r, J, f = _evaluate(system, b, h, u, gamma, one_phase)
     lanes = list(range(b.shape[0]))  # the lane of each live row
@@ -602,7 +551,7 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
         lanes = [lanes[i] for i in live]
         b, floor, u = b[live], floor[live], u[live]
 
-        u = np.maximum(system.polish(b, u, gamma, one_phase), floor)
+        u = np.maximum(kernels.gs_polish_red_black(system.matvec, system.diagonal, b, u, gamma, one_phase), floor)
         r, J, f = _evaluate(system, b, h, u, gamma, one_phase)
         free = np.abs(u) >= kernels._SNAP
         dd = np.zeros_like(u)
@@ -611,7 +560,7 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
             dd = dd * (u > 0)
         moved = False
         for i in range(len(lanes)):
-            delta = system.newton_delta(r[i], free[i], dd[i])
+            delta = system.solve(free[i], dd[i], -r[i])
             if not r[i] @ delta < 0.0:
                 continue
             t = _step(u[i], delta, u[i] * f[i] / (1.0 + gamma), delta @ (r[i] - f[i]),
@@ -640,22 +589,23 @@ def _find_free_boundary(x_int: np.ndarray, u: np.ndarray, threshold: float, a: f
     return None
 
 
-def _solve(system, b, grid: Grid, values, tails, s, reaction, config, clip, start=None) -> list[SolveReport]:
-    """Iterate on ``system`` from ``start``, one lane per row of b; write each
-    lane's u into its array of ``values`` and report, lane by lane.
+def _solve(system, b, grid: Grid, gs, s, reaction, config, clip, start=None) -> list[SolveReport]:
+    """Iterate on ``system`` from ``start``, one lane per row of b and data set of gs;
+    report each lane's u on ``grid`` with its data set's exterior values and tail.
 
     s sets the core threshold.
     """
     reports = []
     lanes = _iterate(system, b, grid.h, reaction, config or SolverConfig(), clip, start)
-    for (u, iters, r_trace, j_trace, ok), v, tail in zip(lanes, values, tails):
+    for (u, iters, r_trace, j_trace, ok), g in zip(lanes, gs):
+        v = g.values.copy()
         v[grid.interior] = u
         fb = None
         if reaction.one_phase:
             threshold = grid.h ** _beta(s, reaction.gamma)
             fb = _find_free_boundary(grid.x_interior, u, threshold, grid.a, grid.h)
         reports.append(SolveReport(
-            solution=GridFunction(grid, v, tail),
+            solution=GridFunction(grid, v, g.tail),
             converged=ok,
             iterations=iters,
             residual_inf=float(r_trace[-1]),
@@ -701,11 +651,14 @@ def solve_many(
     """``solve`` for each data set of gs, as one batch of lanes; one report per data set.
 
     The lanes share op, and each report is the one ``solve`` gives for its
-    data set alone (the module docstring).  Non-finite data in any of gs
-    raise ValueError before any lane iterates; no data sets give no reports.
+    data set alone (the module docstring).  Non-finite data in any of gs, or
+    data on another grid than op's, raise ValueError before any lane
+    iterates; no data sets give no reports.
     """
     for g in gs:
         check_finite(g.values, g.tail.c, g.tail.p)
+        if g.grid.spec != op.grid.spec:
+            raise ValueError("data lives on a different grid")
     return _solve_nested(op, gs, reaction, config) if gs else []
 
 
@@ -718,7 +671,7 @@ def _coarse_spec(spec: GridSpec) -> GridSpec | None:
 
 
 def _solve_nested(op: FracLapOperator, gs, reaction, config) -> list[SolveReport]:
-    """solve_many without the data check: the same data on the coarse grid first, if any."""
+    """solve_many without the data checks: the same data on the coarse grid first, if any."""
     start = None
     coarse = _coarse_spec(op.grid.spec)
     if coarse is not None:
@@ -728,17 +681,10 @@ def _solve_nested(op: FracLapOperator, gs, reaction, config) -> list[SolveReport
             reaction, config,
         )
         start = np.array([np.interp(op.grid.x_interior, grid.x, rep.solution.values) for rep in reps])
-    return _solve_nonlocal(op, gs, reaction, config, start)
-
-
-def _solve_nonlocal(op: FracLapOperator, gs, reaction, config, start=None) -> list[SolveReport]:
-    """One batch of nonlocal solves from ``start`` (None: the linear solves), on op's grid only."""
     # a zero tail carries c = 0
     clip = [reaction.one_phase and bool((g.exterior_values >= 0).all() and g.tail.c >= 0.0) for g in gs]
-    return _solve(
-        _DenseSystem(op.row), np.array([op.load_vector(g) for g in gs]), op.grid,
-        [g.values.copy() for g in gs], [g.tail for g in gs], op.s, reaction, config, clip, start,
-    )
+    b = np.array([op.load_vector(g) for g in gs])
+    return _solve(_DenseSystem(op.row), b, op.grid, gs, op.s, reaction, config, clip, start)
 
 
 def local_operator(grid: Grid) -> _TridiagSystem:
@@ -751,9 +697,7 @@ def local_operator(grid: Grid) -> _TridiagSystem:
     h = grid.h
     if not h * h > 2.0 / np.finfo(float).max:
         raise ValueError(f"h = {h:.17g} is too small for the local operator: h^-2 overflows")
-    d = np.full(m, 2.0 / h**2)
-    off = np.full(m - 1, -1.0 / h**2)
-    return _TridiagSystem(off, d, off.copy())
+    return _TridiagSystem(np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2))
 
 
 def _local_load(grid: Grid, uL: float, uR: float) -> np.ndarray:
@@ -779,12 +723,9 @@ def solve_local(
     """
     uL, uR = float(boundary[0]), float(boundary[1])
     check_finite(uL, uR)
-    values = np.where(grid.x < 0, uL, uR)
+    g = GridFunction(grid, np.where(grid.x < 0, uL, uR), TailModel.zero())
     clip = reaction.one_phase and uL >= 0 and uR >= 0
-    return _solve(
-        local_operator(grid), _local_load(grid, uL, uR)[None], grid, [values], [TailModel.zero()],
-        1.0, reaction, config, [clip],
-    )[0]
+    return _solve(local_operator(grid), _local_load(grid, uL, uR)[None], grid, [g], 1.0, reaction, config, [clip])[0]
 
 
 def energy_local(

@@ -314,8 +314,8 @@ class TestDryRun:
              "blowup", "compare", "liouville", "slimit"],
     )
     def test_every_mode_checks_its_parameters(self, tmp_path, capsys, mode, keys, bad):
-        # at h = 1/16 exponent's default fit window [8h, a/4] is empty
-        base = dict(h="1/64" if mode == "exponent" else "1/16", a="1", R="2", gamma="0.2")
+        # at h = 1/16 the default fit window [8h, a/4] of exponent and slimit is empty
+        base = dict(h="1/64" if mode in ("exponent", "slimit") else "1/16", a="1", R="2", gamma="0.2")
         if mode not in ("solve-local", "slimit"):
             base["s"] = "0.75"
         good = write_config(tmp_path / "good.cfg", **{**base, **keys})
@@ -384,6 +384,8 @@ _BASES = {
     "exponent": dict(h="1/64", a="1", R="2", s="0.75", gamma="0.2", amplitude="4"),
     "blowup": dict(SOLVE_KEYS, h="1/32", r="1/2"),
     "compare": dict(h="1/16", a="1", R="2", s="0.75", gamma="0.2", pairs="2"),
+    "slimit": dict(h="1/64", a="1", R="2", gamma="0.2", s_list="0.75,0.9"),
+    "liouville": dict(h="1/16", a="1", R="2", s="0.75", gamma="0.2"),
 }
 
 
@@ -413,6 +415,10 @@ class TestDryRunMatchesTheRun:
             ("exponent", "fit_rmin", "abc"),
             ("exponent", "fit_rmin", "1/64"),
             ("exponent", "fit_rmax", "1/32"),
+            # a/h = 32: slimit's fit window [8h, a/4] is empty
+            ("slimit", "h", "1/32"),
+            # a/h = 8: only two doubling radii, 4h and 8h
+            ("liouville", "h", "1/8"),
         ],
     )
     def test_both_exit_2_and_write_nothing(self, tmp_path, capsys, mode, key, value):
@@ -420,8 +426,10 @@ class TestDryRunMatchesTheRun:
         good = write_config(tmp_path / "good.cfg", **_BASES[mode])
         assert main([mode, "--config", good, "--out", out, "--dry-run"]) == 0
         bad = write_config(tmp_path / "bad.cfg", **{**_BASES[mode], key: value})
-        assert main([mode, "--config", bad, "--out", out, "--dry-run"]) == 2
-        assert main([mode, "--config", bad, "--out", out]) == 2
+        coarse = (mode, key, value) == ("liouville", "h", "1/8")  # h > a/16
+        with pytest.warns(UserWarning, match="coarse grid") if coarse else contextlib.nullcontext():
+            assert main([mode, "--config", bad, "--out", out, "--dry-run"]) == 2
+            assert main([mode, "--config", bad, "--out", out]) == 2
         assert not os.path.exists(out)
 
 

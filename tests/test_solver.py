@@ -197,15 +197,15 @@ class TestNonlocalSolve:
         # is planted after the first sweep.
         grid = op_small.grid
         k = grid.interior.size // 2 + 1
-        polish = solver._DenseSystem.polish
+        sweep = solver.kernels.gs_polish_red_black
 
-        def subnormal_once(self, b, u, gamma, one_phase):
-            u = polish(self, b, u, gamma, one_phase)
+        def subnormal_once(matvec, d, b, u, gamma, one_phase):
+            u = sweep(matvec, d, b, u, gamma, one_phase)
             if not steps:
                 u[..., k] = 5e-324
             return u
 
-        monkeypatch.setattr(solver._DenseSystem, "polish", subnormal_once)
+        monkeypatch.setattr(solver.kernels, "gs_polish_red_black", subnormal_once)
         steps = _record_newton_steps(monkeypatch, solver._DenseSystem)
         vals = np.zeros(grid.n)
         vals[grid.exterior] = 1.0
@@ -223,16 +223,10 @@ class TestNonlocalSolve:
         g = dc.odd_exterior_builder(op_small.grid, "ramp", 2.0)
         reaction = ReactionSpec(gamma=0.2)
         newton = dc.solve(op_small, g, reaction)
-        newton_delta = solver._DenseSystem.newton_delta
-        monkeypatch.setattr(
-            solver._DenseSystem, "newton_delta", lambda self, r, free, dd: np.zeros_like(r)
-        )
-        smoother = dc.solve(op_small, g, reaction)
-        monkeypatch.setattr(
-            solver._DenseSystem,
-            "newton_delta",
-            lambda self, r, free, dd: -newton_delta(self, r, free, dd),
-        )
+        with monkeypatch.context() as m:
+            _wrap_newton_steps(m, solver._DenseSystem, lambda free, dd, rhs, delta: np.zeros_like(delta))
+            smoother = dc.solve(op_small, g, reaction)
+        _wrap_newton_steps(monkeypatch, solver._DenseSystem, lambda free, dd, rhs, delta: -delta)
         rep = dc.solve(op_small, g, reaction)
         assert rep.converged
         assert rep.iterations > newton.iterations
@@ -254,10 +248,17 @@ class TestNonlocalSolve:
         # a difference, still shows the descent.
         g = dc.odd_exterior_builder(op_ramp.grid, "ramp", 15.71)
         reaction, config = ReactionSpec(gamma=0.2), SolverConfig(max_iter=60)
-        cold = solver._solve_nonlocal(op_ramp, [g], reaction, config)[0]
+        cold = _one_level_solve(op_ramp, g, reaction, config)
         assert cold.converged and cold.iterations <= 25
         nested = dc.solve(op_ramp, g, reaction, config)
         assert nested.converged and nested.iterations <= 8
+
+
+def _one_level_solve(op, g, reaction, config=None):
+    """solve on op's grid alone, from the linear start: no nested start."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_coarse_spec", lambda spec: None)
+        return dc.solve(op, g, reaction, config)
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +278,7 @@ def ramp_reports():
             op = dc.assemble(grid, 0.95)
             g = dc.odd_exterior_builder(grid, "ramp", 15.71)
             reaction = ReactionSpec(gamma=0.2)
-            cache[k] = solver._solve_nonlocal(op, [g], reaction, None)[0], dc.solve(op, g, reaction)
+            cache[k] = _one_level_solve(op, g, reaction), dc.solve(op, g, reaction)
         return cache[k]
 
     return reports
@@ -325,7 +326,7 @@ class TestNestedStart:
         op = dc.assemble(grid, 0.95)
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
         reaction = ReactionSpec(gamma=0.2)
-        cold = solver._solve_nonlocal(op, [g], reaction, None)[0]
+        cold = _one_level_solve(op, g, reaction)
 
         def no_coarse_grid(*args):
             raise AssertionError("no coarse operator expected")
@@ -365,17 +366,36 @@ def _assert_matches_reduced(A, r, free, dd, delta, rtol=1e-12):
     assert np.all(pinned == 0.0) and not np.signbit(pinned).any()
 
 
-def _record_newton_steps(monkeypatch, system_class):
-    """Wrap ``system_class.newton_delta``; returns the list of (r, free, dd, delta) it fills."""
-    steps = []
-    newton_delta = system_class.newton_delta
+def _wrap_newton_steps(monkeypatch, system_class, step):
+    """Wrap ``system_class.solve`` for one one-level solve.
 
-    def recording(self, r, free, dd):
-        delta = newton_delta(self, r, free, dd)
-        steps.append((r.copy(), free.copy(), dd.copy(), delta.copy()))
+    Its first call is the linear start, solve(every node, 0, -b), and runs
+    as it is; each later call is a Newton step, solve(free, dd, -r), and
+    returns step(free, dd, rhs, delta) in place of its delta.
+    """
+    solve = system_class.solve
+    calls = []
+
+    def wrapped(self, free, dd, rhs):
+        delta = solve(self, free, dd, rhs)
+        calls.append(None)
+        if len(calls) == 1:
+            assert free.all() and not np.any(dd)
+            return delta
+        return step(free, dd, rhs, delta)
+
+    monkeypatch.setattr(system_class, "solve", wrapped)
+
+
+def _record_newton_steps(monkeypatch, system_class):
+    """Wrap ``system_class.solve`` (_wrap_newton_steps); returns the (r, free, dd, delta) of each Newton step."""
+    steps = []
+
+    def recording(free, dd, rhs, delta):
+        steps.append((-rhs, free.copy(), dd.copy(), delta.copy()))
         return delta
 
-    monkeypatch.setattr(system_class, "newton_delta", recording)
+    _wrap_newton_steps(monkeypatch, system_class, recording)
     return steps
 
 
@@ -396,20 +416,36 @@ def _rtol(n):
     return 1e-12 if n < solver._PCG_MIN else 1e-9
 
 
+def _local_matrix(system):
+    """The tridiagonal system's A as a dense matrix."""
+    return np.diag(system.diagonal) + np.diag(system.e, -1) + np.diag(system.e, 1)
+
+
+def _linear_start(system, b):
+    """The linear start of a solve: solve(every node, 0, -b)."""
+    return system.solve(np.ones(b.size, dtype=bool), np.zeros(b.size), -b)
+
+
 class TestDenseNewtonStep:
     """The dense Newton step is the free-set system, solved without a gather:
     one dposv below solver._PCG_MIN unknowns (63 and 255 here), PCG from
-    there up (1023 and 2047)."""
+    there up (1023 and 2047).  The tridiagonal system's banded Cholesky
+    solves the same system ("local", 255 unknowns)."""
 
-    @pytest.fixture(params=["h2^-5", "h2^-7", "h2^-9", "h2^-10"])
-    def op(self, request, op_small, op_acceptance_08, op_ramp, op_2047):
-        return {"h2^-5": op_small, "h2^-7": op_acceptance_08, "h2^-9": op_ramp, "h2^-10": op_2047}[
+    @pytest.fixture(params=["h2^-5", "h2^-7", "h2^-9", "h2^-10", "local"])
+    def case(self, request, op_small, op_acceptance_08, op_ramp, op_2047):
+        """(A as a dense matrix, its system)."""
+        if request.param == "local":
+            system = solver.local_operator(make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0)))
+            return _local_matrix(system), system
+        op = {"h2^-5": op_small, "h2^-7": op_acceptance_08, "h2^-9": op_ramp, "h2^-10": op_2047}[
             request.param
         ]
+        return op.A, solver._DenseSystem(op.A[0])
 
     @pytest.mark.parametrize("pinned", ["nothing", "interior_block", "both_ends", "everything"])
-    def test_matches_the_reduced_system(self, op, pinned):
-        A = op.A
+    def test_matches_the_reduced_system(self, case, pinned):
+        A, system = case
         n = A.shape[0]
         rng = np.random.default_rng(8)
         u = rng.standard_normal(n)
@@ -424,13 +460,14 @@ class TestDenseNewtonStep:
             free[[0, -1]] = False
         elif pinned == "everything":
             free[:] = False
-        delta = solver._DenseSystem(A[0]).newton_delta(r, free, dd)
+        delta = system.solve(free, dd, -r)
         _assert_matches_reduced(A, r, free, dd, delta, _rtol(n))
 
-    def test_init_solve_matches_lu(self, op):
-        b = np.random.default_rng(9).standard_normal(op.A.shape[0])
-        x = solver._DenseSystem(op.A[0]).init_solve(b)
-        ref = np.linalg.solve(op.A, -b)
+    def test_init_solve_matches_lu(self, case):
+        A, system = case
+        b = np.random.default_rng(9).standard_normal(A.shape[0])
+        x = _linear_start(system, b)
+        ref = np.linalg.solve(A, -b)
         assert np.abs(x - ref).max() <= _rtol(b.size) * np.abs(ref).max()
 
     def test_steps_of_the_one_phase_solve(self, op_acceptance_08, monkeypatch):
@@ -461,11 +498,11 @@ class TestDenseNewtonStep:
             free = np.ones(n, dtype=bool)
             free[::7] = False
             with pytest.raises(np.linalg.LinAlgError):
-                system.init_solve(np.ones(n))
+                _linear_start(system, np.ones(n))
             with pytest.raises(np.linalg.LinAlgError):
-                system.newton_delta(np.ones(n), np.ones(n, dtype=bool), np.zeros(n))
+                system.solve(np.ones(n, dtype=bool), np.zeros(n), -np.ones(n))
             with pytest.raises(np.linalg.LinAlgError):
-                system.newton_delta(np.ones(n), free, np.zeros(n))
+                system.solve(free, np.zeros(n), -np.ones(n))
 
     def test_pcg_builds_no_dense_matrix(self, op_2047):
         # a dense copy of A would take 33.5 MB
@@ -475,7 +512,7 @@ class TestDenseNewtonStep:
         r, free = rng.standard_normal(n), np.ones(n, dtype=bool)
         tracemalloc.start()
         try:
-            system.newton_delta(r, free, np.ones(n))
+            system.solve(free, np.ones(n), -r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -494,7 +531,7 @@ def _polish_case(case, op_acceptance_08):
         grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0))
         kappa = dc.profile_coefficient(0.2)
         system, b = solver.local_operator(grid), solver._local_load(grid, -kappa, kappa)
-        return system, b, system.init_solve(b), ReactionSpec(gamma=0.2), False
+        return system, b, _linear_start(system, b), ReactionSpec(gamma=0.2), False
     grid = op_acceptance_08.grid
     system = solver._DenseSystem(op_acceptance_08.row)
     if case == "one_phase_clipped":
@@ -506,8 +543,13 @@ def _polish_case(case, op_acceptance_08):
     mode = "two_phase" if case == "two_phase" else "one_phase"
     b = op_acceptance_08.load_vector(g)
     clip = case == "one_phase_clipped"
-    u0 = system.init_solve(b)
+    u0 = _linear_start(system, b)
     return system, b, np.maximum(u0, 0.0) if clip else u0, ReactionSpec(gamma=0.2, mode=mode), clip
+
+
+def _sweep(system, b, u, gamma, one_phase):
+    """The solver's smoother: one red-black sweep of system, in place."""
+    return solver.kernels.gs_polish_red_black(system.matvec, system.diagonal, b, u, gamma, one_phase)
 
 
 class TestRedBlackPolish:
@@ -525,7 +567,7 @@ class TestRedBlackPolish:
 
         trace = [J(u)]
         for _ in range(8):
-            u = system.polish(b, u.copy(), reaction.gamma, reaction.one_phase)
+            u = _sweep(system, b, u.copy(), reaction.gamma, reaction.one_phase)
             if clip:
                 u = np.maximum(u, 0.0)
             trace.append(J(u))
@@ -552,7 +594,7 @@ class TestRedBlackPolish:
             return t
 
         monkeypatch.setattr(solver.kernels, "roots", recording)
-        out = system.polish(b, np.ones(n), 0.2, False)
+        out = _sweep(system, b, np.ones(n), 0.2, False)
         assert len(calls) == 2
         for c, (_, t) in enumerate(calls):
             np.testing.assert_array_equal(out[c::2].view(np.int64), t.view(np.int64))
@@ -680,6 +722,25 @@ class TestLaneBatch:
         assert not np.isfinite(many[1].energy)
         assert many[0].converged and many[2].converged
         _assert_lanes_match_lone_solves(op, data[::2], reaction, many[::2])
+
+    def test_data_on_another_grid_raises_before_iterating(self, op_ramp, monkeypatch):
+        # h = 2^-9 and R = 8 on a = 0.5: the same node count as op_ramp's
+        # grid, so before the grid check both coarse levels iterated and
+        # only the fine level's load_vector refused the data
+        calls = []
+        iterate = solver._iterate
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return iterate(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_iterate", counting)
+        grid = make_grid(GridSpec(h=2.0**-9, a=0.5, R=8.0))
+        assert grid.n == op_ramp.grid.n
+        data = [dc.odd_exterior_builder(g, "ramp", 1.0) for g in (op_ramp.grid, grid)]
+        with pytest.raises(ValueError, match="different grid"):
+            dc.solve_many(op_ramp, data, ReactionSpec(gamma=0.2))
+        assert calls == []
 
     def test_no_data_gives_no_reports(self, op_small):
         assert dc.solve_many(op_small, [], ReactionSpec(gamma=0.2)) == []
@@ -994,7 +1055,7 @@ class TestLocalSolve:
         assert len(steps) == rep.iterations
         assert any((~free).sum() > grid.interior.size // 4 for _, free, _, _ in steps)
         system = solver.local_operator(grid)
-        A = np.diag(system.d) + np.diag(system.dl, -1) + np.diag(system.du, 1)
+        A = _local_matrix(system)
         for r, free, dd, delta in steps:
             _assert_matches_reduced(A, r, free, dd, delta)
 

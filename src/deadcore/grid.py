@@ -240,12 +240,16 @@ class GridFunction:
             if header != "x,u":
                 raise ValueError(f"unexpected header {header!r}")
             rows = [line.strip().split(",") for line in fh if line.strip()]
+        if len(rows) < 3:
+            raise ValueError(f"{len(rows)} node rows; a grid has at least three")
         x = np.array([float(r[0]) for r in rows])
         u = np.array([float(r[1]) for r in rows])
-        h = x[1] - x[0]
-        spec = GridSpec(h=float(h), a=float(a), R=float(abs(x[0])))
+        # h from R and the node count, as make_grid lays the nodes out; the
+        # difference x[1] - x[0] misses the written h by ulps on most grids
+        R = -float(x[0])
+        spec = GridSpec(h=R / ((x.size - 1) // 2), a=float(a), R=R)
         grid = make_grid(spec)
-        if not np.allclose(grid.x, x, rtol=0, atol=1e-12 * max(1.0, abs(x[0]))):
+        if grid.n != x.size or not np.allclose(grid.x, x, rtol=0, atol=1e-12 * max(1.0, abs(x[0]))):
             raise ValueError("node coordinates are not a uniform symmetric grid")
         return cls(grid, u, tail)
 

@@ -35,195 +35,126 @@ systems that share A, one lane per row: lanes are not coupled, so the
 argument holds lane by lane, and one ``roots`` call per colour serves all
 lanes.  The solver runs every sweep this way, on both systems and at every
 size (solver.py).
-``gs_polish_dense`` is sequential, in natural order, one exact coordinate
-minimization per node; the tests use it as the reference for the red-black
-sweep.
 
 The root is defined by its property.  For q > 0 it is the least double t
-in (0, q/d] at which the sign test d*t + exp(gamma*log(t)) - q < 0 is
-false; q/d itself counts as passing without being evaluated.  The computed
-test is monotone in t (each operation in it rounds monotonically, as long
-as the platform's exp and log are monotone), so that double is the one
-where the test changes.  A root below 1e-280 becomes 0.0, an exact zero
-that the solver pins out of its Newton step.  The two-phase equation is
-odd, and so is its root: q < 0 gives 0.0 - (the root at -q), and q = 0
-gives 0.0; only the one-phase q <= 0 branch, q/d, stands apart.
+in (0, q/d] at which numpy's sign test d*t + np.exp(gamma*np.log(t)) - q < 0
+is false; q/d itself counts as passing without being evaluated.  The
+computed test is monotone in t (each operation in it rounds monotonically,
+as long as numpy's exp and log are monotone, which tests/test_kernels.py
+checks over runs of adjacent doubles), so that double is the one where the
+test changes.  A root below 1e-280 becomes 0.0, an exact zero that the
+solver pins out of its Newton step.  The two-phase equation is odd, and so
+is its root: q < 0 gives 0.0 - (the root at -q), and q = 0 gives 0.0; only
+the one-phase q <= 0 branch, q/d, stands apart.  So a root's bits follow
+numpy's exp and log, that is numpy's build and the SIMD loop it dispatches
+to on the host CPU, not the platform's libm.  numpy rounds each element on
+its own, so a lane's root does not depend on the other lanes of the call
+(the tests check one-element against array calls), and a lane of a batch
+takes the roots of its lone solve.
 
-``scalar_root`` finds it in two stages, over the int64 bit patterns of the
+``roots`` finds every lane at once, over the int64 bit patterns of the
 doubles, which sort like the positive doubles themselves.  It locates the
 root by Newton on G(s) = d e^s + e^(gamma s) - q in s = log t (G is convex
 and increasing and the start lies right of the root, so the iterates fall
-monotonically onto it) and one Newton step in t.  From there steps of 1, 2,
-4, ... ulps find a pair of doubles that straddles the test, and bisection
-closes it; every step is clamped into [prev(1e-280), q/d], so there are at
-most 64 of each, with no cap and no stop test.  The located double is
-usually the root, or one ulp from it, and then two to four evaluations
-settle it.  Where t^gamma dominates, the computed test is flat over runs of
-up to about |log t| ulps, across which log t keeps its double value, and
-the doubling steps cross such a run in a few evaluations.  On the roots of
-a 50-pair comparison campaign a root takes 2.8 evaluations on average.
-
-``roots`` is the array form, used by the red-black sweep.  It
-locates every lane at |q| at once with numpy's exp and log, tests the
-doubles from two ulps below the located root to one above it, and negates
-the lanes of q < 0 at the end; every lane whose root is not among them
-goes to ``scalar_root`` (21 of the 26,611 roots of a local solve at
-h=2^-10, and 12,015 of the 123,952 of a 50-pair comparison campaign at
-h=2^-6, mostly where t^gamma dominates and the located root lies a few
-to 190 ulps off).  numpy's vectorized exp rounds differently from math.exp on a
-few percent of arguments, so near the root the two sign tests can change
-at neighbouring doubles, and a located lane may end an ulp from
-``scalar_root``'s root, or a few dozen where the test is flat; the tests
-bound how often.
-
-The dense sweep's loop runs over Python floats, which do the same double
-arithmetic as numpy scalars, faster; it opens on the caller's A u and
-updates it by one numpy operation on column i of A.
+monotonically onto it) and one Newton step in t.  Each lane then holds a
+bracket (lo, hi] of bit patterns that contains its root, at first from just
+below prev(1e-280) to q/d.  Each round tests a column of ascending probes
+per open lane and closes its bracket onto the two adjacent probes where the
+test changes, until the bracket holds one double.  The first round, on
+every lane, tests the doubles from two ulps below the located double to one
+above; the next two, on the lanes still open, test every double within 16
+ulps of it and then every 32nd within 512 ulps; every later round spreads
+32 probes evenly over the bracket.  Where t^gamma dominates, the computed
+test is flat over runs of up to about |log t| ulps, across which log t keeps
+its double value, and the located double may lie a few to 300 ulps off the
+root.  The first round settles all but 20 of the 26,611 lanes of a local
+solve at h=2^-10, and all but 7,707 of the 50,589 of a 50-pair comparison
+campaign at h=2^-5, where the second round settles 94% of the rest and the
+third and fourth all others.  The wider probes take two rounds, not one, so
+that no round's arrays grow much beyond the first round's: one round of
+all 66 raised the tracemalloc peak of a 300-pair campaign at h=2^-6 from
+17.4 to 22.4 MB.  A root further than 512 ulps off takes at most 13 even
+rounds (a bracket of 2^63 patterns).  No double below prev(1e-280) is
+tested: a root there snaps whatever its bits.
 """
 
 from __future__ import annotations
 
-import math
-import struct
-
 import numpy as np
 
-__all__ = ["scalar_root", "roots", "gs_polish_dense", "gs_polish_red_black"]
+__all__ = ["roots", "gs_polish_red_black"]
 
 _SNAP = 1e-280  # roots below this are 0.0; the solver pins such nodes out of its Newton step
 _NEWTON_ITERS = 60
 _NEWTON_TOL = 1e-4  # a step this short leaves s within 5e-9, the t step within 1e-16
-_ULPS = 1  # roots tests this many ulps either side of the located root
-_BELOW_SNAP = math.nextafter(_SNAP, 0.0)  # a root is 0.0 exactly when this double passes the sign test
-_INT64, _DOUBLE = struct.Struct("<q"), struct.Struct("<d")
-_FLOOR = _INT64.unpack(_DOUBLE.pack(_BELOW_SNAP))[0]  # the bit pattern of _BELOW_SNAP
-
-
-def scalar_root(d: float, q: float, gamma: float, one_phase: bool) -> float:
-    """Root t of d*t + f(t) = q with f(t) = sgn(t)|t|^gamma (d > 0, 0 < gamma < 1).
-
-    In one-phase mode f vanishes for t <= 0, so q <= 0 gives exactly q/d.
-    The two-phase root is odd in q: q < 0 gives 0.0 - (the root at -q),
-    where 0.0 - keeps a snapped zero from turning into -0.0.
-    """
-    if one_phase and q <= 0.0:
-        return q / d
-    if q < 0.0:
-        return 0.0 - scalar_root(d, -q, gamma, False)
-    if q == 0.0:
-        return 0.0
-    # the root lies in (0, q/d], where f(t) = t^gamma in either mode
-    top = q / d
-    if top < _SNAP:
-        return 0.0
-    try:
-        start = _locate(d, q, gamma)
-    except ArithmeticError:  # exp overflow, or a division by an underflowed zero, at the ends of the range
-        start = top
-    return _search(d, q, gamma, top, start)
-
-
-def _below(d, q, gamma, t):
-    """The sign test: True when t lies below the root."""
-    return d * t + math.exp(gamma * math.log(t)) - q < 0.0
-
-
-def _search(d, q, gamma, top, start):
-    """The least passing double in (0, top] (top >= 1e-280), or 0.0 when it lies below 1e-280.
-
-    Any start will do: it is clamped into [prev(1e-280), top].  A pair of
-    adjacent doubles at the start that straddles the test settles the root
-    at once; otherwise steps of 2, 4, 8, ... ulps over bit patterns find a
-    pair (lo, hi) with lo below the root and hi passing, and bisection
-    closes it.  The root snaps as soon as prev(1e-280) passes.
-    """
-    t = min(start if start > _BELOW_SNAP else _BELOW_SNAP, top)
-    if t == top or not _below(d, q, gamma, t):
-        if t < _SNAP:
-            return 0.0
-        lo = math.nextafter(t, 0.0)
-        if _below(d, q, gamma, lo):
-            return t
-        hi, step = _bits(lo), 2
-        while True:
-            if hi == _FLOOR:
-                return 0.0
-            lo = max(hi - step, _FLOOR)
-            if _below(d, q, gamma, _double(lo)):
-                break
-            hi, step = lo, 2 * step
-    else:
-        hi = math.nextafter(t, math.inf)
-        if hi == top or not _below(d, q, gamma, hi):
-            return hi
-        end, lo, step = _bits(top), _bits(hi), 2
-        while True:
-            hi = min(lo + step, end)
-            if hi == end or not _below(d, q, gamma, _double(hi)):
-                break
-            lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _below(d, q, gamma, _double(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return _double(hi)
-
-
-def _bits(x):
-    """The int64 image of the double x; positive doubles sort like their images."""
-    return _INT64.unpack(_DOUBLE.pack(x))[0]
-
-
-def _double(bits):
-    return _DOUBLE.unpack(_INT64.pack(bits))[0]
-
-
-def _locate(d, q, gamma):
-    """Approximate root of d*t + t^gamma = q for q > 0: Newton in s = log t, then one Newton step in t."""
-    s = min(math.log(q / d), math.log(q) / gamma)
-    for _ in range(_NEWTON_ITERS):
-        a = d * math.exp(s)
-        b = math.exp(gamma * s)
-        step = (a + b - q) / (a + gamma * b)
-        s -= step
-        if step < _NEWTON_TOL:
-            break
-    t = math.exp(s)
-    if t == 0.0:  # underflow: the search starts at the snap
-        return 0.0
-    p = math.exp(gamma * s)
-    return t - (d * t + p - q) / (d + gamma * p / t)
+_BELOW_SNAP = np.nextafter(_SNAP, 0.0)  # a root is 0.0 exactly when this double passes the sign test
+_FLOOR = int(np.float64(_BELOW_SNAP).view(np.int64))  # its bit pattern, the lowest one tested
+# the probes of each round, each with a last slot for hi: in ulps from the
+# located root, on every lane, then on the lanes still open every double
+# within 16 ulps, then every 32nd within 512; then even steps of (hi - lo) // 32
+_WINDOW = np.arange(-2, 3)
+_CENTRED = (np.arange(-16, 18), 32 * np.arange(-16, 18))
+_FAN = np.arange(1, 33)
 
 
 def roots(d, q, gamma, one_phase):
-    """``scalar_root`` on every lane of the 1-D array q; d, gamma and one_phase broadcast."""
+    """Exact roots t of d*t + f(t) = q on every lane of the 1-D array q; d, gamma and one_phase broadcast.
+
+    f(t) = sgn(t)|t|^gamma (d > 0, 0 < gamma < 1); in one-phase mode f
+    vanishes for t <= 0, so q <= 0 gives exactly q/d.  The two-phase root is
+    odd in q: q < 0 gives 0.0 - (the root at -q), where 0.0 - keeps a
+    snapped zero from turning into -0.0.
+    """
     q = np.asarray(q, dtype=float)
     d, gamma = (np.broadcast_to(np.asarray(x, dtype=float), q.shape) for x in (d, gamma))
     one_phase = np.broadcast_to(np.asarray(one_phase, dtype=bool), q.shape)
     linear = one_phase & (q <= 0.0)
-    out = np.where(linear, q / d, 0.0)
     lanes = np.flatnonzero(~linear & (q != 0.0))
-    dl, ql, gl = d[lanes], np.abs(q[lanes]), gamma[lanes]
-    with np.errstate(all="ignore"):
-        located, t = _located_roots(dl, ql, gl)
+    with np.errstate(all="ignore"):  # q/d may overflow, and probes near the ends of the range do
+        out = np.where(linear, q / d, 0.0)
+        t = _least_passing(d[lanes], np.abs(q[lanes]), gamma[lanes])
     t = np.where(t < _SNAP, 0.0, t)
-    for i in np.flatnonzero(~located).tolist():
-        t[i] = scalar_root(float(dl[i]), float(ql[i]), float(gl[i]), False)
-    # the two-phase root is odd: a lane of q < 0 takes the root at |q|, negated
     out[lanes] = np.where(q[lanes] < 0.0, 0.0 - t, t)
     return out
 
 
-def _located_roots(d, q, gamma):
-    """(mask, roots) for lanes of q > 0: the lanes settled within ``_ULPS`` of the located root, and their roots.
+def _least_passing(d, q, gamma):
+    """The root before the snap on lanes of q > 0: the least double in (0, q/d] that passes the sign test.
 
-    The roots are those before the snap, by numpy's sign test; lanes outside
-    the mask hold meaningless values.
+    Where that double lies below 1e-280 the result is some double below
+    1e-280 that passes, or q/d itself, and the caller snaps it to 0.0.
     """
     top = q / d
-    # Newton in s = log t, each lane stopping after its first short step
+    # each lane's root lies in the bracket (lo, hi] of bit patterns.  The
+    # first round tests the doubles next to the located root on every lane;
+    # the lanes still open take two wider fans centred on it, then even fans
+    # over their brackets.
+    centre, hi = _locate(d, q, gamma, top).view(np.int64), top.view(np.int64)
+    lo, hi = _narrow(centre + _WINDOW[:, None], np.minimum(hi, _FLOOR) - 1, hi, d, q, gamma)
+    out = hi.view(np.float64)
+    lanes = np.flatnonzero(hi - lo > 1)
+    d, q, gamma, centre, lo, hi = (a[lanes] for a in (d, q, gamma, centre, lo, hi))
+    k = 0
+    while lanes.size:
+        if k < len(_CENTRED):
+            probes = centre[:, None] + _CENTRED[k]
+        else:  # steps of (hi - lo) // 32, as (lo + hi) // 2 would overflow int64 once both ends exceed 2.0
+            probes = lo[:, None] + np.maximum((hi - lo) // _FAN.size, 1)[:, None] * _FAN
+        lo, hi = _narrow(probes.T, lo, hi, d, q, gamma)
+        out[lanes] = hi.view(np.float64)
+        keep = hi - lo > 1
+        lanes, d, q, gamma, centre, lo, hi = (a[keep] for a in (lanes, d, q, gamma, centre, lo, hi))
+        k += 1
+    return out
+
+
+def _locate(d, q, gamma, top):
+    """The located root on lanes of q > 0, by Newton in s = log t and one Newton step in t.
+
+    Each lane stops after its first short step in s.  The result is clamped
+    into [prev(1e-280), q/d], or onto prev(1e-280) where q/d lies below it
+    (fmax sends NaN there too), so that every probe is a positive double.
+    """
     s = np.minimum(np.log(top), np.log(q) / gamma)
     live = np.ones(q.shape, dtype=bool)
     for _ in range(_NEWTON_ITERS):
@@ -234,38 +165,29 @@ def _located_roots(d, q, gamma):
         live &= ~(step < _NEWTON_TOL)
         if not live.any():
             break
-    # one Newton step in t, clamped as in _search (fmax sends NaN to the lower end)
     t = np.exp(s)
     p = np.exp(gamma * s)
-    t = np.minimum(np.fmax(t - (d * t + p - q) / (d + gamma * p / t), _BELOW_SNAP), top)
-    # the doubles from _ULPS + 1 below t to _ULPS above it, by their bit
-    # patterns (a finite q/d keeps NaN patterns out); q/d passes unevaluated
-    window = (t.view(np.int64)[:, None] + np.arange(-_ULPS - 1, _ULPS + 1)).view(np.float64)
-    d, q, gamma, top = d[:, None], q[:, None], gamma[:, None], top[:, None]
-    passes = (window >= top) | ~(d * window + np.exp(gamma * np.log(window)) - q < 0.0)
-    # the first passing double is the root when the window starts below it,
-    # or below the snap, and ends on a pass
-    root = window[np.arange(t.size), passes.argmax(axis=1)]
-    located = passes[:, -1] & (~passes[:, 0] | (window[:, 0] < _SNAP)) & (top[:, 0] < np.inf)
-    return located, root
+    return np.fmax(np.minimum(t - (d * t + p - q) / (d + gamma * p / t), top), _BELOW_SNAP)
 
 
-def gs_polish_dense(A, b, u, Au, gamma, one_phase, sweeps):
-    """In-place coordinate sweeps for a dense system; returns u.
+def _narrow(probes, lo, hi, d, q, gamma):
+    """The brackets (lo, hi] narrowed by one column of ascending probes per lane.
 
-    Au is the caller's product A @ u, which the sweeps update in place.
+    The last probe of each column is overwritten with hi, and every probe at
+    or above hi passes unevaluated, so the test is monotone down each
+    column and the number of probes below the root indexes the first that
+    passes.  The new bracket runs from the probe before it to that probe, or
+    to hi if that lies lower: hi never rises, so q/d always passes unevaluated.
+    Where a double below prev(1e-280) passes, the lane's root snaps, and its
+    bracket may close there without holding one double.  numpy runs fastest
+    when the long axis is contiguous: the lanes in the first round, each
+    lane's probes in the later ones.
     """
-    gamma, one_phase = float(gamma), bool(one_phase)
-    d, b, v = A.diagonal().tolist(), b.tolist(), u.tolist()
-    for _ in range(sweeps):
-        for i in range(len(v)):
-            q = d[i] * v[i] - float(Au[i]) - b[i]
-            t = scalar_root(d[i], q, gamma, one_phase)
-            if t != v[i]:
-                Au += A[:, i] * (t - v[i])
-                v[i] = t
-    u[:] = v
-    return u
+    probes[-1] = hi
+    x = probes.view(np.float64)
+    first = ((probes < hi) & (d * x + np.exp(gamma * np.log(x)) - q < 0.0)).sum(axis=0)
+    lanes = np.arange(hi.size)
+    return np.where(first > 0, probes[first - 1, lanes], lo), np.minimum(probes[first, lanes], hi)
 
 
 def gs_polish_red_black(matvec, d, b, u, gamma, one_phase):

@@ -115,15 +115,25 @@ class TestGridFunction:
         assert u.interior_values.size + u.exterior_values.size == grid.n
 
     def test_csv_round_trip_is_exact(self, tmp_path):
-        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
+        # h = 0.1 and 1/24 are not x[1] - x[0] of their own nodes
         rng = np.random.default_rng(11)
-        u = GridFunction(grid, rng.standard_normal(grid.n), TailModel.power(0.7, 2.25))
-        path = tmp_path / "u.csv"
-        u.to_csv(path)
-        back = GridFunction.from_csv(path, a=1.0)
-        np.testing.assert_array_equal(back.values, u.values)
-        assert back.tail == u.tail
-        assert back.grid.spec == grid.spec
+        for h, a, R in [(1 / 32, 1.0, 2.0), (0.1, 2.0, 4.0), (1 / 24, 1.0, 2.0)]:
+            grid = make_grid(GridSpec(h=h, a=a, R=R))
+            u = GridFunction(grid, rng.standard_normal(grid.n), TailModel.power(0.7, 2.25))
+            path = tmp_path / "u.csv"
+            u.to_csv(path)
+            back = GridFunction.from_csv(path, a=a)
+            np.testing.assert_array_equal(back.values, u.values)
+            assert back.tail == u.tail
+            assert back.grid.spec == grid.spec
+            np.testing.assert_array_equal(back.grid.x, grid.x)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_from_csv_rejects_fewer_than_three_nodes(self, tmp_path, rows):
+        path = tmp_path / "short.csv"
+        path.write_text("# tail=zero\nx,u\n" + "".join(f"{-1.0 + i},0\n" for i in range(rows)))
+        with pytest.raises(ValueError, match="node rows"):
+            GridFunction.from_csv(path, a=1.0)
 
     def test_csv_write_is_deterministic(self, tmp_path):
         grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))

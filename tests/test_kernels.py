@@ -1,87 +1,106 @@
 """Exact coordinate roots and the Gauss-Seidel sweep kernels."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
 
 import deadcore as dc
 from deadcore import GridSpec, ReactionSpec, kernels, make_grid, solver
-from deadcore.kernels import gs_polish_dense, gs_polish_red_black, roots, scalar_root
+from deadcore.kernels import gs_polish_red_black, roots
 
 
-def _reference_root(d, q, gamma, one_phase):
-    """The definition scalar_root must reproduce, by plain bisection, extended oddly.
-
-    For q > 0 the root is the least double t in (0, q/d] at which the sign
-    test d*t + exp(gamma*log(t)) - q < 0 is false, with q/d passing
-    unevaluated, and a root below 1e-280 is 0.0.  Positive doubles sort like
-    their int64 bit patterns, so bisection over the patterns of [0, q/d]
-    finds it.
-    """
-    if one_phase and q <= 0.0:
-        return q / d
-    if q < 0.0:
-        return 0.0 - _reference_root(d, -q, gamma, False)
-    if q == 0.0:
-        return 0.0
-    lo, hi = 0, _bits(q / d)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        t = _double(mid)
-        if d * t + math.exp(gamma * math.log(t)) - q < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = _double(hi)
-    return 0.0 if t < 1e-280 else t
-
-
-def _bits(x):
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _double(bits):
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+def _below(d, q, gamma, t):
+    """numpy's sign test at q > 0: True where t lies below the root."""
+    with np.errstate(all="ignore"):
+        return d * t + np.exp(gamma * np.log(t)) - q < 0.0
 
 
 def _reference_roots(d, q, gamma, one_phase):
-    """kernels.roots by the plain bisection, lane by lane."""
-    d = np.broadcast_to(d, q.shape)
-    return np.array([_reference_root(di, qi, gamma, one_phase) for di, qi in zip(d.tolist(), q.tolist())])
+    """The definition kernels.roots must reproduce, by plain bisection on every lane, extended oddly.
+
+    For q > 0 the root is the least double t in (0, q/d] at which numpy's
+    sign test d*t + np.exp(gamma*np.log(t)) - q < 0 is false, with q/d
+    passing unevaluated, and a root below 1e-280 is 0.0.  Positive doubles
+    sort like their int64 bit patterns, so bisection over the patterns of
+    [0, q/d] finds it.
+    """
+    q = np.asarray(q, dtype=float)
+    d, gamma, one_phase = (np.broadcast_to(x, q.shape) for x in (d, gamma, one_phase))
+    linear = one_phase & (q <= 0.0)
+    lanes = ~linear & (q != 0.0)
+    with np.errstate(over="ignore"):
+        out = np.where(linear, q / d, 0.0)
+        d, a, gamma = d[lanes], np.abs(q[lanes]), gamma[lanes]
+        lo, hi = np.zeros(a.size, dtype=np.int64), (a / d).view(np.int64)
+    while np.any(hi - lo > 1):
+        # (lo + hi) >> 1 would overflow int64 once both ends exceed 2.0
+        mid = lo + ((hi - lo) >> 1)
+        below = _below(d, a, gamma, mid.view(np.float64))
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    t = hi.view(np.float64)
+    t = np.where(t < 1e-280, 0.0, t)
+    out[lanes] = np.where(q[lanes] < 0.0, 0.0 - t, t)
+    return out
+
+
+def _root(d, q, gamma, one_phase):
+    """kernels.roots on one lane."""
+    return float(roots(d, np.array([q]), gamma, one_phase)[0])
+
+
+def gs_polish_dense(A, b, u, Au, gamma, one_phase, sweeps):
+    """In-place coordinate sweeps for a dense system, in natural order; returns u.
+
+    One exact coordinate minimization per node, each a one-lane root: the
+    reference for the red-black sweep.  Au is the caller's product A @ u,
+    which the sweeps update in place.
+    """
+    d = A.diagonal()
+    for _ in range(sweeps):
+        for i in range(u.size):
+            t = _root(d[i], d[i] * u[i] - Au[i] - b[i], gamma, one_phase)
+            if t != u[i]:
+                Au += A[:, i] * (t - u[i])
+                u[i] = t
+    return u
+
+
+def _columns(draws):
+    """(d, q, gamma, one_phase) arrays of a list of lanes."""
+    return tuple(np.array(c) for c in zip(*draws))
 
 
 class TestScalarRoot:
     def test_solves_coordinate_equation(self):
         for d, q, gamma in [(2.0, 1.0, 0.2), (5.0, -3.0, 0.3), (1.0, 1e-4, 0.1)]:
-            t = scalar_root(d, q, gamma, False)
+            t = _root(d, q, gamma, False)
             f = np.sign(t) * abs(t) ** gamma if t != 0 else 0.0
             assert d * t + f == pytest.approx(q, abs=1e-12 * max(1.0, abs(q)))
 
     def test_zero_forcing_gives_zero(self):
-        assert scalar_root(2.0, 0.0, 0.2, False) == 0.0
-        assert scalar_root(2.0, 0.0, 0.2, True) == 0.0
+        assert _root(2.0, 0.0, 0.2, False) == 0.0
+        assert _root(2.0, 0.0, 0.2, True) == 0.0
 
     def test_one_phase_negative_forcing_is_linear(self):
         # no absorption below zero: the equation is d*t = q
-        assert scalar_root(4.0, -2.0, 0.2, True) == pytest.approx(-0.5)
+        assert _root(4.0, -2.0, 0.2, True) == pytest.approx(-0.5)
 
     def test_two_phase_is_odd(self):
-        # exactly, on every two-phase lane, and a root that snaps to zero is +0.0 on both sides
-        d, q, gamma = (np.array(c) for c in zip(*[a[:3] for a in _root_draws() if not a[3]]))
-        lanes = list(zip(d.tolist(), q.tolist(), gamma.tolist()))
-        pos = np.array([scalar_root(di, qi, gi, False) for di, qi, gi in lanes])
-        neg = np.array([scalar_root(di, -qi, gi, False) for di, qi, gi in lanes])
-        np.testing.assert_array_equal(neg, -pos)
-        assert not np.signbit(np.r_[pos, neg][np.r_[pos, neg] == 0.0]).any()
+        # exactly, on every two-phase lane, in one call and one lane at a
+        # time, and a root that snaps to zero is +0.0 on both sides
+        d, q, gamma, _ = _columns([a for a in _root_draws() if not a[3]])
         pos, neg = roots(d, q, gamma, False), roots(d, -q, gamma, False)
         np.testing.assert_array_equal(neg, -pos)
         assert not np.signbit(np.r_[pos, neg][np.r_[pos, neg] == 0.0]).any()
+        for di, qi, gi, _ in self.EDGES:
+            t = _root(di, -abs(qi), gi, False)
+            assert t == -_root(di, abs(qi), gi, False)
+            assert t != 0.0 or not np.signbit(t)
 
     def test_degenerate_forcing_drives_deep(self):
         # the root of t + t^0.2 = 1e-60 sits near 1e-300, below the snap
-        t = scalar_root(1.0, 1e-60, 0.2, False)
+        t = _root(1.0, 1e-60, 0.2, False)
         assert t == 0.0
         assert abs(t + t**0.2 - 1e-60) < 1e-20
 
@@ -89,36 +108,34 @@ class TestScalarRoot:
         # the root lies 1e158 below q/d; the centre node of the odd ramp at
         # gamma = 0.1 (tests/test_solver.py) needs it
         d, q, gamma = 277.41, 2.62e-18, 0.1
-        t = scalar_root(d, q, gamma, False)
+        t = _root(d, q, gamma, False)
         assert t == pytest.approx(1.524098070253267e-176, rel=1e-12)
         assert _below(d, q, gamma, math.nextafter(t, 0.0)) and not _below(d, q, gamma, t)
 
     def test_satisfies_the_definition(self):
-        # per lane, with the math sign test: the double before t lies below
+        # per lane, with numpy's sign test: the double before t lies below
         # the root and t passes (q/d passes unevaluated), and t is 0.0
         # exactly when the double before 1e-280 passes
-        below_snap = math.nextafter(1e-280, 0.0)
-        bad = []
-        for d, q, gamma, one_phase in _root_draws():
-            t = scalar_root(d, q, gamma, one_phase)
-            if (one_phase and q <= 0.0) or q == 0.0:
-                continue
-            q, t, top = abs(q), abs(t), abs(q) / d
-            snapped = below_snap >= top or not _below(d, q, gamma, below_snap)
-            if t == 0.0:
-                ok = snapped
-            else:
-                ok = not snapped and _below(d, q, gamma, math.nextafter(t, 0.0))
-                ok = ok and (t == top or not _below(d, q, gamma, t))
-            if not ok:
-                bad.append((d, q, gamma, t))
-        assert bad == []
+        d, q, gamma, one_phase = _columns(_root_draws())
+        t = roots(d, q, gamma, one_phase)
+        lanes = ~(one_phase & (q <= 0.0)) & (q != 0.0)
+        d, q, gamma, t = d[lanes], np.abs(q[lanes]), gamma[lanes], np.abs(t[lanes])
+        with np.errstate(over="ignore"):  # q/d overflows on one edge
+            top, below_snap = q / d, math.nextafter(1e-280, 0.0)
+        snapped = (below_snap >= top) | ~_below(d, q, gamma, below_snap)
+        ok = np.where(
+            t == 0.0,
+            snapped,
+            ~snapped & _below(d, q, gamma, np.nextafter(t, 0.0)) & ((t == top) | ~_below(d, q, gamma, t)),
+        )
+        assert snapped.sum() > 100_000 and (t > 0.0).sum() > 40_000
+        assert np.flatnonzero(~ok).tolist() == []
 
     def test_ultra_degenerate_forcing_snaps_to_zero(self):
         # the root, near 1e-1250, lies below the snap: exact zero
-        assert scalar_root(1.0, 1e-250, 0.2, False) == 0.0
+        assert _root(1.0, 1e-250, 0.2, False) == 0.0
 
-    # (d, q, gamma, one_phase) at the edges of the fast path
+    # (d, q, gamma, one_phase) at the edges of the search
     EDGES = [
         (1.0, 1e-60, 0.2, False),  # deep: the root, near 1e-300, snaps to zero
         (1.0, 1e-250, 0.2, False),  # snap to zero
@@ -142,6 +159,14 @@ class TestScalarRoot:
         (1.0, 1e-250, 0.9, False),
         (1.0, 0.99e-250, 0.9, False),
         (1e7, 1e-300, 0.2, False),  # q/d below the snap
+        (10.0, 5e-324, 0.2, False),  # q/d underflows to 0.0
+        (1e300, -1e-300, 0.2, False),
+        (1e-300, 1e10, 0.2, False),  # q/d overflows to inf
+        (1e-300, -1e10, 0.2, True),
+        # q/d fails the computed test, and passes only unevaluated: the root is q/d
+        (883.7780053832865, 2.4147436863540585e272, 0.16479844405336566, False),
+        (0.01770239467781795, -4.837508073104443e235, 0.14750820496040318, False),
+        (697.0915510164051, 7.001821104112413e292, 0.03513329635172578, True),
         (1.0, 1e-8, 0.2, False),  # the root 1e32 and 1e40 below q/d
         (1.0, 1e-10, 0.2, False),
         (277.41, 2.62e-18, 0.1, False),  # the root 1e158 below q/d
@@ -149,14 +174,13 @@ class TestScalarRoot:
     ]
 
     def test_matches_reference_bisection(self):
-        # The located start may only speed the root up, never move a bit.
-        bad = [a for a in _root_draws() if scalar_root(*a) != _reference_root(*a)]
-        assert bad == []
-
-
-def _below(d, q, gamma, t):
-    """The math sign test at q > 0: True when t lies below the root."""
-    return d * t + math.exp(gamma * math.log(t)) - q < 0.0
+        # one lane at a time, on every edge and every 20th draw: the located
+        # start and the fans may only speed the root up, never move a bit
+        draws = _root_draws()
+        lanes = draws[::20] + self.EDGES
+        ref = _reference_roots(*_columns(lanes))
+        t = np.array([_root(*a) for a in lanes])
+        assert np.flatnonzero(t.view(np.int64) != ref.view(np.int64)).tolist() == []
 
 
 def _root_draws():
@@ -179,71 +203,60 @@ def _root_draws():
 
 
 class TestRoots:
-    """The array root locates every lane as scalar_root does, with numpy's exp and log, then checks a window."""
+    """The array root equals the plain bisection on every lane, whatever the other lanes of the call."""
 
-    @staticmethod
-    def _below(d, q, gamma, t):
-        """The sign test at q > 0 with numpy's exp and log."""
-        with np.errstate(all="ignore"):
-            return d * t + np.exp(gamma * np.log(t)) - q < 0.0
-
-    @classmethod
-    def _least_passing(cls, d, q, gamma):
-        """The definition with numpy's sign test, by bisection over bit patterns on every lane of q > 0."""
-        top = q / d
-        lo, hi = np.zeros(q.size, dtype=np.int64), top.view(np.int64).copy()
-        while np.any(hi - lo > 1):
-            # (lo + hi) >> 1 would overflow int64 once both ends exceed 2.0
-            mid = lo + ((hi - lo) >> 1)
-            below = cls._below(d, q, gamma, mid.view(np.float64))
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        t = hi.view(np.float64)
-        return np.where(t < 1e-280, 0.0, t)
-
-    def test_matches_scalar_root_up_to_the_sign_test(self, monkeypatch):
-        draws = _root_draws()
-        d, q, gamma, one_phase = (np.array(c) for c in zip(*draws))
-        sent = set()
-
-        def recording_root(d, q, gamma, one_phase):  # roots sends |q| and negates
-            sent.add((d, q, gamma))
-            return scalar_root(d, q, gamma, one_phase)
-
-        monkeypatch.setattr(kernels, "scalar_root", recording_root)
+    def test_matches_the_reference_on_every_lane(self):
+        d, q, gamma, one_phase = _columns(_root_draws())
+        ref = _reference_roots(d, q, gamma, one_phase)
         t = roots(d, q, gamma, one_phase)
-        monkeypatch.undo()
-        ref = np.array([scalar_root(*a) for a in draws])
-
-        # lanes scalar_root settles at once, and every lane sent to it, equal it
-        direct = (one_phase & (q <= 0.0)) | (q == 0.0) | np.array([(a[0], abs(a[1]), a[2]) in sent for a in draws])
-        np.testing.assert_array_equal(t[direct], ref[direct])
-
-        # a located lane's |t| is the root by the definition with numpy's sign
-        # test at |q|: the least passing double in (0, |q|/d], or 0.0 below
-        # the snap
-        loc = ~direct
-        assert loc.sum() > 5_000
-        dl, ql, gl, tl = d[loc], np.abs(q[loc]), gamma[loc], np.abs(t[loc])
-        np.testing.assert_array_equal(tl, self._least_passing(dl, ql, gl))
-        # and per lane, the double before a root that is not 0.0 lies below it
-        nz = tl > 0.0
-        top = ql / dl
-        assert np.all(self._below(dl, ql, gl, np.nextafter(tl, 0.0))[nz])
-        assert np.all(((tl == top) | ~self._below(dl, ql, gl, tl))[nz])
-
-        # where math.exp and numpy's exp round apart the root can move
-        differ = t != ref
-        ulps = np.abs(t - ref)[differ] / np.spacing(np.abs(ref[differ]))
-        print(
-            f"roots differs from scalar_root on {differ.sum()} of {t.size} lanes "
-            f"({differ.mean():.3%}), by at most {ulps.max(initial=0):.0f} ulps"
+        assert np.flatnonzero(t.view(np.int64) != ref.view(np.int64)).tolist() == []
+        # the same lanes in another order and in calls of 1 to 300 lanes
+        order = np.random.default_rng(5).permutation(q.size)
+        ends = np.cumsum(np.random.default_rng(6).integers(1, 301, q.size))
+        ends = np.r_[0, ends[ends < q.size], q.size]
+        shuffled = np.concatenate(
+            [roots(d[i], q[i], gamma[i], one_phase[i]) for i in (order[a:b] for a, b in zip(ends, ends[1:]))]
         )
-        assert differ.mean() < 1e-3
+        np.testing.assert_array_equal(shuffled.view(np.int64), t[order].view(np.int64))
+
+    @pytest.mark.parametrize("shift", [None, -300, -40, 40], ids=["none", "-300", "-40", "+40"])
+    def test_the_search_needs_no_located_start(self, monkeypatch, shift):
+        # the located start and the centred rounds only save rounds: from the
+        # full bracket by even fans alone (a column of one probe holds only
+        # its slot for hi), or with the first three rounds centred off the
+        # located root, every lane still gets the reference's bits
+        d, q, gamma, one_phase = _columns(_root_draws()[::10] + TestScalarRoot.EDGES)
+        if shift is None:
+            monkeypatch.setattr(kernels, "_WINDOW", np.zeros(1, np.int64))
+            monkeypatch.setattr(kernels, "_CENTRED", ())
+        else:
+            moved = [np.r_[offsets[:-1] + shift, 0] for offsets in (kernels._WINDOW, *kernels._CENTRED)]
+            monkeypatch.setattr(kernels, "_WINDOW", moved[0])
+            monkeypatch.setattr(kernels, "_CENTRED", tuple(moved[1:]))
+        t = roots(d, q, gamma, one_phase)
+        ref = _reference_roots(d, q, gamma, one_phase)
+        np.testing.assert_array_equal(t.view(np.int64), ref.view(np.int64))
+
+    def test_numpy_power_is_monotone_and_elementwise(self):
+        # the definition's premise: exp(gamma*log(t)) never decreases over
+        # runs of adjacent doubles, and numpy gives an element the same bits
+        # alone as in an array, so a lane's root is its lone root
+        rng = np.random.default_rng(20261019)
+        steps = np.arange(20_000)
+        for _ in range(300):
+            t0 = np.array([10.0 ** rng.uniform(-250.0, 3.0)])
+            t = (t0.view(np.int64) + steps).view(np.float64)
+            p = np.exp(rng.uniform(0.01, 0.33) * np.log(t))
+            assert np.all(np.diff(p) >= 0.0)
+        t = 10.0 ** rng.uniform(-250.0, 3.0, 30_000)
+        gamma = rng.uniform(0.01, 0.33, t.size)
+        whole = np.exp(gamma * np.log(t))
+        alone = np.array([np.exp(g * np.log(np.array([x])))[0] for x, g in zip(t.tolist(), gamma.tolist())])
+        np.testing.assert_array_equal(alone.view(np.int64), whole.view(np.int64))
 
     def test_scalar_arguments_broadcast(self):
         q = np.array([0.7, -0.7, 0.0, -2.0, 1e-60])
-        expected = [scalar_root(3.0, qi, 0.25, True) for qi in q.tolist()]
-        np.testing.assert_array_equal(roots(3.0, q, 0.25, True), expected)
+        np.testing.assert_array_equal(roots(3.0, q, 0.25, True), _reference_roots(3.0, q, 0.25, True))
 
 
 def _small_problem(seed, n=12):
@@ -291,7 +304,7 @@ class TestNumpyKernelsMatchReferenceLoops:
         for _ in range(sweeps):
             for i in range(n):
                 q = A[i, i] * u[i] - Au[i] - b[i]
-                t = scalar_root(A[i, i], q, gamma, one_phase)
+                t = _root(A[i, i], q, gamma, one_phase)
                 if t != u[i]:
                     dt = t - u[i]
                     for j in range(n):
@@ -387,28 +400,22 @@ class TestSweepsDecreaseEnergy:
 class TestSolvesMatchReferenceRoot:
     """Whole solves against the same solves with every root by the plain bisection.
 
-    scalar_root gives the reference's bits; roots may end a rare lane on a
-    neighbouring double (TestRoots), so a solve that calls roots must take the
-    same iterations, with energies equal to round-off and a solution equal
-    to the solver tolerance.
+    roots gives the reference's bits on every lane (TestRoots), so a solve
+    takes the same iterates, bit for bit.
     """
 
     @staticmethod
     def _both(monkeypatch, run):
         new = run()
-        monkeypatch.setattr(kernels, "scalar_root", _reference_root)
         monkeypatch.setattr(kernels, "roots", _reference_roots)
         return new, run()
 
     @staticmethod
-    def _assert_within_tolerance(new, ref):
-        # a root a few ulps off moves the energy by round-off, and the
-        # solution by no more than the solver tolerance
+    def _assert_identical(new, ref):
         assert new.converged and ref.converged
         assert new.iterations == ref.iterations
-        np.testing.assert_allclose(new.energy_trace, ref.energy_trace, rtol=1e-13, atol=0.0)
-        u, v = new.solution.interior_values, ref.solution.interior_values
-        assert np.abs(u - v).max() <= dc.SolverConfig().residual_tol * max(1.0, np.abs(v).max())
+        np.testing.assert_array_equal(new.energy_trace, ref.energy_trace)
+        np.testing.assert_array_equal(new.solution.values, ref.solution.values)
 
     @staticmethod
     def _counting_roots(monkeypatch):
@@ -431,7 +438,7 @@ class TestSolvesMatchReferenceRoot:
             monkeypatch,
             lambda: dc.solve_local(grid, ReactionSpec(gamma=gamma), boundary=(-kappa, kappa)),
         )
-        self._assert_within_tolerance(new, ref)
+        self._assert_identical(new, ref)
 
     def test_nonlocal_ramp(self, monkeypatch):
         # 63 unknowns, the campaign's size: the dense sweep is red-black
@@ -443,7 +450,7 @@ class TestSolvesMatchReferenceRoot:
         lanes = self._counting_roots(monkeypatch)
         new, ref = self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
         assert set(lanes) == {(n + 1) // 2, n // 2}
-        self._assert_within_tolerance(new, ref)
+        self._assert_identical(new, ref)
 
     def test_nonlocal_ramp_red_black(self, monkeypatch):
         # 127 unknowns: every dense root goes through roots, one call per colour
@@ -454,4 +461,4 @@ class TestSolvesMatchReferenceRoot:
         lanes = self._counting_roots(monkeypatch)
         new, ref = self._both(monkeypatch, lambda: dc.solve(op, g, ReactionSpec(gamma=0.2)))
         assert set(lanes) == {(n + 1) // 2, n // 2}
-        self._assert_within_tolerance(new, ref)
+        self._assert_identical(new, ref)

@@ -610,10 +610,9 @@ class TestRedBlackPolish:
             assert np.all((np.abs(out[tiny]) < 1e-100) & (1.0 + (out[tiny] - 1.0) != out[tiny]))
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_negated_data_gives_the_negated_solution(self, op_127, seed, monkeypatch):
+    def test_negated_data_gives_the_negated_solution(self, op_127, seed):
         # every operation of a colour step commutes with negation and the
         # root is odd, so the sweeps and the Newton steps are exactly negated
-        _forbid_sweeps(monkeypatch, ["gs_polish_dense"])
         g = random_ordered_pair(op_127.grid, np.random.default_rng(seed))[0]
         r1 = dc.solve(op_127, g, ReactionSpec(gamma=0.2))
         r2 = dc.solve(op_127, g.with_values(-g.values), ReactionSpec(gamma=0.2))
@@ -626,41 +625,26 @@ class TestRedBlackPolish:
         grid = make_grid(GridSpec(h=h, a=1.0, R=4.0))
         n = grid.interior.size
         op = dc.assemble(grid, 0.75)
-        counts = {"roots": [], "scalar_root": 0, "gs_polish_dense": 0, "gs_polish_red_black": 0}
-        roots, scalar_root, dense, red_black = (
-            solver.kernels.roots, solver.kernels.scalar_root, solver.kernels.gs_polish_dense,
-            solver.kernels.gs_polish_red_black,
-        )
+        counts = {"roots": [], "gs_polish_red_black": 0}
+        roots, red_black = solver.kernels.roots, solver.kernels.gs_polish_red_black
 
         def counting_roots(d, q, gamma, one_phase):
             counts["roots"].append(q.size)
             return roots(d, q, gamma, one_phase)
-
-        def counting_scalar_root(*args):
-            counts["scalar_root"] += 1
-            return scalar_root(*args)
-
-        def counting_dense(*args, **kwargs):
-            counts["gs_polish_dense"] += 1
-            return dense(*args, **kwargs)
 
         def counting_red_black(*args):
             counts["gs_polish_red_black"] += 1
             return red_black(*args)
 
         monkeypatch.setattr(solver.kernels, "roots", counting_roots)
-        monkeypatch.setattr(solver.kernels, "scalar_root", counting_scalar_root)
-        monkeypatch.setattr(solver.kernels, "gs_polish_dense", counting_dense)
         monkeypatch.setattr(solver.kernels, "gs_polish_red_black", counting_red_black)
         g = random_ordered_pair(grid, np.random.default_rng(3))[0]
         rep = dc.solve(op, g, ReactionSpec(gamma=0.2))
         assert rep.converged
-        # one path at every size: roots hands the odd lane out to
-        # scalar_root, but no sweep is per node
-        assert counts["gs_polish_dense"] == 0
+        # one path at every size: one red-black sweep per iteration, and one
+        # roots call per colour, which finds every lane itself
         assert counts["gs_polish_red_black"] == rep.iterations
         assert counts["roots"] == [(n + 1) // 2, n // 2] * rep.iterations
-        assert counts["scalar_root"] <= n * rep.iterations // 20
 
 
 def _campaign_data(h, n_pairs, seed=1001):
@@ -902,12 +886,11 @@ def test_import_loads_no_scipy_fft_or_sparse():
     assert out.stdout.strip() == "[]"
 
 
-def _forbid_sweeps(monkeypatch, names=("gs_polish_dense", "gs_polish_red_black")):
+def _forbid_sweeps(monkeypatch):
     def sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")
 
-    for name in names:
-        monkeypatch.setattr(solver.kernels, name, sweep)
+    monkeypatch.setattr(solver.kernels, "gs_polish_red_black", sweep)
 
 
 class TestNonFiniteData:

@@ -356,7 +356,7 @@ def random_ordered_pair(grid: Grid, rng: np.random.Generator) -> tuple[GridFunct
             c = rng.uniform(grid.a, grid.R)
             w = rng.uniform(0.3, 1.5)
             amp = rng.uniform(-1.0, 1.0)
-            sgn = rng.choice((-1.0, 1.0))
+            sgn = (-1.0, 1.0)[rng.integers(2)]  # rng.choice's draw, about 6x faster
             g += amp * np.exp(-(((np.abs(y) - c) / w) ** 2)) * np.where(y < 0, sgn, 1.0)
         return g
 

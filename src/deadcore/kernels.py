@@ -6,11 +6,12 @@ such update is an exact coordinate minimization of the convex energy, so
 sweeps never increase it.
 
 The red-black sweep ``gs_polish_red_black`` serves both of the solver's
-systems.  It takes the system's matvec and diagonal, and forms A u by one
-matvec.  Then it updates every even-index node at once, then every
-odd-index node: colour c takes the exact roots of q_c = d_c u_c - (A u)_c -
-b_c from the current A u, and A u then moves by A delta, one more matvec.
-So a sweep costs three matvecs.  In a tridiagonal matrix nodes of one
+systems.  It takes the system's matvec and diagonal, and the A u its caller
+formed at u (the solver's evaluation of u).  It updates every even-index
+node at once, then every odd-index node: colour c takes the exact roots of
+q_c = d_c u_c - (A u)_c - b_c from the current A u, and A u then moves by
+A delta, one matvec.  So a sweep costs two matvecs on top of the caller's
+A u.  In a tridiagonal matrix nodes of one
 colour are not coupled, so a colour step is an exact block coordinate
 minimization, and red-black order is consistently ordered (Young, 1971):
 Gauss-Seidel keeps the asymptotic rate of natural order.  In the dense
@@ -190,17 +191,17 @@ def _narrow(probes, lo, hi, d, q, gamma):
     return np.where(first > 0, probes[first - 1, lanes], lo), np.minimum(probes[first, lanes], hi)
 
 
-def gs_polish_red_black(matvec, d, b, u, gamma, one_phase):
+def gs_polish_red_black(matvec, d, b, u, Au, gamma, one_phase):
     """One in-place red-black sweep for the system A u + b + f(u) = 0; returns u.
 
-    matvec(v) is A v and d is A's diagonal (an array or one number).  The
-    sweep opens on A u = matvec(u).  Each colour c (even indices, then odd)
-    takes the exact roots of all its nodes at once, from the current A u,
-    and A u moves by A delta.  u and b may hold one system per row (K x N,
-    one lane each, sharing A): a colour then takes the roots of all lanes in
-    one ``roots`` call, and matvec must multiply each row by A.
+    matvec(v) is A v, d is A's diagonal (an array or one number) and Au is
+    A u at the u passed in.  Each colour c (even indices, then odd) takes
+    the exact roots of all its nodes at once, from the current A u, and A u
+    moves by A delta; u and Au are both updated in place.  u, b and Au may
+    hold one system per row (K x N, one lane each, sharing A): a colour then
+    takes the roots of all lanes in one ``roots`` call, and matvec must
+    multiply each row by A.
     """
-    Au = matvec(u)
     d = np.broadcast_to(d, u.shape)
     for c in (0, 1):
         uc, dc = u[..., c::2], d[..., c::2]

@@ -65,24 +65,30 @@ then a subsolution and truncation never increases the energy, so dJ is
 taken at the unclipped u + t delta.
 
 Each point is evaluated once: one matvec and one f(u) give its residual, its
-energy and Phi(u) = u f(u) / (1 + gamma), and the iterate carries them into
-the next iteration.  An iteration evaluates the smoothed iterate and the
-point its Newton step reaches; the line search needs one matvec A delta and
-no evaluation.  The local h = 2^-10 solve makes 27 evaluations in 13
-iterations and the nonlocal ramp at h = 2^-9 from the linear start 27 in
-13 (35 over the three levels of its nested solve, below).
+energy, Phi(u) = u f(u) / (1 + gamma) and A u, and the iterate carries them
+into the next iteration, where the sweep opens on that A u.  An iteration
+evaluates the smoothed iterate and the point its Newton step reaches; the
+line search needs one matvec A delta and no evaluation.  So an iteration
+that takes a Newton step makes five matvecs: two in the sweep, one per
+colour, two evaluations and A delta.  The evaluation forms a fresh A u
+rather than the sweep's updated one, which has drifted by round-off: the
+stopping rule's round-off floor holds for a product formed once.  The local
+h = 2^-10 solve makes 27 evaluations in 13 iterations and the nonlocal ramp
+at h = 2^-9 from the linear start 27 in 13 (35 over the three levels of its
+nested solve, below).
 
 Data sets that share an operator are solved as one batch (solve_many): u,
 b, r, f and J carry one row or entry per data set, a lane, and every lane
 runs the iteration above as if alone (_iterate).  The smoother takes the
 roots of one colour of all lanes in one kernels.roots call and multiplies
-each lane by A; the evaluations run on all lanes at once; the Newton step
-and its line search run lane by lane, on the same per-lane systems as a lone
-solve.  Lanes are not coupled and every operation acts on a lane's row as
-on a lone vector (one convolution, one BLAS dot or one pairwise sum per
-row), so a lane's iterates are those of its lone solve, bit for bit.  A
-lane that meets its stopping rule leaves the batch.  A lone solve is the
-batch of one.
+each lane by A; the evaluations run on all lanes at once, and so does the
+Newton step: its descent test, slope, curvature, line search and update act
+on every lane's row of one K x N stack.  Only the linear solve runs lane by
+lane, on the same per-lane system as a lone solve.  Lanes are not coupled
+and every operation acts on a lane's row as on a lone vector (one
+convolution, one BLAS dot or one pairwise sum per row), so a lane's
+iterates are those of its lone solve, bit for bit.  A lane that meets its
+stopping rule leaves the batch.  A lone solve is the batch of one.
 
 A nonlocal solve starts from its own coarse-grid solution (nested iteration:
 Brandt, Math. Comp. 31 (1977); Hackbusch, Multi-Grid Methods and
@@ -300,8 +306,16 @@ class _DenseSystem:
     _TridiagSystem.solve does: pinned nodes become identity rows and columns
     with a zero right-hand side, so their entries are exactly +0.0.  Below
     _PCG_MIN = 1023 unknowns the whole N x N matrix goes to one dense
-    Cholesky solve (LAPACK dposv) on a Fortran-order copy of the view, with
-    no gather; the factorisation costs N^3/3 whatever the free set.
+    Cholesky solve (LAPACK dposv), with no gather; the factorisation costs
+    N^3/3 whatever the free set.  The system keeps one Fortran-order N x N
+    work array, which dposv overwrites with its factor: each solve copies
+    the view in and writes the diagonal through a strided view of it; only
+    when a node is pinned does it zero rows and columns and mask the
+    right-hand side.  So a call allocates no N x N array: 20 us a call at
+    N = 63 against 28 us with a fresh copy, and 2.3 against 2.9 ms at
+    N = 511 (medians, one BLAS thread, a 2-core Xeon VM).  A batch of lanes shares it and solves lane by lane:
+    a K x N x N stack of the lanes' matrices would need 258 MB at 2000
+    lanes of 127 unknowns.
 
     From _PCG_MIN up no N x N array is built: the system is solved by
     preconditioned conjugate gradients (Strang, Stud. Appl. Math. 74 (1986);
@@ -340,7 +354,11 @@ class _DenseSystem:
         c = np.concatenate(([0.0], np.cumsum(np.abs(row[1:]))))
         self.abs_row_sum = float(abs(row[0]) + (c + c[::-1]).max())
         n = row.size
-        if n >= _PCG_MIN:
+        if n < _PCG_MIN:
+            # dposv's work array, which it overwrites, and a view of its diagonal
+            self._H = np.empty((n, n), order="F")
+            self._H_diagonal = self._H.reshape(-1, order="F")[:: n + 1]
+        else:
             # eigenvalues of the 2N circulant that embeds A and of A's Strang
             # circulant: real, as both circulants are symmetric
             self._embed_eig = np.fft.rfft(np.concatenate((row, [0.0], row[:0:-1]))).real
@@ -357,12 +375,17 @@ class _DenseSystem:
         """(A + diag(dd)) x = rhs on the free nodes; x is +0.0 on the others."""
         if self.row.size >= _PCG_MIN:
             return self._pcg(free, dd, rhs)
-        H = self.A.copy(order="F")
-        pinned = np.flatnonzero(~free)
-        H[pinned, :] = 0.0
-        H[:, pinned] = 0.0
-        np.fill_diagonal(H, np.where(free, self.row[0] + dd, 1.0))
-        _, x, info = dposv(H, np.where(free, rhs, 0.0), lower=1, overwrite_a=1)
+        H = self._H
+        H[...] = self.A
+        diagonal = self.diagonal + dd
+        if not free.all():
+            pinned = np.flatnonzero(~free)
+            H[pinned, :] = 0.0
+            H[:, pinned] = 0.0
+            diagonal[pinned] = 1.0
+            rhs = np.where(free, rhs, 0.0)
+        self._H_diagonal[...] = diagonal
+        _, x, info = dposv(H, rhs, lower=1, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dposv info = {info}: not positive definite")
         return x
@@ -443,18 +466,24 @@ def _dots(x, y):
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+def _rows(mask):
+    """An index of the rows where mask holds: a slice, with no copy, when it holds on all."""
+    return slice(None) if mask.all() else mask
+
+
 def _evaluate(system, b, h, v, gamma, one_phase):
-    """Residual A v + b + f(v), energy J(v) and f(v) from one matvec and one f(v).
+    """Residual A v + b + f(v), energy J(v), f(v) and A v from one matvec and one f(v).
 
     v and b may hold one lane per row (K x N); J then holds one energy per
-    lane.  Data that overflow give inf or NaN here, which the caller's
-    finiteness check reports, so numpy is not asked to warn about them.
+    lane.  A v is returned for the next sweep to open on.  Data that
+    overflow give inf or NaN here, which the caller's finiteness check
+    reports, so numpy is not asked to warn about them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         Av = system.matvec(v)
         f = reaction_value(v, gamma, one_phase)
         J = h * (_dots(0.5 * v, Av) + _dots(b, v) + (v * f / (1.0 + gamma)).sum(axis=-1))
-        return Av + b + f, J, f
+        return Av + b + f, J, f, Av
 
 
 def _dphi(u, step, phi, gamma, one_phase):
@@ -475,24 +504,64 @@ def _dphi(u, step, phi, gamma, one_phase):
 
 
 def _step(u, delta, phi, slope, curv, gamma, one_phase):
-    """The Newton step's line search.
+    """The Newton step's line search on a batch of lanes.
 
-    Returns the largest t = 2^-k (k < 40) with
+    u, delta and phi = Phi(u) hold one lane per row (K x N), slope =
+    delta.(A u + b) and curv = delta.A delta / 2 one entry per lane.
+    Returns, per lane, the largest t = 2^-k (k < 40) with
 
         dJ(t) = t slope + t^2 curv + sum(Phi(u + t delta) - Phi(u))  <=  0,
 
-    where slope = delta.(A u + b), curv = delta.A delta / 2 and phi = Phi(u)
-    over u's nodes, or 0.0 if no t passes.  h dJ(t) is J(u + t delta) -
-    J(u), and every term is formed as a difference (_dphi), so its sign is
-    not lost against |J| or Phi(u) even where the decrease lies many orders
-    of magnitude below one ulp of J.
+    summed over the lane's nodes, or 0.0 if no t passes.  h dJ(t) is
+    J(u + t delta) - J(u), and every term is formed as a difference (_dphi),
+    so its sign is not lost against |J| or Phi(u) even where the decrease
+    lies many orders of magnitude below one ulp of J.  Every open lane tries
+    the same t, and a lane leaves once its t passes, so each lane makes the
+    tests of its lone search; a row's sum is its own pairwise sum.
     """
+    out = np.zeros(slope.shape)
+    lanes = np.arange(slope.size)  # the lane of each open row
     t = 1.0
     for _ in range(40):
-        if t * slope + t * t * curv + _dphi(u, t * delta, phi, gamma, one_phase).sum() <= 0.0:
-            return t
+        ok = t * slope + t * t * curv + _dphi(u, t * delta, phi, gamma, one_phase).sum(axis=-1) <= 0.0
+        out[lanes[ok]] = t
+        if ok.all():
+            break
+        lanes, u, delta, phi, slope, curv = (a[~ok] for a in (lanes, u, delta, phi, slope, curv))
         t *= 0.5
-    return 0.0
+    return out
+
+
+def _newton(system, u, r, f, floor, gamma, one_phase):
+    """The truncated Newton step on every lane (row) of u, in place; returns whether any lane moved.
+
+    r and f are the residual and f(u) at u, floor each lane's clip.  Only
+    system.solve runs lane by lane.  A lane whose step fails the descent
+    test r.delta < 0 takes no line search and does not move, nor does one
+    whose line search finds no t.  The step's K x N temporaries are freed on
+    return, before the next sweep's roots calls, where a batch peaks.
+    """
+    free = np.abs(u) >= kernels._SNAP
+    dd = np.zeros_like(u)
+    dd[free] = gamma * np.abs(u[free]) ** (gamma - 1.0)
+    if one_phase:
+        dd = dd * (u > 0)
+    delta = np.empty_like(u)
+    for i in range(len(u)):
+        delta[i] = system.solve(free[i], dd[i], -r[i])
+    t = np.zeros(len(u))
+    down = _dots(r, delta) < 0.0  # the lanes whose step descends
+    if down.any():
+        k = _rows(down)
+        uk, dk = u[k], delta[k]
+        t[k] = _step(uk, dk, uk * f[k] / (1.0 + gamma), _dots(dk, r[k] - f[k]),
+                     0.5 * _dots(dk, system.matvec(dk)), gamma, one_phase)
+    moves = t > 0.0
+    moved = bool(moves.any())
+    if moved:
+        k = _rows(moves)
+        u[k] = np.maximum(u[k] + t[k, None] * delta[k], floor[k])
+    return moved
 
 
 def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, start=None):
@@ -505,15 +574,16 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
     Every lane meets its own stopping rule and then leaves the batch, frozen;
     it stops, not converged, at the first residual or energy that is not
     finite: data whose products overflow would otherwise pass the stopping
-    rule's round-off floor.  The smoother and the evaluations run on all
-    live lanes at once, the Newton step and its line search lane by lane;
-    every operation acts on each lane as on a lone one, so a lane's iterates
-    do not depend on the batch.  After the Newton steps every live lane is
-    evaluated again if any lane moved: a lane that did not move gets the
-    same bits again.
-    u travels with its residual r, energy J and f(u) (see the module
-    docstring).  system is a _DenseSystem or a _TridiagSystem; the
-    iteration uses only its matvec, diagonal, abs_row_sum and solve.
+    rule's round-off floor.  The smoother, the evaluations and the Newton
+    step (_newton) run on all live lanes at once; only system.solve runs
+    lane by lane.  Every operation acts on each lane as on a lone one, so a
+    lane's iterates do not depend on the batch.  After the Newton step every
+    live lane is evaluated again if any lane moved: a lane that did not move
+    gets the same bits again.
+    u travels with its residual r, energy J, f(u) and A u, on which the
+    next sweep opens (see the module docstring).  system is a _DenseSystem
+    or a _TridiagSystem; the iteration uses only its matvec, diagonal,
+    abs_row_sum and solve.
 
     One red-black sweep per iteration: with 1 and 2 sweeps the nested ramp
     took 0.062 and 0.063 s at h = 2^-9 and 0.135 and 0.149 s at 2^-10, and
@@ -528,7 +598,7 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
         every = np.ones(b.shape[1], dtype=bool)
         start = np.array([system.solve(every, np.zeros_like(row), -row) for row in b])
     u = np.maximum(start, floor)
-    r, J, f = _evaluate(system, b, h, u, gamma, one_phase)
+    r, J, f, Au = _evaluate(system, b, h, u, gamma, one_phase)
     lanes = list(range(b.shape[0]))  # the lane of each live row
     traces = [([], []) for _ in lanes]
     out = [None] * len(lanes)
@@ -548,28 +618,14 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
                 live.append(i)
         if not live:
             return out
-        lanes = [lanes[i] for i in live]
-        b, floor, u = b[live], floor[live], u[live]
+        if len(live) < len(lanes):
+            lanes = [lanes[i] for i in live]
+            b, floor, u, Au = b[live], floor[live], u[live], Au[live]
 
-        u = np.maximum(kernels.gs_polish_red_black(system.matvec, system.diagonal, b, u, gamma, one_phase), floor)
-        r, J, f = _evaluate(system, b, h, u, gamma, one_phase)
-        free = np.abs(u) >= kernels._SNAP
-        dd = np.zeros_like(u)
-        dd[free] = gamma * np.abs(u[free]) ** (gamma - 1.0)
-        if one_phase:
-            dd = dd * (u > 0)
-        moved = False
-        for i in range(len(lanes)):
-            delta = system.solve(free[i], dd[i], -r[i])
-            if not r[i] @ delta < 0.0:
-                continue
-            t = _step(u[i], delta, u[i] * f[i] / (1.0 + gamma), delta @ (r[i] - f[i]),
-                      0.5 * (delta @ system.matvec(delta)), gamma, one_phase)
-            if t > 0.0:
-                u[i] = np.maximum(u[i] + t * delta, floor[i])
-                moved = True
-        if moved:
-            r, J, f = _evaluate(system, b, h, u, gamma, one_phase)
+        u = np.maximum(kernels.gs_polish_red_black(system.matvec, system.diagonal, b, u, Au, gamma, one_phase), floor)
+        r, J, f, Au = _evaluate(system, b, h, u, gamma, one_phase)
+        if _newton(system, u, r, f, floor, gamma, one_phase):
+            r, J, f, Au = _evaluate(system, b, h, u, gamma, one_phase)
 
 
 def _beta(s: float, gamma: float) -> float:

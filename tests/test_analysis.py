@@ -338,6 +338,41 @@ class TestRandomOrderedPair:
         np.testing.assert_array_equal(a1[0].values, a2[0].values)
         np.testing.assert_array_equal(a1[1].values, a2[1].values)
 
+    @pytest.mark.parametrize("seed", [0, 5, 11, 1001, 2521])
+    def test_draws_the_pairs_of_rng_choice(self, seed):
+        # the signs are drawn by rng.integers(2), which takes from the stream
+        # what rng.choice((-1.0, 1.0)) takes: every pair of a campaign, and
+        # the stream after it, are those of a choice-based draw
+        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=4.0))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10):
+            pair, expected = random_ordered_pair(grid, rng), _choice_ordered_pair(grid, ref)
+            for g, e in zip(pair, expected):
+                assert np.array_equal(g.values.view(np.int64), e.view(np.int64))
+        assert rng.random() == ref.random()
+
+
+def _choice_ordered_pair(grid, rng):
+    """random_ordered_pair's exterior values as drawn with rng.choice for the signs."""
+
+    def bumps(y):
+        g = np.zeros_like(y)
+        for _ in range(3):
+            c = rng.uniform(grid.a, grid.R)
+            w = rng.uniform(0.3, 1.5)
+            amp = rng.uniform(-1.0, 1.0)
+            sgn = rng.choice((-1.0, 1.0))
+            g += amp * np.exp(-(((np.abs(y) - c) / w) ** 2)) * np.where(y < 0, sgn, 1.0)
+        return g
+
+    ye = grid.x[grid.exterior]
+    v1, v2 = np.zeros(grid.n), np.zeros(grid.n)
+    base = bumps(ye)
+    gap = 0.02 + 0.5 * bumps(ye) ** 2
+    v1[grid.exterior] = base
+    v2[grid.exterior] = base - gap
+    return v1, v2
+
 
 class TestCampaignAndSLimit:
     def test_small_campaign(self):

@@ -277,7 +277,7 @@ def _tridiag(A):
 def _red_black(system, b, u, gamma, one_phase, sweeps):
     """``sweeps`` calls of gs_polish_red_black on a tridiagonal system; returns u."""
     for _ in range(sweeps):
-        gs_polish_red_black(system.matvec, system.diagonal, b, u, gamma, one_phase)
+        gs_polish_red_black(system.matvec, system.diagonal, b, u, system.matvec(u), gamma, one_phase)
     return u
 
 
@@ -344,7 +344,7 @@ class TestNumpyKernelsMatchReferenceLoops:
             ref = self._red_black_loop(A, matvec, b, ref, 0.25, one_phase)
         u = u0.copy()
         for _ in range(3):
-            assert gs_polish_red_black(matvec, d, b, u, 0.25, one_phase) is u
+            assert gs_polish_red_black(matvec, d, b, u, matvec(u), 0.25, one_phase) is u
         np.testing.assert_array_equal(u, ref)
 
     @pytest.mark.parametrize("one_phase", [False, True])

@@ -199,8 +199,8 @@ class TestNonlocalSolve:
         k = grid.interior.size // 2 + 1
         sweep = solver.kernels.gs_polish_red_black
 
-        def subnormal_once(matvec, d, b, u, gamma, one_phase):
-            u = sweep(matvec, d, b, u, gamma, one_phase)
+        def subnormal_once(matvec, d, b, u, Au, gamma, one_phase):
+            u = sweep(matvec, d, b, u, Au, gamma, one_phase)
             if not steps:
                 u[..., k] = 5e-324
             return u
@@ -504,6 +504,26 @@ class TestDenseNewtonStep:
             with pytest.raises(np.linalg.LinAlgError):
                 system.solve(free, np.zeros(n), -np.ones(n))
 
+    @pytest.mark.parametrize("size", ["63", "255"])
+    def test_reused_work_array_gives_a_fresh_systems_bits(self, size, op_small, op_acceptance_08):
+        # dposv overwrites the system's one work array on every call: back to
+        # back calls whose free sets alternate, and pin nodes or not, must
+        # each give the bits of a fresh system's solve
+        row = {"63": op_small, "255": op_acceptance_08}[size].row
+        n = row.size
+        system = solver._DenseSystem(row)
+        rng = np.random.default_rng(13)
+        every, ends, block = np.ones(n, dtype=bool), np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        ends[[0, -1]] = False
+        block[n // 3 : n // 2] = False
+        for free in (every, block, every, ends, block, ends, every):
+            dd = 0.2 * np.abs(rng.standard_normal(n)) ** -0.8
+            rhs = rng.standard_normal(n)
+            x = system.solve(free, dd, rhs)
+            fresh = solver._DenseSystem(row).solve(free, dd, rhs)
+            assert np.array_equal(x.view(np.int64), fresh.view(np.int64))
+            assert np.all(x[~free] == 0.0) and not np.signbit(x[~free]).any()
+
     def test_pcg_builds_no_dense_matrix(self, op_2047):
         # a dense copy of A would take 33.5 MB
         n = op_2047.A.shape[0]
@@ -549,7 +569,7 @@ def _polish_case(case, op_acceptance_08):
 
 def _sweep(system, b, u, gamma, one_phase):
     """The solver's smoother: one red-black sweep of system, in place."""
-    return solver.kernels.gs_polish_red_black(system.matvec, system.diagonal, b, u, gamma, one_phase)
+    return solver.kernels.gs_polish_red_black(system.matvec, system.diagonal, b, u, system.matvec(u), gamma, one_phase)
 
 
 class TestRedBlackPolish:
@@ -858,19 +878,41 @@ class TestEnergyDifferenceLineSearch:
             assert abs(gi - ref) <= bound, (ui, xi, gi, ref)
 
     def test_step_lengths(self):
-        u = np.array([1.0, -2.0, 0.5])
+        # three cases, as the rows of one stack
+        u = np.array([[1.0, -2.0, 0.5], [1.0, 1.0, 1.0], [1.0, -2.0, 0.5]])
         delta = np.array([0.25, 0.5, -0.125])
-        phi = solver._phi(u, 0.2, False)
-        # an ascent: no t passes
-        assert solver._step(u, delta, phi, 1.0, 1.0, 0.2, False) == 0.0
-        # dJ(t) = -1.5 t + 0.5 t^2 + ((1 + t)^1.2 - 1) / 1.2 is +0.08 at t = 1
-        # and -0.10 at t = 1/2
-        one = np.ones(1)
-        assert solver._step(one, one, solver._phi(one, 0.2, False), -1.5, 0.5, 0.2, False) == 0.5
-        # a decrease far below one ulp of Phi(u) still passes at t = 1
         tiny = 1e-18 * delta
-        slope = -2.0 * abs(tiny @ solver.reaction_value(u, 0.2, False))
-        assert solver._step(u, tiny, phi, slope, 0.0, 0.2, False) == 1.0
+        steps = np.array([delta, [1.0, 0.0, 0.0], tiny])
+        phi = solver._phi(u, 0.2, False)
+        slope = np.array([1.0, -1.5, -2.0 * abs(tiny @ solver.reaction_value(u[2], 0.2, False))])
+        t = solver._step(u, steps, phi, slope, np.array([1.0, 0.5, 0.0]), 0.2, False)
+        # an ascent: no t passes
+        assert t[0] == 0.0
+        # only the first node moves: dJ(t) = -1.5 t + 0.5 t^2 + ((1 + t)^1.2 -
+        # 1) / 1.2 is +0.08 at t = 1 and -0.10 at t = 1/2
+        assert t[1] == 0.5
+        # a decrease far below one ulp of Phi(u) still passes at t = 1
+        assert t[2] == 1.0
+
+    @pytest.mark.parametrize("one_phase", [False, True], ids=["two_phase", "one_phase"])
+    def test_each_row_takes_its_lone_search(self, one_phase):
+        # rows of 63 nodes whose slope at t = 0 is -1 and whose curvatures
+        # make them halve 0, 1, 4, 7 and 14 times; the last row ascends, and
+        # no t passes
+        gamma, n = 0.2, 63
+        rng = np.random.default_rng(12)
+        u = rng.uniform(-2.0, 2.0, (6, n))
+        delta = 0.1 * rng.standard_normal((6, n))
+        phi = solver._phi(u, gamma, one_phase)
+        f_slope = np.array([d @ f for d, f in zip(delta, solver.reaction_value(u, gamma, one_phase))])
+        slope = -f_slope + np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 1.0])
+        curv = np.array([0.0, 1.0, 10.0, 100.0, 1e4, 0.0])
+        t = solver._step(u, delta, phi, slope, curv, gamma, one_phase)
+        lone = [solver._step(u[i : i + 1], delta[i : i + 1], phi[i : i + 1], slope[i : i + 1],
+                             curv[i : i + 1], gamma, one_phase)[0] for i in range(6)]
+        assert t.tolist() == lone
+        assert t[-1] == 0.0
+        assert t[:-1].tolist() == [1.0, 2.0**-1, 2.0**-4, 2.0**-7, 2.0**-14]
 
 
 def test_import_loads_no_scipy_fft_or_sparse():
@@ -938,8 +980,8 @@ class TestNonFiniteData:
         evaluate = solver._evaluate
 
         def nan_energy(*args):
-            r, J, f = evaluate(*args)
-            return np.zeros_like(r), np.full_like(J, np.nan), f
+            r, J, f, Av = evaluate(*args)
+            return np.zeros_like(r), np.full_like(J, np.nan), f, Av
 
         # a zero residual meets the stopping rule; the NaN energy must not count as converged
         monkeypatch.setattr(solver, "_evaluate", nan_energy)
@@ -1081,6 +1123,69 @@ class TestEachPointEvaluatedOnce:
         distinct = len(set(points))
         assert distinct > rep.iterations
         assert distinct == len(points)
+
+
+def _matvecs_per_iteration(monkeypatch, system_class, run):
+    """Count system_class.matvec calls per iteration of run(); returns (opening count, [(count, moved)]).
+
+    An iteration starts at its sweep; moved says whether its line search
+    moved any lane.  The opening count is that of the first evaluation.
+    """
+    counts = [[0, False]]  # [matvecs, moved] before the first sweep, then per iteration
+    matvec, sweep, step = system_class.matvec, solver.kernels.gs_polish_red_black, solver._step
+
+    def counting(self, v):
+        counts[-1][0] += 1
+        return matvec(self, v)
+
+    def marking(*args):
+        counts.append([0, False])
+        return sweep(*args)
+
+    def recording(*args):
+        t = step(*args)
+        counts[-1][1] |= bool((t > 0.0).any())
+        return t
+
+    monkeypatch.setattr(system_class, "matvec", counting)
+    monkeypatch.setattr(solver.kernels, "gs_polish_red_black", marking)
+    monkeypatch.setattr(solver, "_step", recording)
+    run()
+    (first, _), *iterations = counts
+    return first, [tuple(c) for c in iterations]
+
+
+class TestFiveMatvecsPerNewtonIteration:
+    """The sweep opens on the A u the last evaluation formed: an iteration
+    that takes a Newton step makes five matvecs, two in the sweep, two
+    evaluations and A delta for the line search."""
+
+    @pytest.mark.parametrize("case", ["dense", "lanes", "local"])
+    def test_matvec_count(self, case, op_small, monkeypatch):
+        reaction = ReactionSpec(gamma=0.2)
+        if case == "local":
+            kappa = dc.profile_coefficient(0.2)
+            grid = make_grid(GridSpec(h=2.0**-8, a=1.0, R=2.0))
+            system_class = solver._TridiagSystem
+
+            def run():
+                assert dc.solve_local(grid, reaction, boundary=(-kappa, kappa)).converged
+        else:
+            op = op_small
+            data = [dc.odd_exterior_builder(op.grid, "ramp", 2.0)]
+            if case == "lanes":
+                op, data = _campaign_data(2.0**-5, 4)
+            system_class = solver._DenseSystem
+
+            def run():
+                assert all(rep.converged for rep in dc.solve_many(op, data, reaction))
+
+        first, iterations = _matvecs_per_iteration(monkeypatch, system_class, run)
+        assert first == 1
+        newton = [count for count, moved in iterations if moved]
+        assert newton and newton == [5] * len(newton)
+        # an iteration whose step moves no lane: no second evaluation
+        assert all(count in (3, 4) for count, moved in iterations if not moved)
 
 
 class TestEnergyFunctions:

@@ -1,7 +1,10 @@
 """Empirical verification layer: core detection, exponent fits, rescaling,
 comparison and growth probes.
 
-All measurements work on grid functions; nothing here solves an equation.
+All measurements work on grid functions; nothing here solves an equation
+except the study drivers (comparison_campaign, s_limit_study), which call
+the solver.  The module only computes and writes no file; the command line
+(deadcore.cli) builds every output row from what it returns.
 Radii are snapped to lattice multiples of the spacing so that sup-over-ball
 values are reproducible and rescaling comparisons are exact where possible.
 """
@@ -44,9 +47,7 @@ __all__ = [
     "one_phase_branching_check",
     "SLimitRow",
     "s_limit_study",
-    "write_exponent_csv",
-    "write_branching_csv",
-    "write_slimit_csv",
+    "vanishing",
 ]
 
 _SMALL_SUP = 1e-8  # pragmatic smallness scale for the growth probe's assertion
@@ -74,7 +75,7 @@ def detect_branching(
     if thresholds is None:
         thresholds = _default_thresholds(u.grid.h, s, gamma)
     t0, t1, t2 = thresholds
-    v0, v1, v2 = np.abs(_vanishing(u))
+    v0, v1, v2 = np.abs(vanishing(u))
     cand = (v0 <= t0) & (v1 <= t1) & (v2 <= t2)
     if not cand.any():
         return np.array([])
@@ -89,7 +90,7 @@ def _default_thresholds(h: float, s: float, gamma: float) -> tuple[float, float,
     return 10 * h**beta, 10 * h ** (beta - 1), 10 * h ** (beta - 2)
 
 
-def _vanishing(u: GridFunction, points=None) -> np.ndarray:
+def vanishing(u: GridFunction, points=None) -> np.ndarray:
     """Rows u, Du, D2u: at the interior nodes, or at the node nearest each of ``points``."""
     if points is None:
         idx = u.grid.interior
@@ -337,7 +338,7 @@ def one_phase_branching_check(report: SolveReport) -> bool:
     if report.free_boundary is None:
         raise ValueError("no free boundary")
     u = report.solution
-    v = _vanishing(u, [report.free_boundary])[:, 0]
+    v = vanishing(u, [report.free_boundary])[:, 0]
     return bool((np.abs(v) <= _default_thresholds(u.grid.h, report.s, report.gamma)).all())
 
 
@@ -451,32 +452,3 @@ def s_limit_study(
         fit = fit_growth_exponent(rep.solution, 0.0)
         rows.append(SLimitRow(s=float(s), distance=d, slope=fit.slope))
     return rows, local_rep
-
-
-def write_exponent_csv(path: str, rows) -> None:
-    """Rows of (s, gamma, x0, ExponentFit) as the exponent-study CSV."""
-    with open(path, "w") as fh:
-        fh.write("s,gamma,x0,slope,target,relative_gap,r2\n")
-        for s, gamma, x0, fit in rows:
-            target = growth_exponent(s, gamma) - fit.deriv_order
-            gap = abs(fit.slope - target) / target
-            fh.write(
-                f"{s:.17g},{gamma:.17g},{x0:.17g},{fit.slope:.17g},"
-                f"{target:.17g},{gap:.17g},{fit.r2:.17g}\n"
-            )
-
-
-def write_branching_csv(path: str, u: GridFunction, points: np.ndarray) -> None:
-    """Detected branching points with their vanishing quantities."""
-    rows = _vanishing(u, points)
-    with open(path, "w") as fh:
-        fh.write("x0,u,du,d2u\n")
-        for x0, (v, dv, d2v) in zip(points, rows.T):
-            fh.write(f"{x0:.17g},{v:.17g},{dv:.17g},{d2v:.17g}\n")
-
-
-def write_slimit_csv(path: str, rows: list[SLimitRow]) -> None:
-    with open(path, "w") as fh:
-        fh.write("s,distance,slope\n")
-        for row in rows:
-            fh.write(f"{row.s:.17g},{row.distance:.17g},{row.slope:.17g}\n")

@@ -3,6 +3,9 @@
 Every run takes one or more line-oriented config files (``key = value``,
 ``#`` comments) and writes CSV outputs plus a key=value metadata sidecar
 into the output directory, with file names derived from the config stem.
+The runners build every row and item of those files from what the library
+returns; grid.write_lines writes them, and grid.format_field formats every
+field.
 
 Each value is parsed once, by its key's parser in _KEYS, and a mode's
 runner gets the parsed values.  Every key a mode accepts is parsed and
@@ -28,8 +31,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, profiles
-from .fraclap import assemble, check_order
-from .grid import GridFunction, GridSpec, TailModel, make_grid
+from .fraclap import assemble, check_order, check_tail
+from .grid import GridFunction, GridSpec, TailModel, format_field, make_grid, write_lines
 from .solver import REACTION_MODES, ReactionSpec, SolverConfig, check_finite, local_operator, solve, solve_local
 
 __all__ = ["main"]
@@ -166,6 +169,8 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
     if mode in ("exponent", "validate"):
         # without a grid, validate has no node count to bound fit_k by
         analysis.check_fit(p.fit_k, p.deriv_order, p.spec.n_nodes if p.spec else p.fit_k)
+    if p.s is not None:  # every mode that takes s and tail; a zero tail passes
+        check_tail(p.tail, p.s)
     if mode == "validate":
         return p
     p.reaction = ReactionSpec(gamma=p.gamma, mode=p.mode)
@@ -203,11 +208,27 @@ def _solved(p, path):
     return report
 
 
+def _write_meta(path, report, **extra) -> None:
+    """A run's .meta: the report's fields, free_boundary when present, then the extras sorted by key."""
+    items = [
+        ("s", report.s),
+        ("gamma", report.gamma),
+        ("mode", report.mode),
+        ("residual", report.residual_inf),
+        ("iterations", report.iterations),
+        ("energy", report.energy),
+        ("converged", report.converged),
+    ]
+    if report.free_boundary is not None:
+        items.append(("free_boundary", report.free_boundary))
+    write_lines(path, items + sorted(extra.items()), sep="=")
+
+
 def _run_solve(p, path, out_dir, stem, seed):
     report = _solved(p, path)
     name = os.path.join(out_dir, f"{stem}_{'solve-local' if p.local else 'solve'}")
     report.solution.to_csv(f"{name}.csv")
-    report.write_sidecar(f"{name}.meta", extra={"seed": seed})
+    _write_meta(f"{name}.meta", report, seed=seed)
 
 
 def _run_exponent(p, path, out_dir, stem, seed):
@@ -219,26 +240,26 @@ def _run_exponent(p, path, out_dir, stem, seed):
     fit = analysis.fit_growth_exponent(
         u, x0, r_min=p.fit_rmin, r_max=p.fit_rmax, k=p.fit_k, deriv_order=p.deriv_order
     )
-    analysis.write_exponent_csv(
-        os.path.join(out_dir, f"{stem}_exponent.csv"), [(s, gamma, x0, fit)]
+    target = profiles.growth_exponent(s, gamma) - fit.deriv_order
+    write_lines(
+        os.path.join(out_dir, f"{stem}_exponent.csv"),
+        [
+            ("s", "gamma", "x0", "slope", "target", "relative_gap", "r2"),
+            (s, gamma, x0, fit.slope, target, abs(fit.slope - target) / target, fit.r2),
+        ],
     )
-    analysis.write_branching_csv(
-        os.path.join(out_dir, f"{stem}_branching.csv"), u, points
+    write_lines(
+        os.path.join(out_dir, f"{stem}_branching.csv"),
+        [("x0", "u", "du", "d2u"), *zip(points, *analysis.vanishing(u, points))],
     )
-    report.write_sidecar(
-        os.path.join(out_dir, f"{stem}_exponent.meta"),
-        extra={"seed": seed, "slope": f"{fit.slope:.17g}", "r2": f"{fit.r2:.17g}"},
-    )
+    _write_meta(os.path.join(out_dir, f"{stem}_exponent.meta"), report, seed=seed, slope=fit.slope, r2=fit.r2)
 
 
 def _run_blowup(p, path, out_dir, stem, seed):
     report = _solved(p, path)
     v = analysis.blow_up(report.solution, p.x0, p.r, report.s, report.gamma)
     v.to_csv(os.path.join(out_dir, f"{stem}_blowup.csv"))
-    report.write_sidecar(
-        os.path.join(out_dir, f"{stem}_blowup.meta"),
-        extra={"seed": seed, "r": p.text["r"]},
-    )
+    _write_meta(os.path.join(out_dir, f"{stem}_blowup.meta"), report, seed=seed, r=p.text["r"])
 
 
 def _run_compare(p, path, out_dir, stem, seed):
@@ -247,15 +268,16 @@ def _run_compare(p, path, out_dir, stem, seed):
     )
     if not all(t.converged for t in trials):
         raise SolveFailure(f"{path}: a campaign solve did not converge")
-    with open(os.path.join(out_dir, f"{stem}_compare.csv"), "w") as fh:
-        fh.write("pair,violation,passed\n")
-        for t in trials:
-            fh.write(f"{t.pair},{t.violation:.17g},{str(t.passed).lower()}\n")
+    write_lines(
+        os.path.join(out_dir, f"{stem}_compare.csv"),
+        [("pair", "violation", "passed"), *((t.pair, t.violation, t.passed) for t in trials)],
+    )
     failures = sum(not t.passed for t in trials)
-    with open(os.path.join(out_dir, f"{stem}_compare.meta"), "w") as fh:
-        fh.write(f"pairs={len(trials)}\n")
-        fh.write(f"failures={failures}\n")
-        fh.write(f"seed={seed}\n")
+    write_lines(
+        os.path.join(out_dir, f"{stem}_compare.meta"),
+        [("pairs", len(trials)), ("failures", failures), ("seed", seed)],
+        sep="=",
+    )
 
 
 def _run_liouville(p, path, out_dir, stem, seed):
@@ -263,17 +285,13 @@ def _run_liouville(p, path, out_dir, stem, seed):
     probe = analysis.liouville_probe(
         report.solution, report.s, report.gamma, from_solver=True
     )
-    with open(os.path.join(out_dir, f"{stem}_liouville.csv"), "w") as fh:
-        fh.write("r,q\n")
-        for r, q in zip(probe.radii, probe.q):
-            fh.write(f"{r:.17g},{q:.17g}\n")
-    report.write_sidecar(
+    write_lines(os.path.join(out_dir, f"{stem}_liouville.csv"), [("r", "q"), *zip(probe.radii, probe.q)])
+    _write_meta(
         os.path.join(out_dir, f"{stem}_liouville.meta"),
-        extra={
-            "seed": seed,
-            "classification": probe.classification,
-            "asserted_small": str(probe.asserted_small).lower(),
-        },
+        report,
+        seed=seed,
+        classification=probe.classification,
+        asserted_small=probe.asserted_small,
     )
 
 
@@ -283,32 +301,27 @@ def _run_slimit(p, path, out_dir, stem, seed):
     )
     if not local_rep.converged:
         raise SolveFailure(f"{path}: local reference solve did not converge")
-    analysis.write_slimit_csv(os.path.join(out_dir, f"{stem}_slimit.csv"), rows)
-    local_rep.write_sidecar(
-        os.path.join(out_dir, f"{stem}_slimit.meta"),
-        extra={"seed": seed, "s_list": p.text["s_list"]},
+    write_lines(
+        os.path.join(out_dir, f"{stem}_slimit.csv"),
+        [("s", "distance", "slope"), *((row.s, row.distance, row.slope) for row in rows)],
     )
+    _write_meta(os.path.join(out_dir, f"{stem}_slimit.meta"), local_rep, seed=seed, s_list=p.text["s_list"])
 
 
 def _run_validate(p, path, out_dir, stem, seed):
     rep = profiles.validate_params(p.s, p.gamma)
-    lines = []
-    for err in rep.errors:
-        lines.append(f"status=error message={err}")
-    for warn in rep.warnings:
-        lines.append(f"status=warning message={warn}")
+    lines = [f"status=error message={err}" for err in rep.errors]
+    lines += [f"status=warning message={warn}" for warn in rep.warnings]
     for row in rep.rows:
-        nu = "indeterminate" if row.nu is None else str(row.nu)
-        lines.append(
-            f"status=ok s={row.s:.17g} gamma={row.gamma:.17g} "
-            f"growth={row.growth:.17g} schauder={row.schauder:.17g} nu={nu}"
-        )
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+        nu = "indeterminate" if row.nu is None else row.nu
+        fields = dict(status="ok", s=row.s, gamma=row.gamma, growth=row.growth, schauder=row.schauder, nu=nu)
+        lines.append(" ".join(f"{key}={format_field(value)}" for key, value in fields.items()))
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
     if out_dir is not None:
-        with open(os.path.join(out_dir, f"{stem}_validate.meta"), "w") as fh:
-            fh.write(text)
-            fh.write(f"seed={seed}\n")
+        # each status line is one field; the seed is a (key, value) item
+        write_lines(
+            os.path.join(out_dir, f"{stem}_validate.meta"), [*((line,) for line in lines), ("seed", seed)], sep="="
+        )
     if rep.errors:
         raise ConfigError(f"{path}: invalid parameters")
 

@@ -25,6 +25,7 @@ __all__ = [
     "FracLapOperator",
     "assemble",
     "check_order",
+    "check_tail",
     "tail_norm",
     "tail_influence_bound",
 ]
@@ -160,7 +161,8 @@ class FracLapOperator:
         return B
 
     def tail_load(self, tail: TailModel) -> np.ndarray:
-        """Interior contribution of data beyond R described by ``tail``."""
+        """Interior contribution of data beyond R described by ``tail``; it must pass check_tail."""
+        check_tail(tail, self.s)
         if tail.kind == "zero":
             return np.zeros(self.grid.interior.size)
         if tail.kind == "const":
@@ -213,6 +215,16 @@ def check_order(s: float, h: float | None = None) -> None:
         finite = False
     if not finite:
         raise ValueError(f"h = {h:.17g} is too small for s = {s:.17g}: h^(-2s) overflows")
+
+
+def check_tail(tail: TailModel, s: float) -> None:
+    """Raise ValueError unless data beyond R described by ``tail`` has a finite load at order s.
+
+    A power tail c|y|^(-p) loads the interior with the integral of
+    c|y|^(-p) |x - y|^(-1-2s) over |y| > R, which is finite only for p > -2s.
+    """
+    if tail.kind == "power" and not tail.p > -2 * s:
+        raise ValueError(f"power tail p = {tail.p:.17g} grows too fast for s = {s:.17g}: it needs p > -2s")
 
 
 def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
@@ -270,8 +282,7 @@ def tail_norm(u: GridFunction, s: float) -> float:
     if not (0.0 < s < 1.0):
         raise ValueError("s must lie in (0, 1)")
     tail = u.tail
-    if tail.kind == "power" and tail.p <= -2 * s:
-        raise ValueError("power tail grows too fast for the weight to be integrable")
+    check_tail(tail, s)
     x, v = u.grid.x, u.values
     w = np.abs(v) / (1.0 + np.abs(x) ** (1 + 2 * s))
     h = u.grid.h
@@ -289,6 +300,7 @@ def tail_influence_bound(op: FracLapOperator, u: GridFunction) -> float:
     by (1 + R^(-1-2s)) to trade the weight denominator for |y|^(1+2s).
     """
     s = op.s
+    check_tail(u.tail, s)
     a, R = op.grid.a, op.grid.R
     # zero tails carry c = 0 and const tails p = 0
     tail_part = _tail_weight_integral(abs(u.tail.c), u.tail.p, R, s)

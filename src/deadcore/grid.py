@@ -25,6 +25,8 @@ __all__ = [
     "holder_seminorm",
     "mask_runs",
     "dead_core_interval",
+    "format_field",
+    "write_lines",
 ]
 
 _INT_TOL = 1e-9
@@ -187,6 +189,26 @@ class TailModel:
         return float(np.sign(self.c)) * np.inf
 
 
+def format_field(value) -> str:
+    """One field of an output file: a float as .17g, which round-trips; a
+    bool or None in lower case; anything else as str."""
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_lines(path: str, rows, sep: str = ",") -> None:
+    """Write one line per row: its fields through format_field, joined by sep.
+
+    Every file deadcore writes goes through here: a CSV's rows with sep ","
+    and a .meta file's (key, value) items with sep "=".
+    """
+    with open(path, "w") as fh:
+        fh.writelines(sep.join(map(format_field, row)) + "\n" for row in rows)
+
+
 @dataclass
 class GridFunction:
     """Nodal values on a grid together with a tail model.
@@ -218,11 +240,7 @@ class GridFunction:
 
     def to_csv(self, path: str) -> None:
         """Write ``# tail=...`` comment, ``x,u`` header, one node per row."""
-        with open(path, "w") as fh:
-            fh.write(f"# tail={self.tail.encode()}\n")
-            fh.write("x,u\n")
-            for xi, ui in zip(self.grid.x, self.values):
-                fh.write(f"{xi:.17g},{ui:.17g}\n")
+        write_lines(path, [(f"# tail={self.tail.encode()}",), ("x", "u"), *zip(self.grid.x, self.values)])
 
     @classmethod
     def from_csv(cls, path: str, a: float) -> "GridFunction":

@@ -8,7 +8,9 @@ the Euler-Lagrange equation of the strictly convex energy
 
     J(u) = h * ( u.A u / 2 + b.u + sum_i Phi(u_i) ),
 
-and reports expose the full energy trace.
+and reports expose the full energy trace.  The module only computes and
+writes no file; the command line (deadcore.cli) turns a SolveReport into
+its output files.
 
 Each iteration is one step of a one-level truncated nonsmooth Newton
 multigrid (TNNMG) scheme (Graeser & Kornhuber, J. Comput. Math. 27 (2009);
@@ -230,25 +232,6 @@ class SolveReport:
     gamma: float
     mode: str
     free_boundary: float | None = None
-
-    def write_sidecar(self, path: str, extra: dict | None = None) -> None:
-        """Key=value metadata lines next to a solution CSV."""
-        items = [
-            ("s", f"{self.s:.17g}"),
-            ("gamma", f"{self.gamma:.17g}"),
-            ("mode", self.mode),
-            ("residual", f"{self.residual_inf:.17g}"),
-            ("iterations", str(self.iterations)),
-            ("energy", f"{self.energy:.17g}"),
-            ("converged", str(self.converged).lower()),
-        ]
-        if self.free_boundary is not None:
-            items.append(("free_boundary", f"{self.free_boundary:.17g}"))
-        for key in sorted(extra or {}):
-            items.append((key, str((extra or {})[key])))
-        with open(path, "w") as fh:
-            for key, value in items:
-                fh.write(f"{key}={value}\n")
 
 
 def check_finite(*values) -> None:
@@ -774,7 +757,7 @@ def solve_local(
 
     boundary gives the Dirichlet values at -a and +a.  The report's exterior
     values continue the boundary values as plateaus; they do not enter the
-    local operator.  The sidecar records s = 1 for local runs.  Non-finite
+    local operator.  The report's s is 1 for local runs.  Non-finite
     boundary values raise ValueError (check_finite).
     """
     uL, uR = float(boundary[0]), float(boundary[1])

@@ -21,10 +21,9 @@ from deadcore.analysis import (
     dead_core_interval,
     fit_radii,
     random_ordered_pair,
-    write_branching_csv,
-    write_exponent_csv,
-    write_slimit_csv,
+    vanishing,
 )
+from deadcore.cli import main
 
 
 class TestDeadCoreInterval:
@@ -424,33 +423,59 @@ class TestCampaignAndSLimit:
         assert d[2] < d[0] / 10
 
 
-class TestCsvWriters:
-    def test_exponent_csv(self, tmp_path):
-        grid = make_grid(GridSpec(h=1 / 256, a=1.0, R=2.0))
-        u = dc.exact_local_profile(grid, 0.2)
-        fit = dc.fit_growth_exponent(u, 0.0)
-        path = tmp_path / "exp.csv"
-        write_exponent_csv(path, [(1.0, 0.2, 0.0, fit)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "s,gamma,x0,slope,target,relative_gap,r2"
-        fields = lines[1].split(",")
-        assert float(fields[3]) == pytest.approx(fit.slope)
-        assert float(fields[4]) == pytest.approx(2.5)
+def _csv_rows(tmp_path, command, name, **keys):
+    """Run ``deadcore command`` on a config of ``keys``: the rows of its output ``run_<name>.csv``."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    header, *rows = (tmp_path / "out" / f"run_{name}.csv").read_text().splitlines()
+    return header, [[float(field) for field in row.split(",")] for row in rows]
 
-    def test_branching_csv(self, tmp_path):
-        grid = make_grid(GridSpec(h=1 / 256, a=1.0, R=2.0))
-        u = dc.exact_local_profile(grid, 0.2)
-        pts = dc.detect_branching(u, 1.0, 0.2)
-        path = tmp_path / "branch.csv"
-        write_branching_csv(path, u, pts)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x0,u,du,d2u"
-        assert len(lines) == 1 + pts.size
+
+KAPPA = dc.profile_coefficient(0.2)  # u(+-1) = +-KAPPA: the local solution is the exact profile
+
+
+class TestCsvWriters:
+    """The CLI's CSV files hold the library's values: .17g round-trips, so each field is exact."""
+
+    @pytest.fixture(scope="class")
+    def local_exponent(self):
+        grid = make_grid(GridSpec(h=1 / 128, a=1.0, R=2.0))
+        rep = dc.solve_local(grid, ReactionSpec(gamma=0.2), boundary=(-KAPPA, KAPPA))
+        pts = dc.detect_branching(rep.solution, rep.s, 0.2)
+        return rep, pts
+
+    def _run_exponent(self, tmp_path, name):
+        return _csv_rows(
+            tmp_path, "exponent", name, h="1/128", a="1", R="2", gamma="0.2",
+            operator="local", left=-KAPPA, right=KAPPA,
+        )
+
+    def test_exponent_csv(self, tmp_path, local_exponent):
+        rep, pts = local_exponent
+        x0 = float(pts[np.argmin(np.abs(pts))])  # the point nearest the config's x0 = 0
+        fit = dc.fit_growth_exponent(rep.solution, x0)
+        target = dc.growth_exponent(rep.s, 0.2) - fit.deriv_order
+        header, rows = self._run_exponent(tmp_path, "exponent")
+        assert header == "s,gamma,x0,slope,target,relative_gap,r2"
+        assert rows == [[rep.s, 0.2, x0, fit.slope, target, abs(fit.slope - target) / target, fit.r2]]
+        assert rows[0][4] == pytest.approx(2.5)
+
+    def test_branching_csv(self, tmp_path, local_exponent):
+        rep, pts = local_exponent
+        assert pts.size >= 1
+        header, rows = self._run_exponent(tmp_path, "branching")
+        assert header == "x0,u,du,d2u"
+        assert len(rows) == pts.size
+        assert rows == [[x0, *v] for x0, v in zip(pts, vanishing(rep.solution, pts).T)]
 
     def test_slimit_csv(self, tmp_path):
-        rows = [SLimitRow(s=0.9, distance=0.5, slope=2.1)]
-        path = tmp_path / "slimit.csv"
-        write_slimit_csv(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "s,distance,slope"
-        assert lines[1].startswith("0.9")
+        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
+        g = dc.odd_exterior_builder(grid, "ramp", 4.0)
+        expect, _ = dc.s_limit_study(grid, [0.9, 0.95], ReactionSpec(gamma=0.2), g)
+        header, rows = _csv_rows(
+            tmp_path, "slimit", "slimit", h="1/64", a="1", R="2", gamma="0.2", s_list="0.9, 0.95", amplitude="4"
+        )
+        assert header == "s,distance,slope"
+        assert rows == [[row.s, row.distance, row.slope] for row in expect]
+        assert rows[0][0] == 0.9

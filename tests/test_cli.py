@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deadcore import cli
-from deadcore.cli import _KEYS, ConfigError, main, read_config
+from deadcore.cli import _KEYS, MODES, ConfigError, main, read_config
 
 
 def write_config(path, **keys):
@@ -159,6 +159,8 @@ class TestAnyConfigText:
     @given(text=_CONFIG_TEXT)
     @example(text="s = 0.75\ngamma = 0.2\nh = 1/0\na = 1\n")
     @example(text="s = 0.75\ngamma = 0.2\nh = 1e-320\na = 1\n")
+    @example(text="s = 0.75\ngamma = 0.2\nh = 1/16\na = 1\nR = 2\ntail = power:1,-1.5\n")
+    @example(text="s = 0.75\ngamma = 0.2\nh = 1/16\na = 1\nR = 2\ntail = power:1,-2\n")
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_exit_code_is_0_2_or_3(self, text):
         with tempfile.TemporaryDirectory() as tmp:
@@ -433,14 +435,56 @@ class TestDryRunMatchesTheRun:
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("p", ["-1.5", "-2"], ids=["p=-2s", "p<-2s"])
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--dry-run"], ["validate"]], ids=["run", "dry-run", "validate"])
+def test_power_tail_without_finite_load_exits_2(tmp_path, capsys, argv, p):
+    # at s = 0.75 a power tail needs p > -1.5: the run used to die with a
+    # ZeroDivisionError (p = -1.5) or converge on a meaningless load (p = -2)
+    cfg = write_config(tmp_path / "c.cfg", **SOLVE_KEYS, tail=f"power:1,{p}")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "grows too fast" in captured.err and "Traceback" not in captured.err
+    assert "status=ok" not in captured.out
+    assert not out.exists()
+
+
+_REPORT_KEYS = ["s", "gamma", "mode", "residual", "iterations", "energy", "converged"]
+# mode: (a tiny config, the extras of its .meta); validate and compare write no report
+_TINY = {
+    "solve": (SOLVE_KEYS, {"seed"}),
+    "solve-local": (dict(h="1/16", a="4", R="8", gamma="0.2", mode="one_phase", left="0", right="1"), {"seed"}),
+    "exponent": (_BASES["exponent"], {"seed", "slope", "r2"}),
+    "blowup": (_BASES["blowup"], {"seed", "r"}),
+    "compare": (_BASES["compare"], None),
+    "liouville": (_BASES["liouville"], {"seed", "classification", "asserted_small"}),
+    "slimit": (dict(h="1/32", a="2", R="4", gamma="0.2", s_list="0.75,0.9", amplitude="4"), {"seed", "s_list"}),
+    "validate": (SOLVE_KEYS, None),
+}
+
+
 class TestDeterminism:
-    def test_repeat_runs_are_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path / "run.cfg", **SOLVE_KEYS)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "run_solve.csv").read_bytes() == (out2 / "run_solve.csv").read_bytes()
-        assert (out1 / "run_solve.meta").read_bytes() == (out2 / "run_solve.meta").read_bytes()
+    def test_repeat_runs_are_byte_identical(self, tmp_path, capsys):
+        for mode in MODES:  # each run twice, on a tiny config
+            keys, extras = _TINY[mode]
+            cfg = write_config(tmp_path / "run.cfg", **keys)
+            out1, out2 = tmp_path / mode / "o1", tmp_path / mode / "o2"
+            assert main([mode, "--config", cfg, "--out", str(out1), "--seed", "5"]) == 0, mode
+            assert main([mode, "--config", cfg, "--out", str(out2), "--seed", "5"]) == 0, mode
+            names = sorted(os.listdir(out1))
+            assert names == sorted(os.listdir(out2)) and f"run_{mode}.meta" in names, mode
+            for name in names:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+            meta = (out1 / f"run_{mode}.meta").read_text().splitlines()
+            meta_keys = [line.split("=", 1)[0] for line in meta]
+            if mode == "compare":
+                assert meta_keys == ["pairs", "failures", "seed"]
+            elif mode == "validate":
+                assert meta_keys[:-1] == ["status"] * (len(meta) - 1) and meta[-1] == "seed=5"
+            else:
+                # the report's keys, free_boundary when present, then the extras sorted
+                fb = ["free_boundary"] if mode == "solve-local" else []
+                assert meta_keys == _REPORT_KEYS + fb + sorted(extras), mode
 
 
 class TestJobs:

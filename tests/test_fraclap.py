@@ -278,6 +278,20 @@ class TestTailNorm:
             tail_norm(u, 1.0)
 
 
+@pytest.mark.parametrize("p", [-1.5, -2.0], ids=["p=-2s", "p<-2s"])
+def test_power_tail_without_finite_load_is_rejected(op_mid, p):
+    # at s = 0.75 the load of c|y|^(-p) beyond R is finite only for p > -1.5;
+    # p = -1.5 used to divide by zero and p = -2 to give a meaningless load
+    u = GridFunction(op_mid.grid, dc.odd_exterior_builder(op_mid.grid, "ramp", 1.0).values, TailModel.power(1.0, p))
+    for call in (
+        lambda: dc.solve(op_mid, u, dc.ReactionSpec(gamma=0.2)),
+        lambda: op_mid.load_vector(u),
+        lambda: tail_influence_bound(op_mid, u),
+    ):
+        with pytest.raises(ValueError, match="grows too fast"):
+            call()
+
+
 class TestTailInfluenceBound:
     @pytest.mark.parametrize("tail", [TailModel.const(0.5), TailModel.power(1.0, 1.0)])
     def test_dominates_actual_load(self, tail):

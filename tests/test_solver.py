@@ -21,6 +21,7 @@ from deadcore import (
 )
 from deadcore import solver
 from deadcore.analysis import random_ordered_pair
+from deadcore.cli import main
 
 
 class TestValidation:
@@ -1206,20 +1207,38 @@ class TestEnergyFunctions:
 
 
 class TestSidecar:
+    """The .meta file the CLI writes for a solve holds the report's values, each exact (.17g round-trips)."""
+
+    @staticmethod
+    def _meta(tmp_path, command, **keys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / f"run_{command}.meta").read_text()
+        return dict(line.split("=", 1) for line in text.strip().splitlines())
+
+    @staticmethod
+    def _assert_report_fields(lines, rep):
+        for key, value in (
+            ("s", rep.s), ("gamma", rep.gamma), ("residual", rep.residual_inf),
+            ("iterations", rep.iterations), ("energy", rep.energy),
+        ):
+            assert float(lines[key]) == value, key
+        assert lines["mode"] == rep.mode
+        assert lines["converged"] == str(rep.converged).lower()
+
     def test_keys_and_extras(self, op_small, tmp_path):
         grid = op_small.grid
         g = dc.odd_exterior_builder(grid, "ramp", 1.0)
         rep = dc.solve(op_small, g, ReactionSpec(gamma=0.2))
-        path = tmp_path / "run.meta"
-        rep.write_sidecar(path, extra={"seed": "0", "amplitude": "1"})
-        text = path.read_text()
-        lines = dict(line.split("=", 1) for line in text.strip().splitlines())
+        lines = self._meta(tmp_path, "solve", h="1/32", a="1", R="2", s="0.75", gamma="0.2", amplitude="1")
         for key in ("s", "gamma", "mode", "residual", "iterations", "energy", "converged"):
             assert key in lines
         assert "threads" not in lines
         assert lines["mode"] == "two_phase"
         assert lines["seed"] == "0"
         assert float(lines["s"]) == 0.75
+        self._assert_report_fields(lines, rep)
 
     def test_free_boundary_written_when_present(self, tmp_path):
         grid = make_grid(GridSpec(h=1 / 64, a=4.0, R=8.0))
@@ -1227,6 +1246,8 @@ class TestSidecar:
             grid, ReactionSpec(gamma=0.2, mode="one_phase"), boundary=(0.0, 1.0)
         )
         assert rep.free_boundary is not None
-        path = tmp_path / "run.meta"
-        rep.write_sidecar(path)
-        assert "free_boundary=" in path.read_text()
+        lines = self._meta(
+            tmp_path, "solve-local", h="1/64", a="4", R="8", gamma="0.2", mode="one_phase", left="0", right="1"
+        )
+        assert float(lines["free_boundary"]) == rep.free_boundary
+        self._assert_report_fields(lines, rep)

@@ -15,6 +15,7 @@ from .analysis import (
     detect_branching,
     detect_dead_core,
     fit_growth_exponent,
+    free_boundary,
     liouville_probe,
     one_phase_branching_check,
     s_limit_study,

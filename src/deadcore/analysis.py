@@ -21,18 +21,18 @@ from .grid import (
     GridFunction,
     GridSpec,
     TailModel,
-    dead_core_interval,
     discrete_derivative,
     make_grid,
-    mask_runs,
     sup_on_ball,
 )
 from .profiles import growth_exponent
 from .solver import ReactionSpec, SolveReport, SolverConfig, solve, solve_local, solve_many
 
 __all__ = [
+    "mask_runs",
     "dead_core_interval",
     "detect_dead_core",
+    "free_boundary",
     "detect_branching",
     "ExponentFit",
     "check_fit",
@@ -53,9 +53,47 @@ __all__ = [
 _SMALL_SUP = 1e-8  # pragmatic smallness scale for the growth probe's assertion
 
 
+def mask_runs(mask: np.ndarray) -> np.ndarray:
+    """Maximal runs of True in a 1D mask as rows (start, end), end inclusive."""
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    return np.column_stack((np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1))
+
+
+def dead_core_interval(x: np.ndarray, u: np.ndarray, threshold: float):
+    """Endpoints of the longest contiguous run with |u| <= threshold, or None.
+
+    On a tie the leftmost of the longest runs wins.
+    """
+    runs = mask_runs(np.abs(u) <= threshold)
+    if not runs.size:
+        return None
+    i0, i1 = runs[np.argmax(runs[:, 1] - runs[:, 0])]
+    return float(x[i0]), float(x[i1])
+
+
 def detect_dead_core(u: GridFunction, threshold: float):
     """Largest interior interval where |u| <= threshold, as (x_lo, x_hi)."""
     return dead_core_interval(u.grid.x_interior, u.interior_values, threshold)
+
+
+def free_boundary(u: GridFunction, s: float, gamma: float) -> float | None:
+    """The interior edge of u's dead core, where the core meets a phase; or None.
+
+    The core is the largest interior run where |u| <= h^beta, with beta =
+    growth_exponent(s, gamma) (detect_dead_core).  Its right end is the edge
+    unless it lies within 1.5h of a, and then its left end unless that lies
+    within 1.5h of -a.  None when there is no core or it reaches both ends.
+    """
+    h, a = u.grid.h, u.grid.a
+    core = detect_dead_core(u, h ** growth_exponent(s, gamma))
+    if core is None:
+        return None
+    lo, hi = core
+    if hi < a - 1.5 * h:
+        return hi
+    if lo > -a + 1.5 * h:
+        return lo
+    return None
 
 
 def detect_branching(
@@ -335,10 +373,11 @@ def one_phase_branching_check(report: SolveReport) -> bool:
     """Do the branching thresholds hold at the free boundary of a one-phase solve?"""
     if report.mode != "one_phase":
         raise ValueError("report is not from a one-phase solve")
-    if report.free_boundary is None:
-        raise ValueError("no free boundary")
     u = report.solution
-    v = vanishing(u, [report.free_boundary])[:, 0]
+    x = free_boundary(u, report.s, report.gamma)
+    if x is None:
+        raise ValueError("no free boundary")
+    v = vanishing(u, [x])[:, 0]
     return bool((np.abs(v) <= _default_thresholds(u.grid.h, report.s, report.gamma)).all())
 
 
@@ -437,7 +476,9 @@ def s_limit_study(
 
     The local reference uses the same gamma and the Dirichlet values of g at
     the nodes +-a.  distance is the interior sup difference; slope is the
-    central growth fit of the nonlocal solution.
+    central growth fit of the nonlocal solution.  Data that vanish at +-a,
+    as the ramp does, give the local reference u = 0, and distance is then
+    just sup|u_s|; plateau data give a nontrivial reference.
     """
     config = config or SolverConfig()
     ia = int(grid.interior[0] - 1)

@@ -15,8 +15,8 @@ assembled or written; --dry-run stops there.
 Exit codes: 0 success, 2 for validation failures, malformed config lines
 (reported with their line number) or a grid too large to allocate, 3 when a
 solve fails to converge.
-Single-threaded runs are byte-deterministic for a fixed config and seed;
---jobs only parallelizes across independent configs.
+Outputs are byte-deterministic for a fixed config and seed, numpy build
+and BLAS thread count; --jobs only parallelizes across independent configs.
 """
 
 from __future__ import annotations
@@ -144,11 +144,13 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
     builds no ReactionSpec and needs no grid: it reports bad s and gamma
     itself.
     """
-    _, required, optional = _MODE_TABLE[mode]
-    accepted = f"{required} {optional}".split()
+    row = "exponent-local" if mode == "exponent" and cfg.get("operator") == "local" else mode
+    _, required, optional = _MODE_TABLE[row]
+    accepted, required = f"{required} {optional}".split(), required.split()
     for key in cfg:
         if key not in accepted:
-            raise ConfigError(f"{path}: unknown key {key!r} for mode {mode}")
+            where = "" if row == mode else " with operator = local"
+            raise ConfigError(f"{path}: unknown key {key!r} for mode {mode}{where}")
     values = {}
     for key, (parse, default) in _KEYS.items():
         try:
@@ -156,10 +158,7 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
         except ValueError as exc:
             raise ConfigError(f"{path}: {key} = {cfg[key]}: {exc}") from None
     p = SimpleNamespace(**values, text=cfg, spec=None)
-    p.local = mode == "solve-local" or (mode == "exponent" and p.operator == "local")
-    if p.local:
-        required = _MODE_TABLE["solve-local"][1]
-    required = required.split()
+    p.local = row.endswith("local")
     missing = [k for k in required if k not in cfg]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
@@ -209,7 +208,8 @@ def _solved(p, path):
 
 
 def _write_meta(path, report, **extra) -> None:
-    """A run's .meta: the report's fields, free_boundary when present, then the extras sorted by key."""
+    """A run's .meta: the report's fields, a one-phase report's free_boundary when
+    analysis.free_boundary finds one, then the extras sorted by key."""
     items = [
         ("s", report.s),
         ("gamma", report.gamma),
@@ -219,8 +219,10 @@ def _write_meta(path, report, **extra) -> None:
         ("energy", report.energy),
         ("converged", report.converged),
     ]
-    if report.free_boundary is not None:
-        items.append(("free_boundary", report.free_boundary))
+    if report.mode == "one_phase":
+        fb = analysis.free_boundary(report.solution, report.s, report.gamma)
+        if fb is not None:
+            items.append(("free_boundary", fb))
     write_lines(path, items + sorted(extra.items()), sep="=")
 
 
@@ -326,23 +328,22 @@ def _run_validate(p, path, out_dir, stem, seed):
         raise ConfigError(f"{path}: invalid parameters")
 
 
-# mode: (runner, required keys, optional keys); validate accepts every key,
-# and exponent with operator = local requires the keys of solve-local instead
+_EXPONENT_KEYS = "operator x0 fit_rmin fit_rmax fit_k deriv_order"
+# mode: (runner, required keys, optional keys); validate accepts every key.
+# exponent takes solve's keys, or with operator = local solve-local's (the
+# row exponent-local, which is no mode of its own), and _EXPONENT_KEYS
 _MODE_TABLE = {
     "solve": (_run_solve, "h a s gamma", "R residual_tol max_iter mode data amplitude tail"),
     "solve-local": (_run_solve, "h a gamma left right", "R residual_tol max_iter mode"),
-    "exponent": (
-        _run_exponent,
-        "h a s gamma",
-        "R residual_tol max_iter mode data amplitude tail operator left right x0 fit_rmin fit_rmax fit_k deriv_order",
-    ),
+    "exponent": (_run_exponent, "h a s gamma", f"R residual_tol max_iter mode data amplitude tail {_EXPONENT_KEYS}"),
+    "exponent-local": (_run_exponent, "h a gamma left right", f"R residual_tol max_iter mode {_EXPONENT_KEYS}"),
     "blowup": (_run_blowup, "h a s gamma r", "R residual_tol max_iter mode data amplitude tail x0"),
     "compare": (_run_compare, "h a s gamma", "R residual_tol max_iter mode pairs"),
     "liouville": (_run_liouville, "h a s gamma", "R residual_tol max_iter mode data amplitude tail"),
     "slimit": (_run_slimit, "h a gamma s_list", "R residual_tol max_iter mode data amplitude"),
     "validate": (_run_validate, "s gamma", " ".join(_KEYS)),
 }
-MODES = tuple(_MODE_TABLE)
+MODES = tuple(mode for mode in _MODE_TABLE if mode != "exponent-local")
 
 
 def _run_one(task) -> int:

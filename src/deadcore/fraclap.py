@@ -32,6 +32,7 @@ __all__ = [
 
 S_MAX = 0.999
 _KAPPA_TERMS = 4000
+_TAIL_TERMS = 80
 
 
 def normalization_constant(s: float) -> float:
@@ -63,17 +64,17 @@ def _p2(A, B, s):
     return (B**q - A**q) / q
 
 
-def interp_defect_constant(s: float, terms: int = _KAPPA_TERMS) -> float:
+def interp_defect_constant(s: float) -> float:
     """Sum over cells of int (t-k)(k+1-t) t^(-1-2s) dt for k >= 1.
 
     This is the leading quadratic interpolation defect of the hat basis
     against the kernel; subtracting it from the singular-cell weight restores
-    second-difference accuracy.  The remainder past ``terms`` cells is summed
-    with a Hurwitz zeta midpoint estimate.
+    second-difference accuracy.  The remainder past _KAPPA_TERMS cells is
+    summed with a Hurwitz zeta midpoint estimate.
     """
-    k = np.arange(1, terms + 1, dtype=float)
+    k = np.arange(1, _KAPPA_TERMS + 1, dtype=float)
     val = -_p2(k, k + 1, s) + (2 * k + 1) * _p1(k, k + 1, s) - k * (k + 1) * _p0(k, k + 1, s)
-    tail = zeta(1 + 2 * s, terms + 1.5) / 6.0
+    tail = zeta(1 + 2 * s, _KAPPA_TERMS + 1.5) / 6.0
     return float(val.sum() + tail)
 
 
@@ -260,14 +261,15 @@ def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
     )
 
 
-def _tail_weight_integral(c_abs: float, p: float, R: float, s: float, terms: int = 80) -> float:
+def _tail_weight_integral(c_abs: float, p: float, R: float, s: float) -> float:
     """Integral of c|y|^(-p) / (1 + |y|^(1+2s)) over |y| > R, by series.
 
-    Expands 1/(1 + y^(1+2s)) in powers of y^-(1+2s); valid since R >= 1 by
-    the grid invariants, and convergent term decay is geometric in R^(1+2s).
+    Expands 1/(1 + y^(1+2s)) in powers of y^-(1+2s), to _TAIL_TERMS terms;
+    valid since R >= 1 by the grid invariants, and convergent term decay is
+    geometric in R^(1+2s).
     """
     tot = 0.0
-    for m in range(terms):
+    for m in range(_TAIL_TERMS):
         e = (m + 1) * (1 + 2 * s) + p
         tot += (-1) ** m * R ** (1.0 - e) / (e - 1.0)
     return 2 * c_abs * tot

@@ -23,8 +23,6 @@ __all__ = [
     "sup_on_ball",
     "discrete_derivative",
     "holder_seminorm",
-    "mask_runs",
-    "dead_core_interval",
     "format_field",
     "write_lines",
 ]
@@ -324,21 +322,3 @@ def holder_seminorm(u: GridFunction, alpha: float) -> float:
         d = np.abs(v[lag:] - v[:-lag]).max()
         best = max(best, d / (lag * h) ** alpha)
     return float(best)
-
-
-def mask_runs(mask: np.ndarray) -> np.ndarray:
-    """Maximal runs of True in a 1D mask as rows (start, end), end inclusive."""
-    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
-    return np.column_stack((np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1))
-
-
-def dead_core_interval(x: np.ndarray, u: np.ndarray, threshold: float):
-    """Endpoints of the longest contiguous run with |u| <= threshold, or None.
-
-    On a tie the leftmost of the longest runs wins.
-    """
-    runs = mask_runs(np.abs(u) <= threshold)
-    if not runs.size:
-        return None
-    i0, i1 = runs[np.argmax(runs[:, 1] - runs[:, 0])]
-    return float(x[i0]), float(x[i1])

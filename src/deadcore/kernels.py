@@ -9,9 +9,11 @@ The red-black sweep ``gs_polish_red_black`` serves both of the solver's
 systems.  It takes the system's matvec and diagonal, and the A u its caller
 formed at u (the solver's evaluation of u).  It updates every even-index
 node at once, then every odd-index node: colour c takes the exact roots of
-q_c = d_c u_c - (A u)_c - b_c from the current A u, and A u then moves by
-A delta, one matvec.  So a sweep costs two matvecs on top of the caller's
-A u.  In a tridiagonal matrix nodes of one
+q_c = d_c u_c - (A u)_c - b_c from the current A u.  Between the colours
+A u moves by the even step's A delta, one matvec; after the odd colour
+nothing reads A u (the solver's evaluation forms a fresh one), so it does
+not move.  So a sweep costs one matvec on top of the caller's A u.  In a
+tridiagonal matrix nodes of one
 colour are not coupled, so a colour step is an exact block coordinate
 minimization, and red-black order is consistently ordered (Young, 1971):
 Gauss-Seidel keeps the asymptotic rate of natural order.  In the dense
@@ -196,19 +198,21 @@ def gs_polish_red_black(matvec, d, b, u, Au, gamma, one_phase):
 
     matvec(v) is A v, d is A's diagonal (an array or one number) and Au is
     A u at the u passed in.  Each colour c (even indices, then odd) takes
-    the exact roots of all its nodes at once, from the current A u, and A u
-    moves by A delta; u and Au are both updated in place.  u, b and Au may
-    hold one system per row (K x N, one lane each, sharing A): a colour then
-    takes the roots of all lanes in one ``roots`` call, and matvec must
-    multiply each row by A.
+    the exact roots of all its nodes at once, from the current A u; between
+    the colours A u moves by the even step's A delta.  u and Au are updated
+    in place, and Au is left as A u after the even colour: the odd step's
+    A delta is not formed.  u, b and Au may hold one system per row (K x N,
+    one lane each, sharing A): a colour then takes the roots of all lanes in
+    one ``roots`` call, and matvec must multiply each row by A.
     """
     d = np.broadcast_to(d, u.shape)
     for c in (0, 1):
         uc, dc = u[..., c::2], d[..., c::2]
         q = dc * uc - Au[..., c::2] - b[..., c::2]
         t = roots(dc.ravel(), q.ravel(), gamma, one_phase).reshape(q.shape)
-        delta = np.zeros(u.shape)
-        delta[..., c::2] = t - uc
+        if c == 0:  # after the odd colour nothing reads A u
+            delta = np.zeros(u.shape)
+            delta[..., ::2] = t - uc
+            Au += matvec(delta)
         u[..., c::2] = t
-        Au += matvec(delta)
     return u

@@ -71,10 +71,11 @@ energy, Phi(u) = u f(u) / (1 + gamma) and A u, and the iterate carries them
 into the next iteration, where the sweep opens on that A u.  An iteration
 evaluates the smoothed iterate and the point its Newton step reaches; the
 line search needs one matvec A delta and no evaluation.  So an iteration
-that takes a Newton step makes five matvecs: two in the sweep, one per
-colour, two evaluations and A delta.  The evaluation forms a fresh A u
-rather than the sweep's updated one, which has drifted by round-off: the
-stopping rule's round-off floor holds for a product formed once.  The local
+that takes a Newton step makes four matvecs: one in the sweep, between its
+colours, two evaluations and A delta.  The evaluation forms a fresh A u:
+the sweep leaves its A u at the first colour's iterate, and a product moved
+step by step drifts by round-off, while the stopping rule's round-off floor
+holds for a product formed once.  The local
 h = 2^-10 solve makes 27 evaluations in 13 iterations and the nonlocal ramp
 at h = 2^-9 from the linear start 27 in 13 (35 over the three levels of its
 nested solve, below).
@@ -125,7 +126,7 @@ from scipy.linalg.lapack import dposv
 
 from . import kernels
 from .fraclap import FracLapOperator, assemble
-from .grid import Grid, GridFunction, GridSpec, TailModel, dead_core_interval, make_grid
+from .grid import Grid, GridFunction, GridSpec, TailModel, make_grid
 
 __all__ = [
     "REACTION_MODES",
@@ -216,9 +217,8 @@ class SolveReport:
     non-increasing up to round-off: a smoother pass or a Newton step can
     raise the recomputed energy by a few ulps of max|J| (see the module
     docstring); residual_inf is the sup norm of A u + b + f(u) at the
-    reported iterate.
-    free_boundary is the interior edge of the detected dead core for
-    one-phase runs (None when there is no core or it fills the interior).
+    reported iterate.  A report holds no measurement of its solution:
+    dead cores and free boundaries are measured by deadcore.analysis.
     """
 
     solution: GridFunction
@@ -231,7 +231,6 @@ class SolveReport:
     s: float
     gamma: float
     mode: str
-    free_boundary: float | None = None
 
 
 def check_finite(*values) -> None:
@@ -611,38 +610,14 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
             r, J, f, Au = _evaluate(system, b, h, u, gamma, one_phase)
 
 
-def _beta(s: float, gamma: float) -> float:
-    return 2.0 * s / (1.0 - gamma)
-
-
-def _find_free_boundary(x_int: np.ndarray, u: np.ndarray, threshold: float, a: float, h: float):
-    """Interior edge of the largest |u| <= threshold run, or None."""
-    core = dead_core_interval(x_int, u, threshold)
-    if core is None:
-        return None
-    lo, hi = core
-    if hi < a - 1.5 * h:
-        return hi
-    if lo > -a + 1.5 * h:
-        return lo
-    return None
-
-
 def _solve(system, b, grid: Grid, gs, s, reaction, config, clip, start=None) -> list[SolveReport]:
     """Iterate on ``system`` from ``start``, one lane per row of b and data set of gs;
-    report each lane's u on ``grid`` with its data set's exterior values and tail.
-
-    s sets the core threshold.
-    """
+    report each lane's u on ``grid`` with its data set's exterior values and tail."""
     reports = []
     lanes = _iterate(system, b, grid.h, reaction, config or SolverConfig(), clip, start)
     for (u, iters, r_trace, j_trace, ok), g in zip(lanes, gs):
         v = g.values.copy()
         v[grid.interior] = u
-        fb = None
-        if reaction.one_phase:
-            threshold = grid.h ** _beta(s, reaction.gamma)
-            fb = _find_free_boundary(grid.x_interior, u, threshold, grid.a, grid.h)
         reports.append(SolveReport(
             solution=GridFunction(grid, v, g.tail),
             converged=ok,
@@ -654,7 +629,6 @@ def _solve(system, b, grid: Grid, gs, s, reaction, config, clip, start=None) -> 
             s=s,
             gamma=reaction.gamma,
             mode=reaction.mode,
-            free_boundary=fb,
         ))
     return reports
 

@@ -300,7 +300,7 @@ class TestOnePhaseBranchingCheck:
         rep = dc.solve_local(
             grid, ReactionSpec(gamma=0.2, mode="one_phase"), boundary=(0.0, 1.0)
         )
-        assert rep.free_boundary is not None
+        assert dc.free_boundary(rep.solution, rep.s, rep.gamma) is not None
         assert dc.one_phase_branching_check(rep)
 
     def test_rejects_two_phase_report(self):
@@ -314,7 +314,7 @@ class TestOnePhaseBranchingCheck:
         rep = dc.solve_local(
             grid, ReactionSpec(gamma=0.2, mode="one_phase"), boundary=(2.0, 2.0)
         )
-        assert rep.free_boundary is None
+        assert dc.free_boundary(rep.solution, rep.s, rep.gamma) is None
         with pytest.raises(ValueError, match="no free boundary"):
             dc.one_phase_branching_check(rep)
 

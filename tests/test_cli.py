@@ -305,7 +305,7 @@ class TestDryRun:
         [
             ("solve-local", dict(left="-1", right="1"), dict(gamma="0.9")),
             ("exponent", {}, dict(s="5")),
-            ("exponent", dict(operator="local", left="-1", right="1", s="5"), dict(gamma="0.5")),
+            ("exponent", dict(operator="local", left="-1", right="1"), dict(gamma="0.5")),
             ("exponent", {}, dict(operator="fractional")),
             ("blowup", dict(r="0.5"), dict(s="0.3")),
             ("compare", dict(pairs="3"), dict(s="1")),
@@ -318,7 +318,7 @@ class TestDryRun:
     def test_every_mode_checks_its_parameters(self, tmp_path, capsys, mode, keys, bad):
         # at h = 1/16 the default fit window [8h, a/4] of exponent and slimit is empty
         base = dict(h="1/64" if mode in ("exponent", "slimit") else "1/16", a="1", R="2", gamma="0.2")
-        if mode not in ("solve-local", "slimit"):
+        if mode not in ("solve-local", "slimit") and keys.get("operator") != "local":
             base["s"] = "0.75"
         good = write_config(tmp_path / "good.cfg", **{**base, **keys})
         bad = write_config(tmp_path / "bad.cfg", **{**base, **keys, **bad})
@@ -432,6 +432,31 @@ class TestDryRunMatchesTheRun:
         with pytest.warns(UserWarning, match="coarse grid") if coarse else contextlib.nullcontext():
             assert main([mode, "--config", bad, "--out", out, "--dry-run"]) == 2
             assert main([mode, "--config", bad, "--out", out]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "operator, key, value",
+        [
+            ("local", "s", "0.75"),
+            ("local", "data", "plateau"),
+            ("local", "amplitude", "100"),
+            ("local", "tail", "const:1"),
+            ("nonlocal", "left", "-0.5"),
+            ("nonlocal", "right", "0.5"),
+        ],
+    )
+    def test_exponent_takes_only_its_operators_keys(self, tmp_path, capsys, operator, key, value):
+        # each was accepted and ignored: exponent.csv came out byte-identical
+        # with and without it
+        base = dict(h="1/64", a="1", R="2", gamma="0.2", operator=operator)
+        base.update(dict(left="-0.5", right="0.5") if operator == "local" else dict(s="0.75", amplitude="4"))
+        out = str(tmp_path / "out")
+        good = write_config(tmp_path / "good.cfg", **base)
+        assert main(["exponent", "--config", good, "--out", out, "--dry-run"]) == 0
+        bad = write_config(tmp_path / "bad.cfg", **{**base, key: value})
+        for dry_run in (["--dry-run"], []):
+            assert main(["exponent", "--config", bad, "--out", out, *dry_run]) == 2
+            assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

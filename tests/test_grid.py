@@ -12,7 +12,7 @@ from deadcore import (
     make_grid,
     sup_on_ball,
 )
-from deadcore.grid import dead_core_interval, mask_runs
+from deadcore.analysis import dead_core_interval, mask_runs
 
 
 class TestGridSpec:

@@ -17,29 +17,20 @@ from .analysis import (
     fit_growth_exponent,
     free_boundary,
     liouville_probe,
-    one_phase_branching_check,
     s_limit_study,
 )
-from .fraclap import (
-    FracLapOperator,
-    assemble,
-    normalization_constant,
-    tail_influence_bound,
-    tail_norm,
-)
+from .fraclap import FracLapOperator, assemble, normalization_constant
 from .grid import (
     Grid,
     GridFunction,
     GridSpec,
     TailModel,
     discrete_derivative,
-    holder_seminorm,
     make_grid,
     sup_on_ball,
 )
 from .profiles import (
     exact_local_profile,
-    exponent_table,
     getoor_constant,
     getoor_profile,
     growth_exponent,

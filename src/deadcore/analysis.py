@@ -30,7 +30,6 @@ from .solver import ReactionSpec, SolveReport, SolverConfig, solve, solve_local,
 
 __all__ = [
     "mask_runs",
-    "dead_core_interval",
     "detect_dead_core",
     "free_boundary",
     "detect_branching",
@@ -44,7 +43,7 @@ __all__ = [
     "LiouvilleReport",
     "liouville_radii",
     "liouville_probe",
-    "one_phase_branching_check",
+    "comparison_campaign",
     "SLimitRow",
     "s_limit_study",
     "vanishing",
@@ -59,21 +58,18 @@ def mask_runs(mask: np.ndarray) -> np.ndarray:
     return np.column_stack((np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1))
 
 
-def dead_core_interval(x: np.ndarray, u: np.ndarray, threshold: float):
-    """Endpoints of the longest contiguous run with |u| <= threshold, or None.
+def detect_dead_core(u: GridFunction, threshold: float):
+    """Largest interior interval where |u| <= threshold, as (x_lo, x_hi), or None.
 
-    On a tie the leftmost of the longest runs wins.
+    The interval spans the longest run of interior nodes; on a tie the
+    leftmost of the longest runs wins.
     """
-    runs = mask_runs(np.abs(u) <= threshold)
+    runs = mask_runs(np.abs(u.interior_values) <= threshold)
     if not runs.size:
         return None
     i0, i1 = runs[np.argmax(runs[:, 1] - runs[:, 0])]
+    x = u.grid.x_interior
     return float(x[i0]), float(x[i1])
-
-
-def detect_dead_core(u: GridFunction, threshold: float):
-    """Largest interior interval where |u| <= threshold, as (x_lo, x_hi)."""
-    return dead_core_interval(u.grid.x_interior, u.interior_values, threshold)
 
 
 def free_boundary(u: GridFunction, s: float, gamma: float) -> float | None:
@@ -96,23 +92,17 @@ def free_boundary(u: GridFunction, s: float, gamma: float) -> float | None:
     return None
 
 
-def detect_branching(
-    u: GridFunction,
-    s: float,
-    gamma: float,
-    thresholds: tuple[float, float, float] | None = None,
-) -> np.ndarray:
+def detect_branching(u: GridFunction, s: float, gamma: float) -> np.ndarray:
     """Interior nodes where u, Du, and D2u all vanish to scale.
 
-    Default thresholds are (10 h^beta, 10 h^(beta-1), 10 h^(beta-2)) with
+    The thresholds are (10 h^beta, 10 h^(beta-1), 10 h^(beta-2)) with
     beta = 2s/(1-gamma), the rates at which the three quantities vanish when
     u grows exactly like |x - x0|^beta.  Contiguous candidate runs are
     coalesced to the single node minimizing the combined normalized score,
     so an exact profile yields exactly one point.
     """
-    if thresholds is None:
-        thresholds = _default_thresholds(u.grid.h, s, gamma)
-    t0, t1, t2 = thresholds
+    h, beta = u.grid.h, growth_exponent(s, gamma)
+    t0, t1, t2 = 10 * h**beta, 10 * h ** (beta - 1), 10 * h ** (beta - 2)
     v0, v1, v2 = np.abs(vanishing(u))
     cand = (v0 <= t0) & (v1 <= t1) & (v2 <= t2)
     if not cand.any():
@@ -120,12 +110,6 @@ def detect_branching(
     score = v0 / t0 + v1 / t1 + v2 / t2
     x_int = u.grid.x_interior
     return np.array([x_int[i + np.argmin(score[i : j + 1])] for i, j in mask_runs(cand)])
-
-
-def _default_thresholds(h: float, s: float, gamma: float) -> tuple[float, float, float]:
-    """(10 h^beta, 10 h^(beta-1), 10 h^(beta-2)) with beta = 2s/(1-gamma)."""
-    beta = growth_exponent(s, gamma)
-    return 10 * h**beta, 10 * h ** (beta - 1), 10 * h ** (beta - 2)
 
 
 def vanishing(u: GridFunction, points=None) -> np.ndarray:
@@ -275,15 +259,16 @@ def blow_up(u: GridFunction, x0: float, r: float, s: float, gamma: float) -> Gri
 
 
 def _tails_ordered(t1: TailModel, t2: TailModel, R: float) -> bool:
-    # The difference of two tail values is c1 y^-p1 - c2 y^-p2, which changes
-    # sign at most once on (R, inf); nonnegativity at R and in the limit is
-    # therefore equivalent to nonnegativity throughout.
-    at_R = t1.value(R) - t2.value(R)
-    lim1, lim2 = t1.limit(), t2.limit()
-    if np.isinf(lim1) or np.isinf(lim2):
-        lim = np.inf if (np.isinf(lim1) and lim1 > 0) or (np.isinf(lim2) and lim2 < 0) else -np.inf
-        return at_R >= 0 and lim > 0
-    return at_R >= 0 and (lim1 - lim2) >= 0
+    # Zero tails carry c = 0 and p = 0 and const tails p = 0, so the difference
+    # of two tail values is c1 y^-p1 - c2 y^-p2 = y^-p2 (c1 y^(p2-p1) - c2),
+    # which changes sign at most once on (R, inf): it is >= 0 there exactly
+    # when it is >= 0 at R and for large y.  For large y the tail with the
+    # least p decides, and c1 - c2 when p1 = p2.
+    if t1.p == t2.p:
+        far = t1.c - t2.c
+    else:
+        far = t1.c if t1.p < t2.p else -t2.c
+    return t1.value(R) - t2.value(R) >= 0 and far >= 0
 
 
 def comparison_check(u1: GridFunction, u2: GridFunction, residual_tol: float) -> bool:
@@ -310,45 +295,36 @@ class LiouvilleReport:
     radii: np.ndarray
     q: np.ndarray
     sup_abs: float
-    asserted_small: bool | None  # set only for solver-produced inputs
+    asserted_small: bool | None  # is sup|u| small? set when "decaying", else None
 
 
-def liouville_radii(spec: GridSpec, radii: np.ndarray | None = None) -> np.ndarray:
-    """The radii of liouville_probe on a grid with ``spec``.
+def liouville_radii(spec: GridSpec) -> np.ndarray:
+    """The radii of liouville_probe on a grid with ``spec``: 4h, 8h, ... up to a.
 
-    radii, or by default the doubling radii 4h, 8h, ... up to a.  Raise
-    ValueError unless at least three remain.
+    Raise ValueError unless there are at least three.
     """
-    if radii is None:
-        r = 4 * spec.h
-        rs = []
-        while r <= spec.a:
-            rs.append(r)
-            r *= 2
-        radii = np.array(rs)
-    if radii.size < 3:
+    r = 4 * spec.h
+    rs = []
+    while r <= spec.a:
+        rs.append(r)
+        r *= 2
+    if len(rs) < 3:
         raise ValueError("need at least three doubling radii")
-    return radii
+    return np.array(rs)
 
 
-def liouville_probe(
-    u: GridFunction,
-    s: float,
-    gamma: float,
-    radii: np.ndarray | None = None,
-    from_solver: bool = False,
-) -> LiouvilleReport:
+def liouville_probe(u: GridFunction, s: float, gamma: float) -> LiouvilleReport:
     """Classify the growth of q(r) = sup_{B_r}|u| / r^(2s/(1-gamma)).
 
     Per doubling of r: a strict decrease by factor >= 1.1 classifies as
-    "decaying" (and for solver outputs additionally asserts that sup|u| is
-    small), staying within factor 1.1 as "critical", anything else as
+    "decaying", and then asserted_small says whether sup|u| is small;
+    staying within factor 1.1 classifies as "critical", anything else as
     "growing".  This is a classifier over a truncated grid, not a proof
     device: only the growth hypothesis and the smallness conclusion are
     examined.  The radii are those of liouville_radii.
     """
     beta = growth_exponent(s, gamma)
-    radii = liouville_radii(u.grid.spec, radii)
+    radii = liouville_radii(u.grid.spec)
     q = np.array([sup_on_ball(u, 0.0, r) / r**beta for r in radii])
     sup_abs = sup_on_ball(u, 0.0, float(radii[-1]))
     if np.all(q < 1e-300):
@@ -362,23 +338,11 @@ def liouville_probe(
         else:
             cls = "growing"
     asserted = None
-    if from_solver and cls == "decaying":
+    if cls == "decaying":
         asserted = bool(sup_abs <= _SMALL_SUP * max(1.0, float(np.abs(u.values).max())))
     return LiouvilleReport(
         classification=cls, radii=radii, q=q, sup_abs=float(sup_abs), asserted_small=asserted
     )
-
-
-def one_phase_branching_check(report: SolveReport) -> bool:
-    """Do the branching thresholds hold at the free boundary of a one-phase solve?"""
-    if report.mode != "one_phase":
-        raise ValueError("report is not from a one-phase solve")
-    u = report.solution
-    x = free_boundary(u, report.s, report.gamma)
-    if x is None:
-        raise ValueError("no free boundary")
-    v = vanishing(u, [x])[:, 0]
-    return bool((np.abs(v) <= _default_thresholds(u.grid.h, report.s, report.gamma)).all())
 
 
 def random_ordered_pair(grid: Grid, rng: np.random.Generator) -> tuple[GridFunction, GridFunction]:

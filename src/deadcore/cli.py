@@ -284,9 +284,7 @@ def _run_compare(p, path, out_dir, stem, seed):
 
 def _run_liouville(p, path, out_dir, stem, seed):
     report = _solved(p, path)
-    probe = analysis.liouville_probe(
-        report.solution, report.s, report.gamma, from_solver=True
-    )
+    probe = analysis.liouville_probe(report.solution, report.s, report.gamma)
     write_lines(os.path.join(out_dir, f"{stem}_liouville.csv"), [("r", "q"), *zip(probe.radii, probe.q)])
     _write_meta(
         os.path.join(out_dir, f"{stem}_liouville.meta"),

@@ -26,13 +26,10 @@ __all__ = [
     "assemble",
     "check_order",
     "check_tail",
-    "tail_norm",
-    "tail_influence_bound",
 ]
 
 S_MAX = 0.999
 _KAPPA_TERMS = 4000
-_TAIL_TERMS = 80
 
 
 def normalization_constant(s: float) -> float:
@@ -258,54 +255,4 @@ def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
         end_columns=ends,
         truncation_mass=T0,
         corrected=corrected,
-    )
-
-
-def _tail_weight_integral(c_abs: float, p: float, R: float, s: float) -> float:
-    """Integral of c|y|^(-p) / (1 + |y|^(1+2s)) over |y| > R, by series.
-
-    Expands 1/(1 + y^(1+2s)) in powers of y^-(1+2s), to _TAIL_TERMS terms;
-    valid since R >= 1 by the grid invariants, and convergent term decay is
-    geometric in R^(1+2s).
-    """
-    tot = 0.0
-    for m in range(_TAIL_TERMS):
-        e = (m + 1) * (1 + 2 * s) + p
-        tot += (-1) ** m * R ** (1.0 - e) / (e - 1.0)
-    return 2 * c_abs * tot
-
-
-def tail_norm(u: GridFunction, s: float) -> float:
-    """Weighted integral of |u(y)| / (1 + |y|^(1+2s)) over the whole line.
-
-    Trapezoid rule over the grid plus the analytic contribution of the tail
-    model beyond R.
-    """
-    if not (0.0 < s < 1.0):
-        raise ValueError("s must lie in (0, 1)")
-    tail = u.tail
-    check_tail(tail, s)
-    x, v = u.grid.x, u.values
-    w = np.abs(v) / (1.0 + np.abs(x) ** (1 + 2 * s))
-    h = u.grid.h
-    total = h * (w.sum() - 0.5 * w[0] - 0.5 * w[-1])
-    # zero tails carry c = 0 and const tails p = 0
-    total += _tail_weight_integral(abs(tail.c), tail.p, u.grid.R, s)
-    return float(total)
-
-
-def tail_influence_bound(op: FracLapOperator, u: GridFunction) -> float:
-    """Bound on how much data beyond R can move the operator on the interior.
-
-    For |x| <= a and |y| > R, |x - y| >= |y| (1 - a/R), and the kernel weight
-    against |u| is controlled by the tail part of the weighted norm, inflated
-    by (1 + R^(-1-2s)) to trade the weight denominator for |y|^(1+2s).
-    """
-    s = op.s
-    check_tail(u.tail, s)
-    a, R = op.grid.a, op.grid.R
-    # zero tails carry c = 0 and const tails p = 0
-    tail_part = _tail_weight_integral(abs(u.tail.c), u.tail.p, R, s)
-    return float(
-        op.c * (1 - a / R) ** (-1 - 2 * s) * (1 + R ** (-1 - 2 * s)) * tail_part
     )

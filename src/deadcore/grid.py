@@ -22,7 +22,6 @@ __all__ = [
     "make_grid",
     "sup_on_ball",
     "discrete_derivative",
-    "holder_seminorm",
     "format_field",
     "write_lines",
 ]
@@ -174,18 +173,6 @@ class TailModel:
             return self.c
         return self.c * abs(y) ** (-self.p)
 
-    def limit(self) -> float:
-        """Limit of the tail value as |y| -> infinity (signed inf allowed)."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "const":
-            return self.c
-        if self.p > 0:
-            return 0.0
-        if self.p == 0:
-            return self.c
-        return float(np.sign(self.c)) * np.inf
-
 
 def format_field(value) -> str:
     """One field of an output file: a float as .17g, which round-trips; a
@@ -232,9 +219,6 @@ class GridFunction:
     @property
     def exterior_values(self) -> np.ndarray:
         return self.values[self.grid.exterior]
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values, self.tail)
 
     def to_csv(self, path: str) -> None:
         """Write ``# tail=...`` comment, ``x,u`` header, one node per row."""
@@ -306,19 +290,3 @@ def discrete_derivative(u: GridFunction, order: int) -> GridFunction:
     else:
         raise ValueError("derivative order must be 1 or 2")
     return GridFunction(u.grid, out, TailModel.zero())
-
-
-def holder_seminorm(u: GridFunction, alpha: float) -> float:
-    """Discrete Holder seminorm sup_{i != j} |u_i - u_j| / |x_i - x_j|^alpha.
-
-    alpha must lie in (0, 1]; alpha = 1 gives the Lipschitz seminorm.
-    """
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
-    v = u.values
-    h = u.grid.h
-    best = 0.0
-    for lag in range(1, v.size):
-        d = np.abs(v[lag:] - v[:-lag]).max()
-        best = max(best, d / (lag * h) ** alpha)
-    return float(best)

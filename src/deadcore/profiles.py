@@ -19,7 +19,6 @@ __all__ = [
     "getoor_profile",
     "getoor_constant",
     "ExponentRow",
-    "exponent_table",
     "odd_exterior_builder",
     "ValidationReport",
     "validate_params",
@@ -81,23 +80,6 @@ def _nu_regime(s: float, gamma: float) -> int | None:
     return None
 
 
-def exponent_table(s_values, gamma_values) -> list[ExponentRow]:
-    """Cross product of exponent formulas over the given parameter lists."""
-    rows = []
-    for s in s_values:
-        for g in gamma_values:
-            rows.append(
-                ExponentRow(
-                    s=float(s),
-                    gamma=float(g),
-                    growth=growth_exponent(s, g),
-                    schauder=schauder_exponent(s, g),
-                    nu=_nu_regime(s, g),
-                )
-            )
-    return rows
-
-
 def odd_exterior_builder(grid: Grid, kind: str, amplitude: float) -> GridFunction:
     """Odd exterior data with zero interior values and a zero tail.
 
@@ -126,10 +108,6 @@ class ValidationReport:
     warnings: list[str]
     rows: list[ExponentRow]
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
 
 def validate_params(s: float, gamma: float) -> ValidationReport:
     """Check parameter ranges and report the exponent regime.
@@ -139,17 +117,16 @@ def validate_params(s: float, gamma: float) -> ValidationReport:
     is reported as a warning.
     """
     errors = []
-    warnings_ = []
     for check, value in ((ReactionSpec, gamma), (check_order, s)):
         try:
             check(value)
         except ValueError as exc:
             errors.append(f"{exc}, got {value:g}")
-    rows = []
-    if not errors:
-        rows = exponent_table([s], [gamma])
-        if rows[0].nu is None:
-            warnings_.append(
-                f"derivative-vanishing order indeterminate for s={s:g}, gamma={gamma:g}"
-            )
-    return ValidationReport(errors=errors, warnings=warnings_, rows=rows)
+    if errors:
+        return ValidationReport(errors=errors, warnings=[], rows=[])
+    nu = _nu_regime(s, gamma)
+    row = ExponentRow(float(s), float(gamma), growth_exponent(s, gamma), schauder_exponent(s, gamma), nu)
+    warnings = []
+    if nu is None:
+        warnings.append(f"derivative-vanishing order indeterminate for s={s:g}, gamma={gamma:g}")
+    return ValidationReport(errors=errors, warnings=warnings, rows=[row])

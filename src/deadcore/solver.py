@@ -135,7 +135,6 @@ __all__ = [
     "check_finite",
     "SolveReport",
     "reaction_value",
-    "reaction_energy",
     "energy",
     "energy_local",
     "solve",
@@ -251,11 +250,6 @@ def reaction_value(u: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
     if one_phase:
         return np.where(u > 0, p, 0.0)
     return np.where(u > 0, p, np.where(u < 0, -p, 0.0))
-
-
-def reaction_energy(u: np.ndarray, gamma: float, one_phase: bool) -> np.ndarray:
-    """Primitive Phi with Phi' = f; equals u*f(u)/(1+gamma) nodewise."""
-    return u * reaction_value(u, gamma, one_phase) / (1.0 + gamma)
 
 
 def _phi(u, gamma, one_phase):

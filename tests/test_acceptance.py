@@ -20,6 +20,7 @@ from deadcore import (
     TailModel,
     make_grid,
 )
+from deadcore.analysis import vanishing
 
 GAMMA = 0.2
 BETA_LOCAL = 2.5  # 2/(1-gamma)
@@ -162,8 +163,10 @@ def test_criterion_08_one_phase_dead_core():
     assert fb is not None
     x_star = 4.0 - 1.9364916731037085
     assert abs(fb - x_star) <= 4 * h
-    # (b) the branching thresholds hold at the reported free boundary
-    assert dc.one_phase_branching_check(rep)
+    # (b) the branching thresholds hold at the free boundary:
+    # |D^k u| <= 10 h^(beta - k) for k = 0, 1, 2
+    v = vanishing(rep.solution, [fb])[:, 0]
+    assert (np.abs(v) <= (10 * h**BETA_LOCAL, 10 * h ** (BETA_LOCAL - 1), 10 * h ** (BETA_LOCAL - 2))).all()
     # (c) nonlocal at s = 0.95: small constant data over a wide exterior
     # still produces a genuine interior dead core
     h2 = 2.0**-7

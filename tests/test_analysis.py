@@ -18,7 +18,6 @@ from deadcore.analysis import (
     ComparisonTrial,
     LiouvilleReport,
     SLimitRow,
-    dead_core_interval,
     fit_radii,
     random_ordered_pair,
     vanishing,
@@ -28,17 +27,18 @@ from deadcore.cli import main
 
 class TestDeadCoreInterval:
     def test_finds_longest_run(self):
-        x = np.linspace(-1, 1, 21)
-        u = np.ones(21)
-        u[3:5] = 0.0
-        u[10:16] = 1e-12
-        lo, hi = dead_core_interval(x, u, 1e-9)
+        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
+        x = grid.x_interior
+        v = np.ones(grid.n)
+        v[grid.interior[3:5]] = 0.0
+        v[grid.interior[10:16]] = 1e-12
+        lo, hi = dc.detect_dead_core(GridFunction(grid, v), 1e-9)
         assert lo == pytest.approx(x[10])
         assert hi == pytest.approx(x[15])
 
     def test_none_when_nothing_small(self):
-        x = np.linspace(-1, 1, 11)
-        assert dead_core_interval(x, np.ones(11), 1e-9) is None
+        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
+        assert dc.detect_dead_core(GridFunction(grid, np.ones(grid.n)), 1e-9) is None
 
     def test_detect_on_grid_function(self):
         grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
@@ -63,13 +63,6 @@ class TestDetectBranching:
         grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
         u = GridFunction(grid, 2.0 * grid.x + 0.5)
         assert dc.detect_branching(u, 0.75, 0.2).size == 0
-
-    def test_custom_thresholds(self):
-        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
-        u = GridFunction(grid, np.zeros(grid.n))
-        pts = dc.detect_branching(u, 0.75, 0.2, thresholds=(1e-9, 1e-9, 1e-9))
-        # an identically-zero function is one giant run, coalesced to a point
-        assert pts.size == 1
 
 
 class TestFitGrowthExponent:
@@ -228,7 +221,7 @@ class TestComparisonCheck:
         u1, u2 = self._pair(0.1)
         v = u1.values.copy()
         v[u1.grid.interior[3]] = u2.values[u1.grid.interior[3]] - 1.0
-        assert not dc.comparison_check(u1.with_values(v), u2, 1e-9)
+        assert not dc.comparison_check(GridFunction(u1.grid, v, u1.tail), u2, 1e-9)
 
     def test_unordered_exterior_rejected(self):
         u1, u2 = self._pair(-0.1)
@@ -250,6 +243,40 @@ class TestComparisonCheck:
         with pytest.raises(ValueError, match="tail models"):
             dc.comparison_check(neg_tail, zero_tail, 1e-9)
 
+    @pytest.mark.parametrize(
+        "t1, t2",
+        [
+            # +0.25 at R = 2, about -0.083 near y = 6; both tails tend to 0
+            (TailModel.power(3.0, 2.0), TailModel.power(1.0, 1.0)),
+            # both grow without bound, and the second overtakes at y ~ 5.66
+            (TailModel.power(2.0, -0.1), TailModel.power(1.0, -0.5)),
+        ],
+        ids=["decaying", "growing"],
+    )
+    def test_crossing_tails_rejected(self, t1, t2):
+        # ordered at R, equal data on the grid, yet the tails cross beyond R
+        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
+        assert t1.value(grid.R) > t2.value(grid.R)
+        u1 = GridFunction(grid, np.zeros(grid.n), t1)
+        u2 = GridFunction(grid, np.zeros(grid.n), t2)
+        with pytest.raises(ValueError, match="tail models are not ordered"):
+            dc.comparison_check(u1, u2, 1e-9)
+
+    @pytest.mark.parametrize(
+        "t1, t2",
+        [
+            (TailModel.const(0.5), TailModel.zero()),
+            # the upper tail grows faster, from above at R
+            (TailModel.power(2.0, -0.5), TailModel.power(1.0, -0.1)),
+        ],
+        ids=["const-over-zero", "growing"],
+    )
+    def test_ordered_tails_pass(self, t1, t2):
+        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
+        u1 = GridFunction(grid, np.zeros(grid.n), t1)
+        u2 = GridFunction(grid, np.zeros(grid.n), t2)
+        assert dc.comparison_check(u1, u2, 1e-9)
+
 
 class TestLiouvilleProbe:
     def test_linear_growth_below_critical_decays(self):
@@ -258,7 +285,7 @@ class TestLiouvilleProbe:
         u = GridFunction(grid, np.abs(grid.x))
         rep = dc.liouville_probe(u, 0.75, 0.2)
         assert rep.classification == "decaying"
-        assert rep.asserted_small is None
+        assert rep.asserted_small is False  # sup|u| = 1 on B_a
 
     def test_exact_profile_is_critical(self):
         grid = make_grid(GridSpec(h=1 / 128, a=1.0, R=2.0))
@@ -275,15 +302,17 @@ class TestLiouvilleProbe:
     def test_zero_solution_asserts_smallness(self):
         grid = make_grid(GridSpec(h=1 / 128, a=1.0, R=2.0))
         u = GridFunction(grid, np.zeros(grid.n))
-        rep = dc.liouville_probe(u, 0.75, 0.2, from_solver=True)
+        rep = dc.liouville_probe(u, 0.75, 0.2)
         assert rep.classification == "decaying"
         assert rep.asserted_small is True
 
     def test_radii_floor(self):
-        grid = make_grid(GridSpec(h=1 / 128, a=1.0, R=2.0))
+        # a/h = 8: only two doubling radii, 4h and 8h
+        with pytest.warns(UserWarning, match="coarse grid"):
+            grid = make_grid(GridSpec(h=1 / 8, a=1.0, R=2.0))
         u = GridFunction(grid, np.abs(grid.x))
         with pytest.raises(ValueError, match="three doubling radii"):
-            dc.liouville_probe(u, 0.75, 0.2, radii=np.array([0.25, 0.5]))
+            dc.liouville_probe(u, 0.75, 0.2)
 
     def test_report_fields(self):
         grid = make_grid(GridSpec(h=1 / 128, a=1.0, R=2.0))
@@ -292,31 +321,6 @@ class TestLiouvilleProbe:
         assert isinstance(rep, LiouvilleReport)
         assert rep.radii.size == rep.q.size
         assert rep.sup_abs > 0
-
-
-class TestOnePhaseBranchingCheck:
-    def test_passes_on_dead_core_solve(self):
-        grid = make_grid(GridSpec(h=1 / 64, a=4.0, R=8.0))
-        rep = dc.solve_local(
-            grid, ReactionSpec(gamma=0.2, mode="one_phase"), boundary=(0.0, 1.0)
-        )
-        assert dc.free_boundary(rep.solution, rep.s, rep.gamma) is not None
-        assert dc.one_phase_branching_check(rep)
-
-    def test_rejects_two_phase_report(self):
-        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
-        rep = dc.solve_local(grid, ReactionSpec(gamma=0.2), boundary=(-0.5, 0.5))
-        with pytest.raises(ValueError, match="one-phase"):
-            dc.one_phase_branching_check(rep)
-
-    def test_rejects_missing_free_boundary(self):
-        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
-        rep = dc.solve_local(
-            grid, ReactionSpec(gamma=0.2, mode="one_phase"), boundary=(2.0, 2.0)
-        )
-        assert dc.free_boundary(rep.solution, rep.s, rep.gamma) is None
-        with pytest.raises(ValueError, match="no free boundary"):
-            dc.one_phase_branching_check(rep)
 
 
 class TestRandomOrderedPair:

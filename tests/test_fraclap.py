@@ -10,7 +10,7 @@ import pytest
 import deadcore as dc
 from deadcore import fraclap, solver
 from deadcore import GridFunction, GridSpec, TailModel, make_grid
-from deadcore.fraclap import check_order, tail_influence_bound, tail_norm
+from deadcore.fraclap import check_order
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +166,7 @@ class TestLagTableOperator:
         u = np.random.default_rng(7).standard_normal(grid.interior.size)
         reaction = dc.ReactionSpec(gamma=0.2)
         b = op.exterior_weights @ g.exterior_values + op.tail_load(g.tail)
-        phi = solver.reaction_energy(u, 0.2, False)
+        phi = u * solver.reaction_value(u, 0.2, False) / 1.2  # Phi(u) = u f(u) / (1 + gamma)
         ref = h * (0.5 * u @ (op.A @ u) + b @ u + phi.sum())
         assert abs(dc.energy(op, g, u, reaction) - ref) <= 1e-14 * abs(ref)
 
@@ -252,32 +252,6 @@ class TestTailLoad:
             assert load[idx] == pytest.approx(expect, rel=1e-8)
 
 
-class TestTailNorm:
-    def test_cauchy_weight_integral(self):
-        # u == 1 everywhere at s = 1/2: integral of 1/(1+y^2) over R is pi
-        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=4.0))
-        u = GridFunction(grid, np.ones(grid.n), TailModel.const(1.0))
-        assert tail_norm(u, 0.5) == pytest.approx(np.pi, rel=1e-4)
-
-    def test_scales_linearly(self):
-        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
-        u = GridFunction(grid, np.ones(grid.n), TailModel.const(1.0))
-        v = GridFunction(grid, 3.0 * np.ones(grid.n), TailModel.const(3.0))
-        assert tail_norm(v, 0.75) == pytest.approx(3.0 * tail_norm(u, 0.75), rel=1e-12)
-
-    def test_rejects_fast_growth(self):
-        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
-        u = GridFunction(grid, np.ones(grid.n), TailModel.power(1.0, -1.6))
-        with pytest.raises(ValueError, match="grows too fast"):
-            tail_norm(u, 0.75)
-
-    def test_s_range(self):
-        grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
-        u = GridFunction(grid, np.ones(grid.n))
-        with pytest.raises(ValueError, match="s must lie"):
-            tail_norm(u, 1.0)
-
-
 @pytest.mark.parametrize("p", [-1.5, -2.0], ids=["p=-2s", "p<-2s"])
 def test_power_tail_without_finite_load_is_rejected(op_mid, p):
     # at s = 0.75 the load of c|y|^(-p) beyond R is finite only for p > -1.5;
@@ -286,33 +260,6 @@ def test_power_tail_without_finite_load_is_rejected(op_mid, p):
     for call in (
         lambda: dc.solve(op_mid, u, dc.ReactionSpec(gamma=0.2)),
         lambda: op_mid.load_vector(u),
-        lambda: tail_influence_bound(op_mid, u),
     ):
         with pytest.raises(ValueError, match="grows too fast"):
             call()
-
-
-class TestTailInfluenceBound:
-    @pytest.mark.parametrize("tail", [TailModel.const(0.5), TailModel.power(1.0, 1.0)])
-    def test_dominates_actual_load(self, tail):
-        for s in (0.5, 0.75, 0.9):
-            for R in (2.0, 4.0):
-                grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=R))
-                op = dc.assemble(grid, s)
-                u = GridFunction(grid, np.zeros(grid.n), tail)
-                bound = tail_influence_bound(op, u)
-                assert np.abs(op.tail_load(tail)).max() <= bound
-
-    def test_zero_tail_bound_is_zero(self, op_mid):
-        u = GridFunction(op_mid.grid, np.zeros(op_mid.grid.n))
-        assert tail_influence_bound(op_mid, u) == 0.0
-
-    def test_bound_shrinks_with_radius(self):
-        tail = TailModel.power(1.0, 1.0)
-        vals = []
-        for R in (2.0, 4.0, 8.0):
-            grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=R))
-            op = dc.assemble(grid, 0.75)
-            u = GridFunction(grid, np.zeros(grid.n), tail)
-            vals.append(tail_influence_bound(op, u))
-        assert vals[0] > vals[1] > vals[2]

@@ -7,12 +7,12 @@ from deadcore import (
     GridFunction,
     GridSpec,
     TailModel,
+    detect_dead_core,
     discrete_derivative,
-    holder_seminorm,
     make_grid,
     sup_on_ball,
 )
-from deadcore.analysis import dead_core_interval, mask_runs
+from deadcore.analysis import mask_runs
 
 
 class TestGridSpec:
@@ -97,10 +97,6 @@ class TestTailModel:
         assert TailModel.zero().value(10.0) == 0.0
         assert TailModel.const(0.3).value(-7.0) == 0.3
         assert TailModel.power(2.0, 1.0).value(-4.0) == pytest.approx(0.5)
-        assert TailModel.power(2.0, 1.0).limit() == 0.0
-        assert TailModel.power(2.0, 0.0).limit() == 2.0
-        assert TailModel.power(-2.0, -0.5).limit() == -np.inf
-        assert TailModel.const(-3.0).limit() == -3.0
 
 
 class TestGridFunction:
@@ -214,28 +210,6 @@ class TestDiscreteDerivative:
             discrete_derivative(u, 3)
 
 
-class TestHolderSeminorm:
-    def test_lipschitz_of_linear(self):
-        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
-        u = GridFunction(grid, 4.0 * grid.x)
-        assert holder_seminorm(u, 1.0) == pytest.approx(4.0, rel=1e-12)
-
-    def test_half_holder_of_sqrt(self):
-        # |sqrt(x) - sqrt(y)| <= |x - y|^(1/2) on [0, inf), with equality
-        # approached at the origin, so the discrete seminorm is close to 1.
-        grid = make_grid(GridSpec(h=1 / 128, a=1.0, R=2.0))
-        u = GridFunction(grid, np.sqrt(np.maximum(grid.x, 0.0)))
-        sn = holder_seminorm(u, 0.5)
-        assert 0.99 <= sn <= 1.0 + 1e-12
-
-    def test_alpha_out_of_range(self):
-        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
-        u = GridFunction(grid, np.zeros(grid.n))
-        for alpha in (0.0, 1.5, -0.2):
-            with pytest.raises(ValueError, match="alpha"):
-                holder_seminorm(u, alpha)
-
-
 class TestMaskRuns:
     @staticmethod
     def _runs_loop(mask):
@@ -259,8 +233,10 @@ class TestMaskRuns:
                 assert mask_runs(mask).tolist() == self._runs_loop(mask)
 
     def test_longest_dead_core_tie_takes_leftmost(self):
-        x = np.arange(9.0)
-        u = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        assert dead_core_interval(x, u, 0.0) == (6.0, 8.0)
-        u[8] = 1.0
-        assert dead_core_interval(x, u, 0.0) == (0.0, 1.0)
+        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
+        x = grid.x_interior
+        v = np.ones(grid.n)
+        v[grid.interior[[0, 1, 3, 4, 6, 7, 8]]] = 0.0
+        assert detect_dead_core(GridFunction(grid, v), 0.0) == (x[6], x[8])
+        v[grid.interior[8]] = 1.0
+        assert detect_dead_core(GridFunction(grid, v), 0.0) == (x[0], x[1])

@@ -5,7 +5,6 @@ import pytest
 
 import deadcore as dc
 from deadcore import GridSpec, TailModel, make_grid
-from deadcore.profiles import ExponentRow
 
 
 class TestExponentFormulas:
@@ -87,19 +86,14 @@ class TestExponentTable:
     def test_regime_classification(self):
         # order-1 vanishing for s < 1 - gamma, order-2 for s > 1 - gamma/2,
         # indeterminate in between
-        rows = dc.exponent_table([0.75, 0.85, 0.95], [0.2])
+        rows = [row for s in (0.75, 0.85, 0.95) for row in dc.validate_params(s, 0.2).rows]
         by_s = {r.s: r for r in rows}
         assert by_s[0.75].nu == 1
         assert by_s[0.85].nu is None
         assert by_s[0.95].nu == 2
 
-    def test_cartesian_product(self):
-        rows = dc.exponent_table([0.6, 0.9], [0.1, 0.2, 0.3])
-        assert len(rows) == 6
-        assert all(isinstance(r, ExponentRow) for r in rows)
-
     def test_row_values_consistent(self):
-        (row,) = dc.exponent_table([0.8], [0.25])
+        (row,) = dc.validate_params(0.8, 0.25).rows
         assert row.growth == pytest.approx(dc.growth_exponent(0.8, 0.25))
         assert row.schauder == pytest.approx(dc.schauder_exponent(0.8, 0.25))
 
@@ -135,21 +129,20 @@ class TestOddExteriorBuilder:
 class TestValidateParams:
     def test_good_parameters_ok(self):
         rep = dc.validate_params(0.75, 0.2)
-        assert rep.ok
         assert rep.errors == []
         assert len(rep.rows) == 1
 
     def test_bad_gamma(self):
         rep = dc.validate_params(0.75, 0.5)
-        assert not rep.ok
+        assert rep.errors
         assert any("gamma" in e for e in rep.errors)
 
     def test_bad_s(self):
         rep = dc.validate_params(0.3, 0.2)
-        assert not rep.ok
+        assert rep.errors
         assert any("s" in e for e in rep.errors)
 
     def test_indeterminate_regime_warns(self):
         rep = dc.validate_params(0.85, 0.2)
-        assert rep.ok
+        assert not rep.errors
         assert any("indeterminate" in w for w in rep.warnings)

@@ -97,7 +97,7 @@ class TestNonlocalSolve:
         # interpolated start are odd as well
         for op, amplitude in ((op_small, 2.0), (op_ramp, 15.71)):
             g = dc.odd_exterior_builder(op.grid, "ramp", amplitude)
-            g_neg = g.with_values(-g.values)
+            g_neg = GridFunction(g.grid, -g.values, g.tail)
             r1 = dc.solve(op, g, ReactionSpec(gamma=0.2))
             r2 = dc.solve(op, g_neg, ReactionSpec(gamma=0.2))
             # the coordinate root is odd, so is every step: exactly opposite iterates
@@ -643,7 +643,7 @@ class TestRedBlackPolish:
         # root is odd, so the sweeps and the Newton steps are exactly negated
         g = random_ordered_pair(op_127.grid, np.random.default_rng(seed))[0]
         r1 = dc.solve(op_127, g, ReactionSpec(gamma=0.2))
-        r2 = dc.solve(op_127, g.with_values(-g.values), ReactionSpec(gamma=0.2))
+        r2 = dc.solve(op_127, GridFunction(g.grid, -g.values, g.tail), ReactionSpec(gamma=0.2))
         assert r1.converged and r1.iterations == r2.iterations
         np.testing.assert_array_equal(r2.solution.values, -r1.solution.values)
         np.testing.assert_array_equal(r2.energy_trace, r1.energy_trace)
@@ -710,7 +710,7 @@ class TestLaneBatch:
     def test_one_phase_batch_clips_lane_by_lane(self):
         # nonnegative data is clipped at zero, sign-changing data is not
         op, data = _campaign_data(2.0**-5, 4)
-        data = [v for g in data for v in (g, g.with_values(np.abs(g.values)))]
+        data = [v for g in data for v in (g, GridFunction(g.grid, np.abs(g.values), g.tail))]
         reaction = ReactionSpec(gamma=0.2, mode="one_phase")
         many = dc.solve_many(op, data, reaction)
         assert all(rep.converged for rep in many)

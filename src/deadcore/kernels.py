@@ -154,19 +154,19 @@ def _least_passing(d, q, gamma):
 def _locate(d, q, gamma, top):
     """The located root on lanes of q > 0, by Newton in s = log t and one Newton step in t.
 
-    Each lane stops after its first short step in s.  The result is clamped
-    into [prev(1e-280), q/d], or onto prev(1e-280) where q/d lies below it
-    (fmax sends NaN there too), so that every probe is a positive double.
+    Every lane takes every step until no lane's step in s is _NEWTON_TOL or
+    longer: the located root only centres the search, and the sign test
+    decides the bits.  The result is clamped into [prev(1e-280), q/d], or
+    onto prev(1e-280) where q/d lies below it (fmax sends NaN there too), so
+    that every probe is a positive double.
     """
     s = np.minimum(np.log(top), np.log(q) / gamma)
-    live = np.ones(q.shape, dtype=bool)
     for _ in range(_NEWTON_ITERS):
         a = d * np.exp(s)
         b = np.exp(gamma * s)
         step = (a + b - q) / (a + gamma * b)
-        s = np.where(live, s - step, s)
-        live &= ~(step < _NEWTON_TOL)
-        if not live.any():
+        s = s - step
+        if not (step >= _NEWTON_TOL).any():  # not step.max(): there may be no lanes
             break
     t = np.exp(s)
     p = np.exp(gamma * s)

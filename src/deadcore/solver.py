@@ -35,8 +35,8 @@ stopping rule's round-off floor) and solve(free, dd, rhs), which solves
    right-hand side, so their delta is exactly 0.0, and the whole symmetric
    positive definite matrix goes to one solve: a banded Cholesky on the
    tridiagonal system, a dense one (LAPACK dposv) on a dense system below
-   _PCG_MIN = 1023 unknowns, and FFT-based preconditioned CG on a dense
-   system from there up (the _DenseSystem docstring);
+   _PCG_MIN = 511 unknowns, and preconditioned CG with power-of-two FFTs on
+   a dense system from there up (the _DenseSystem docstring);
 3. a line search on that step, taken only when r.delta < 0: the largest
    t = 2^-k (k < 40) whose energy change dJ(t) is <= 0 (_step).  If no t
    passes, the Newton update is dropped.
@@ -151,9 +151,11 @@ REACTION_MODES = ("two_phase", "one_phase")
 # down to 31 saved 20% of the node updates but needed 22% more sweeps, and
 # gained nothing.
 _NEST_MIN = 255
-# Fewest unknowns whose linear solves run PCG instead of dposv, and PCG's
-# relative residual and iteration cap (the _DenseSystem docstring).
-_PCG_MIN = 1023
+# Fewest unknowns whose linear solves run PCG instead of dposv (a Newton
+# step of the nested ramp: 0.92 against 1.6 ms at 511, 0.69 against 0.26 ms
+# at 255), and PCG's relative residual and iteration cap (the _DenseSystem
+# docstring).
+_PCG_MIN = 511
 _PCG_RTOL = 1e-10
 _PCG_MAXITER = 200
 
@@ -281,39 +283,45 @@ class _DenseSystem:
     solve(free, dd, rhs) solves (A + diag(dd)) x = rhs on the free nodes, as
     _TridiagSystem.solve does: pinned nodes become identity rows and columns
     with a zero right-hand side, so their entries are exactly +0.0.  Below
-    _PCG_MIN = 1023 unknowns the whole N x N matrix goes to one dense
+    _PCG_MIN = 511 unknowns the whole N x N matrix goes to one dense
     Cholesky solve (LAPACK dposv), with no gather; the factorisation costs
     N^3/3 whatever the free set.  The system keeps one Fortran-order N x N
     work array, which dposv overwrites with its factor: each solve copies
     the view in and writes the diagonal through a strided view of it; only
     when a node is pinned does it zero rows and columns and mask the
     right-hand side.  So a call allocates no N x N array: 20 us a call at
-    N = 63 against 28 us with a fresh copy, and 2.3 against 2.9 ms at
-    N = 511 (medians, one BLAS thread, a 2-core Xeon VM).  A batch of lanes shares it and solves lane by lane:
-    a K x N x N stack of the lanes' matrices would need 258 MB at 2000
-    lanes of 127 unknowns.
+    N = 63 against 28 us with a fresh copy, and 0.26 ms either way at
+    N = 255 (medians, one BLAS thread, a 2-core Xeon VM).  A batch of lanes
+    shares it and solves lane by lane: a K x N x N stack of the lanes'
+    matrices would need 258 MB at 2000 lanes of 127 unknowns.
 
     From _PCG_MIN up no N x N array is built: the system is solved by
     preconditioned conjugate gradients (Strang, Stud. Appl. Math. 74 (1986);
-    Chan & Ng, SIAM Review 38 (1996)).  The matvec multiplies by A through
-    numpy.fft on the 2N circulant that embeds it.  The preconditioner is
-    split by node: free nodes whose Newton diagonal dd exceeds A_ii get
-    1 / (A_ii + dd) (the 1 to 3 nodes next to a branching point, where dd
-    reaches 1e48 A_ii), and the other free nodes get the inverse of A's
-    Strang circulant, whose eigenvalues are the rfft of the wrapped row;
-    on pinned nodes residual and direction stay +0.0.  PCG stops at
+    Chan & Ng, SIAM Review 38 (1996)).  Let m be the least power of two
+    >= N.  The matvec multiplies by A through numpy.fft on the circulant of
+    length 2m that embeds it, whose first column is r, 2m - 2N + 1 zeros
+    and r[N-1], ..., r[1].  The preconditioner is split by node: free nodes
+    whose Newton diagonal dd exceeds A_ii get 1 / (A_ii + dd) (the 1 to 3
+    nodes next to a branching point, where dd reaches 1e48 A_ii), and the
+    other free nodes get the inverse of the m x m Strang circulant,
+    c_j = r[min(j, m - j)], whose eigenvalues are the rfft of c: their
+    residual is padded with zeros to length m, solved with, and cut back to
+    N.  That is P^T C^-1 P with P the injection, positive definite because
+    C is.  On pinned nodes residual and direction stay +0.0.  PCG stops at
     |res|_2 <= 1e-10 |rhs|_2; at its cap of 200 iterations it returns its
     last iterate, which is still a descent direction (rhs.x = x.H x > 0).
 
-    On the nested ramp (R = 8, s = 0.95, amplitude 15.71) PCG takes 22 to
-    28 iterations at every N from 1023 to 8191; without the diagonal split
-    it took 30 to 163 below N = 8191 and reached the cap there.  One linear
-    solve of that ramp's takes, dposv against PCG, 0.72 against 2.0 ms at
-    N = 255, 3.6 against 4.4 ms at N = 511, 22 against 5.1 ms at N = 1023
-    and 138 against 12 ms at N = 2047 (medians, one BLAS thread); hence
-    _PCG_MIN.  The FFT lengths 2N and N are slow where N has a large prime
-    factor: at N = 8191, a prime, one iteration costs about 6 ms, against
-    about 1 ms at the padded lengths 16384 and 8192.
+    On the nested ramp (R = 8, s = 0.95, amplitude 15.71) PCG takes 16 to
+    18 iterations at N = 511, 15 to 19 at 1023, 17 to 23 at 2047, 17 to 26
+    at 4095 and 21 to 28 at 8191; without the diagonal split it took 30 to
+    163 below N = 8191 and reached the cap there.  One Newton step of that
+    ramp's takes, dposv against PCG, 0.26 against 0.69 ms at N = 255, 1.6
+    against 0.92 ms at N = 511, 10 against 1.3 ms at N = 1023 and 69
+    against 2.7 ms at N = 2047 (medians, one BLAS thread); hence _PCG_MIN.
+    Every FFT has a power-of-two length, 2m or m.  The lengths 2N and N
+    would be slow where N has a large prime factor: at N = 8191, a prime,
+    numpy falls back to Bluestein's algorithm, and the three PCG solves of
+    the h = 2^-12 ramp take 0.31 s, against 0.035 s at 16384 and 8192.
 
     A matrix that is not positive definite raises np.linalg.LinAlgError
     instead of returning a wrong solve: dposv reports a failed factor, and
@@ -335,11 +343,13 @@ class _DenseSystem:
             self._H = np.empty((n, n), order="F")
             self._H_diagonal = self._H.reshape(-1, order="F")[:: n + 1]
         else:
-            # eigenvalues of the 2N circulant that embeds A and of A's Strang
-            # circulant: real, as both circulants are symmetric
-            self._embed_eig = np.fft.rfft(np.concatenate((row, [0.0], row[:0:-1]))).real
-            k = np.arange(n)
-            self._strang_eig = np.fft.rfft(row[np.minimum(k, n - k)]).real
+            # eigenvalues of the 2m circulant that embeds A and of the m x m
+            # Strang circulant, m the least power of two >= N: real, as both
+            # circulants are symmetric
+            m = self._m = 1 << (n - 1).bit_length()
+            self._embed_eig = np.fft.rfft(np.concatenate((row, np.zeros(2 * m - 2 * n + 1), row[:0:-1]))).real
+            k = np.arange(m)
+            self._strang_eig = np.fft.rfft(row[np.minimum(k, m - k)]).real
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """A u; for a stack of lanes (K x N), A times each row."""
@@ -370,7 +380,7 @@ class _DenseSystem:
         """solve by preconditioned CG with FFT matvecs (see the class docstring)."""
         if not self._strang_eig.min() > 0.0:
             raise np.linalg.LinAlgError("Strang circulant not positive definite")
-        n = self.row.size
+        n, m = self.row.size, self._m
         d = np.where(free, dd, 0.0)
         stiff = free & (d > self.row[0])
         soft = free & ~stiff
@@ -378,11 +388,11 @@ class _DenseSystem:
         diag_inv = np.where(stiff, 1.0 / (self.row[0] + d), 0.0)
 
         def H(p):
-            Ap = np.fft.irfft(self._embed_eig * np.fft.rfft(p, 2 * n), 2 * n)[:n]
+            Ap = np.fft.irfft(self._embed_eig * np.fft.rfft(p, 2 * m), 2 * m)[:n]
             return np.where(free, Ap + d * p, 0.0)
 
         def precondition(v):
-            z = np.fft.irfft(np.fft.rfft(np.where(soft, v, 0.0)) / self._strang_eig, n)
+            z = np.fft.irfft(np.fft.rfft(np.where(soft, v, 0.0), m) / self._strang_eig, m)[:n]
             return np.where(soft, z, diag_inv * v)
 
         x = np.zeros(n)

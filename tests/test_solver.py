@@ -348,7 +348,7 @@ class TestNestedStart:
         np.testing.assert_array_equal(rep.energy_trace, cold.energy_trace)
 
     def test_ramp_at_h_2_to_the_minus_11(self):
-        # 4095 unknowns, levels 255 -> 4095; PCG from 1023 up
+        # 4095 unknowns, levels 255 -> 4095; PCG from 511 up
         grid = make_grid(GridSpec(h=2.0**-11, a=1.0, R=8.0))
         g = dc.odd_exterior_builder(grid, "ramp", 15.71)
         rep = dc.solve(dc.assemble(grid, 0.95), g, ReactionSpec(gamma=0.2))
@@ -414,6 +414,18 @@ def op_acceptance_08():
 
 
 @pytest.fixture(scope="module")
+def op_511():
+    """h = 2^-8, R = 8, s = 0.95: 511 unknowns, the smallest PCG size."""
+    return dc.assemble(make_grid(GridSpec(h=2.0**-8, a=1.0, R=8.0)), 0.95)
+
+
+@pytest.fixture(scope="module")
+def op_767():
+    """h = 1/384, R = 2, s = 0.75: 767 unknowns, not 2^k - 1, so PCG pads to 1024."""
+    return dc.assemble(make_grid(GridSpec(h=1 / 384, a=1.0, R=2.0)), 0.75)
+
+
+@pytest.fixture(scope="module")
 def op_2047():
     """h = 2^-10, R = 8, s = 0.95: 2047 unknowns."""
     return dc.assemble(make_grid(GridSpec(h=2.0**-10, a=1.0, R=8.0)), 0.95)
@@ -437,18 +449,23 @@ def _linear_start(system, b):
 class TestDenseNewtonStep:
     """The dense Newton step is the free-set system, solved without a gather:
     one dposv below solver._PCG_MIN unknowns (63 and 255 here), PCG from
-    there up (1023 and 2047).  The tridiagonal system's banded Cholesky
-    solves the same system ("local", 255 unknowns)."""
+    there up (511, 767, 1023 and 2047).  The tridiagonal system's banded
+    Cholesky solves the same system ("local", 255 unknowns)."""
 
-    @pytest.fixture(params=["h2^-5", "h2^-7", "h2^-9", "h2^-10", "local"])
-    def case(self, request, op_small, op_acceptance_08, op_ramp, op_2047):
+    @pytest.fixture(params=["h2^-5", "h2^-7", "h2^-8", "h1/384", "h2^-9", "h2^-10", "local"])
+    def case(self, request, op_small, op_acceptance_08, op_511, op_767, op_ramp, op_2047):
         """(A as a dense matrix, its system)."""
         if request.param == "local":
             system = solver.local_operator(make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0)))
             return _local_matrix(system), system
-        op = {"h2^-5": op_small, "h2^-7": op_acceptance_08, "h2^-9": op_ramp, "h2^-10": op_2047}[
-            request.param
-        ]
+        op = {
+            "h2^-5": op_small,
+            "h2^-7": op_acceptance_08,
+            "h2^-8": op_511,
+            "h1/384": op_767,
+            "h2^-9": op_ramp,
+            "h2^-10": op_2047,
+        }[request.param]
         return op.A, solver._DenseSystem(op.A[0])
 
     @pytest.mark.parametrize("pinned", ["nothing", "interior_block", "both_ends", "everything"])
@@ -532,19 +549,45 @@ class TestDenseNewtonStep:
             assert np.array_equal(x.view(np.int64), fresh.view(np.int64))
             assert np.all(x[~free] == 0.0) and not np.signbit(x[~free]).any()
 
-    def test_pcg_builds_no_dense_matrix(self, op_2047):
-        # a dense copy of A would take 33.5 MB
-        n = op_2047.A.shape[0]
-        system = solver._DenseSystem(op_2047.row)
+    def test_pcg_builds_no_dense_matrix(self, op_511, op_2047):
+        # a dense copy of A would take 2.1 MB at N = 511 and 33.5 MB at 2047;
+        # the system is built under the trace, as dposv's work array is
         rng = np.random.default_rng(10)
-        r, free = rng.standard_normal(n), np.ones(n, dtype=bool)
-        tracemalloc.start()
-        try:
-            system.solve(free, np.ones(n), -r)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
+        for op in (op_511, op_2047):
+            n = op.row.size
+            r, free = rng.standard_normal(n), np.ones(n, dtype=bool)
+            tracemalloc.start()
+            try:
+                solver._DenseSystem(op.row).solve(free, np.ones(n), -r)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6, n
+
+    @pytest.mark.parametrize("size", ["511", "767", "1023", "2047"])
+    def test_pcg_runs_power_of_two_ffts(self, size, op_511, op_767, op_ramp, op_2047, monkeypatch):
+        # 767 is not 2^k - 1: its embedding pads to 2048 and its Strang
+        # circulant to 1024.  No FFT runs at a length with a large prime
+        # factor, as 8191 is.
+        row = {"511": op_511, "767": op_767, "1023": op_ramp, "2047": op_2047}[size].row
+        n = row.size
+        lengths = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(np.fft, name)
+
+            def recording(a, m=None, *args, _transform=transform, **kwargs):
+                lengths.append(np.shape(a)[-1] if m is None else m)
+                return _transform(a, m, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recording)
+        system = solver._DenseSystem(row)
+        rng = np.random.default_rng(11)
+        free = np.ones(n, dtype=bool)
+        free[n // 3 : n // 2] = False
+        dd = 0.2 * np.abs(rng.standard_normal(n)) ** -0.8
+        system.solve(free, dd, rng.standard_normal(n))
+        m = 1 << (n - 1).bit_length()
+        assert lengths and set(lengths) == {m, 2 * m}
 
 
 @pytest.fixture(scope="module")

@@ -49,9 +49,6 @@ __all__ = [
     "vanishing",
 ]
 
-_SMALL_SUP = 1e-8  # pragmatic smallness scale for the growth probe's assertion
-
-
 def mask_runs(mask: np.ndarray) -> np.ndarray:
     """Maximal runs of True in a 1D mask as rows (start, end), end inclusive."""
     edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
@@ -62,9 +59,11 @@ def detect_dead_core(u: GridFunction, threshold: float):
     """Largest interior interval where |u| <= threshold, as (x_lo, x_hi), or None.
 
     The interval spans the longest run of interior nodes; on a tie the
-    leftmost of the longest runs wins.
+    leftmost of the longest runs wins.  A core spans at least two nodes: a
+    lone small node, such as the zero of an odd solution, is none.
     """
     runs = mask_runs(np.abs(u.interior_values) <= threshold)
+    runs = runs[runs[:, 1] > runs[:, 0]]
     if not runs.size:
         return None
     i0, i1 = runs[np.argmax(runs[:, 1] - runs[:, 0])]
@@ -294,8 +293,6 @@ class LiouvilleReport:
     classification: str  # "decaying", "critical", or "growing"
     radii: np.ndarray
     q: np.ndarray
-    sup_abs: float
-    asserted_small: bool | None  # is sup|u| small? set when "decaying", else None
 
 
 def liouville_radii(spec: GridSpec) -> np.ndarray:
@@ -317,16 +314,14 @@ def liouville_probe(u: GridFunction, s: float, gamma: float) -> LiouvilleReport:
     """Classify the growth of q(r) = sup_{B_r}|u| / r^(2s/(1-gamma)).
 
     Per doubling of r: a strict decrease by factor >= 1.1 classifies as
-    "decaying", and then asserted_small says whether sup|u| is small;
-    staying within factor 1.1 classifies as "critical", anything else as
+    "decaying", staying within factor 1.1 as "critical", anything else as
     "growing".  This is a classifier over a truncated grid, not a proof
-    device: only the growth hypothesis and the smallness conclusion are
-    examined.  The radii are those of liouville_radii.
+    device: only the growth hypothesis is examined.  The radii are those of
+    liouville_radii.
     """
     beta = growth_exponent(s, gamma)
     radii = liouville_radii(u.grid.spec)
     q = np.array([sup_on_ball(u, 0.0, r) / r**beta for r in radii])
-    sup_abs = sup_on_ball(u, 0.0, float(radii[-1]))
     if np.all(q < 1e-300):
         cls = "decaying"  # identically zero at working precision
     else:
@@ -337,12 +332,7 @@ def liouville_probe(u: GridFunction, s: float, gamma: float) -> LiouvilleReport:
             cls = "critical"
         else:
             cls = "growing"
-    asserted = None
-    if cls == "decaying":
-        asserted = bool(sup_abs <= _SMALL_SUP * max(1.0, float(np.abs(u.values).max())))
-    return LiouvilleReport(
-        classification=cls, radii=radii, q=q, sup_abs=float(sup_abs), asserted_small=asserted
-    )
+    return LiouvilleReport(classification=cls, radii=radii, q=q)
 
 
 def random_ordered_pair(grid: Grid, rng: np.random.Generator) -> tuple[GridFunction, GridFunction]:

@@ -2,10 +2,11 @@
 
 Every run takes one or more line-oriented config files (``key = value``,
 ``#`` comments) and writes CSV outputs plus a key=value metadata sidecar
-into the output directory, with file names derived from the config stem.
-The runners build every row and item of those files from what the library
-returns; grid.write_lines writes them, and grid.format_field formats every
-field.
+into the output directory.  This is the only module that opens a file; the
+library only computes.  Each mode's runner builds every row and item of its
+files from what the library returns and hands them to write(name, rows),
+which _run_one builds: the one place that names a file <out>/<stem>_<name>,
+with the config's stem, and writes it, every field through format_field.
 
 Each value is parsed once, by its key's parser in _KEYS, and a mode's
 runner gets the parsed values.  Every key a mode accepts is parsed and
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import analysis, profiles
 from .fraclap import assemble, check_order, check_tail
-from .grid import GridFunction, GridSpec, TailModel, format_field, make_grid, write_lines
+from .grid import GridFunction, GridSpec, TailModel, make_grid
 from .solver import REACTION_MODES, ReactionSpec, SolverConfig, check_finite, local_operator, solve, solve_local
 
 __all__ = ["main"]
@@ -207,9 +208,20 @@ def _solved(p, path):
     return report
 
 
-def _write_meta(path, report, **extra) -> None:
-    """A run's .meta: the report's fields, a one-phase report's free_boundary when
-    analysis.free_boundary finds one, then the extras sorted by key."""
+def format_field(value) -> str:
+    """One field of an output file: a float as .17g, which round-trips; a
+    bool or None in lower case; anything else as str."""
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _meta(report, **extra) -> list:
+    """A run's .meta items: the report's fields, a one-phase report's
+    free_boundary when analysis.free_boundary finds one, then the extras
+    sorted by key."""
     items = [
         ("s", report.s),
         ("gamma", report.gamma),
@@ -223,17 +235,22 @@ def _write_meta(path, report, **extra) -> None:
         fb = analysis.free_boundary(report.solution, report.s, report.gamma)
         if fb is not None:
             items.append(("free_boundary", fb))
-    write_lines(path, items + sorted(extra.items()), sep="=")
+    return items + sorted(extra.items())
 
 
-def _run_solve(p, path, out_dir, stem, seed):
+def _nodes(u: GridFunction) -> list:
+    """A grid function's rows: ``# tail=...``, the header ``x,u``, one row per node."""
+    return [(f"# tail={u.tail.encode()}",), ("x", "u"), *zip(u.grid.x, u.values)]
+
+
+def _run_solve(p, path, seed, write):
     report = _solved(p, path)
-    name = os.path.join(out_dir, f"{stem}_{'solve-local' if p.local else 'solve'}")
-    report.solution.to_csv(f"{name}.csv")
-    _write_meta(f"{name}.meta", report, seed=seed)
+    name = "solve-local" if p.local else "solve"
+    write(f"{name}.csv", _nodes(report.solution))
+    write(f"{name}.meta", _meta(report, seed=seed))
 
 
-def _run_exponent(p, path, out_dir, stem, seed):
+def _run_exponent(p, path, seed, write):
     report = _solved(p, path)
     s, gamma = report.s, report.gamma  # s is 1 for the local operator
     u = report.solution
@@ -243,72 +260,52 @@ def _run_exponent(p, path, out_dir, stem, seed):
         u, x0, r_min=p.fit_rmin, r_max=p.fit_rmax, k=p.fit_k, deriv_order=p.deriv_order
     )
     target = profiles.growth_exponent(s, gamma) - fit.deriv_order
-    write_lines(
-        os.path.join(out_dir, f"{stem}_exponent.csv"),
+    write(
+        "exponent.csv",
         [
             ("s", "gamma", "x0", "slope", "target", "relative_gap", "r2"),
             (s, gamma, x0, fit.slope, target, abs(fit.slope - target) / target, fit.r2),
         ],
     )
-    write_lines(
-        os.path.join(out_dir, f"{stem}_branching.csv"),
-        [("x0", "u", "du", "d2u"), *zip(points, *analysis.vanishing(u, points))],
-    )
-    _write_meta(os.path.join(out_dir, f"{stem}_exponent.meta"), report, seed=seed, slope=fit.slope, r2=fit.r2)
+    write("branching.csv", [("x0", "u", "du", "d2u"), *zip(points, *analysis.vanishing(u, points))])
+    write("exponent.meta", _meta(report, seed=seed, slope=fit.slope, r2=fit.r2))
 
 
-def _run_blowup(p, path, out_dir, stem, seed):
+def _run_blowup(p, path, seed, write):
     report = _solved(p, path)
-    v = analysis.blow_up(report.solution, p.x0, p.r, report.s, report.gamma)
-    v.to_csv(os.path.join(out_dir, f"{stem}_blowup.csv"))
-    _write_meta(os.path.join(out_dir, f"{stem}_blowup.meta"), report, seed=seed, r=p.text["r"])
+    write("blowup.csv", _nodes(analysis.blow_up(report.solution, p.x0, p.r, report.s, report.gamma)))
+    write("blowup.meta", _meta(report, seed=seed, r=p.text["r"]))
 
 
-def _run_compare(p, path, out_dir, stem, seed):
+def _run_compare(p, path, seed, write):
     trials = analysis.comparison_campaign(
         p.grid, p.s, p.reaction, n_pairs=p.pairs, seed=seed, config=p.config
     )
     if not all(t.converged for t in trials):
         raise SolveFailure(f"{path}: a campaign solve did not converge")
-    write_lines(
-        os.path.join(out_dir, f"{stem}_compare.csv"),
-        [("pair", "violation", "passed"), *((t.pair, t.violation, t.passed) for t in trials)],
-    )
+    write("compare.csv", [("pair", "violation", "passed"), *((t.pair, t.violation, t.passed) for t in trials)])
     failures = sum(not t.passed for t in trials)
-    write_lines(
-        os.path.join(out_dir, f"{stem}_compare.meta"),
-        [("pairs", len(trials)), ("failures", failures), ("seed", seed)],
-        sep="=",
-    )
+    write("compare.meta", [("pairs", len(trials)), ("failures", failures), ("seed", seed)])
 
 
-def _run_liouville(p, path, out_dir, stem, seed):
+def _run_liouville(p, path, seed, write):
     report = _solved(p, path)
     probe = analysis.liouville_probe(report.solution, report.s, report.gamma)
-    write_lines(os.path.join(out_dir, f"{stem}_liouville.csv"), [("r", "q"), *zip(probe.radii, probe.q)])
-    _write_meta(
-        os.path.join(out_dir, f"{stem}_liouville.meta"),
-        report,
-        seed=seed,
-        classification=probe.classification,
-        asserted_small=probe.asserted_small,
-    )
+    write("liouville.csv", [("r", "q"), *zip(probe.radii, probe.q)])
+    write("liouville.meta", _meta(report, seed=seed, classification=probe.classification))
 
 
-def _run_slimit(p, path, out_dir, stem, seed):
+def _run_slimit(p, path, seed, write):
     rows, local_rep = analysis.s_limit_study(
         p.grid, p.s_list, p.reaction, _data(p, p.grid), p.config
     )
     if not local_rep.converged:
         raise SolveFailure(f"{path}: local reference solve did not converge")
-    write_lines(
-        os.path.join(out_dir, f"{stem}_slimit.csv"),
-        [("s", "distance", "slope"), *((row.s, row.distance, row.slope) for row in rows)],
-    )
-    _write_meta(os.path.join(out_dir, f"{stem}_slimit.meta"), local_rep, seed=seed, s_list=p.text["s_list"])
+    write("slimit.csv", [("s", "distance", "slope"), *((row.s, row.distance, row.slope) for row in rows)])
+    write("slimit.meta", _meta(local_rep, seed=seed, s_list=p.text["s_list"]))
 
 
-def _run_validate(p, path, out_dir, stem, seed):
+def _run_validate(p, path, seed, write):
     rep = profiles.validate_params(p.s, p.gamma)
     lines = [f"status=error message={err}" for err in rep.errors]
     lines += [f"status=warning message={warn}" for warn in rep.warnings]
@@ -317,11 +314,8 @@ def _run_validate(p, path, out_dir, stem, seed):
         fields = dict(status="ok", s=row.s, gamma=row.gamma, growth=row.growth, schauder=row.schauder, nu=nu)
         lines.append(" ".join(f"{key}={format_field(value)}" for key, value in fields.items()))
     sys.stdout.write("".join(f"{line}\n" for line in lines))
-    if out_dir is not None:
-        # each status line is one field; the seed is a (key, value) item
-        write_lines(
-            os.path.join(out_dir, f"{stem}_validate.meta"), [*((line,) for line in lines), ("seed", seed)], sep="="
-        )
+    # each status line is one field; the seed is a (key, value) item
+    write("validate.meta", [*((line,) for line in lines), ("seed", seed)])
     if rep.errors:
         raise ConfigError(f"{path}: invalid parameters")
 
@@ -353,10 +347,18 @@ def _run_one(task) -> int:
             print(f"dry-run: {path} -> {mode} outputs {stem}_{mode}.* in {out_dir}")
             if mode == "validate":
                 # validate's checks need no outputs; run it without writing
-                _run_validate(p, path, None, stem, seed)
+                _run_validate(p, path, seed, lambda name, rows: None)
             return 0
         os.makedirs(out_dir, exist_ok=True)
-        _MODE_TABLE[mode][0](p, path, out_dir, stem, seed)
+
+        def write(name, rows):
+            """Write <out>/<stem>_<name>, one line per row: a .meta's items
+            joined by "=", a CSV's fields by ","."""
+            sep = "=" if name.endswith(".meta") else ","
+            with open(os.path.join(out_dir, f"{stem}_{name}"), "w") as fh:
+                fh.writelines(sep.join(map(format_field, row)) + "\n" for row in rows)
+
+        _MODE_TABLE[mode][0](p, path, seed, write)
         return 0
     except (ConfigError, ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

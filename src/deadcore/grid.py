@@ -3,7 +3,9 @@
 Everything downstream (operator assembly, solvers, exponent fits) works on a
 uniform grid over [-R, R] with an open interior window (-a, a).  Exterior
 nodes carry Dirichlet data; behaviour beyond the truncation radius R is
-described by a small analytic tail model instead of more nodes.
+described by a small analytic tail model instead of more nodes.  The
+module only computes: it reads and writes no file (deadcore.cli writes a
+grid function's nodes and tail).
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ __all__ = [
     "make_grid",
     "sup_on_ball",
     "discrete_derivative",
-    "format_field",
-    "write_lines",
 ]
 
 _INT_TOL = 1e-9
@@ -174,26 +174,6 @@ class TailModel:
         return self.c * abs(y) ** (-self.p)
 
 
-def format_field(value) -> str:
-    """One field of an output file: a float as .17g, which round-trips; a
-    bool or None in lower case; anything else as str."""
-    if value is None or isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def write_lines(path: str, rows, sep: str = ",") -> None:
-    """Write one line per row: its fields through format_field, joined by sep.
-
-    Every file deadcore writes goes through here: a CSV's rows with sep ","
-    and a .meta file's (key, value) items with sep "=".
-    """
-    with open(path, "w") as fh:
-        fh.writelines(sep.join(map(format_field, row)) + "\n" for row in rows)
-
-
 @dataclass
 class GridFunction:
     """Nodal values on a grid together with a tail model.
@@ -219,39 +199,6 @@ class GridFunction:
     @property
     def exterior_values(self) -> np.ndarray:
         return self.values[self.grid.exterior]
-
-    def to_csv(self, path: str) -> None:
-        """Write ``# tail=...`` comment, ``x,u`` header, one node per row."""
-        write_lines(path, [(f"# tail={self.tail.encode()}",), ("x", "u"), *zip(self.grid.x, self.values)])
-
-    @classmethod
-    def from_csv(cls, path: str, a: float) -> "GridFunction":
-        """Read a grid function written by to_csv.
-
-        The interior half-width ``a`` is not stored in the file and must be
-        supplied by the caller.
-        """
-        with open(path) as fh:
-            first = fh.readline().strip()
-            if not first.startswith("# tail="):
-                raise ValueError("missing tail comment line")
-            tail = TailModel.parse(first[len("# tail="):])
-            header = fh.readline().strip()
-            if header != "x,u":
-                raise ValueError(f"unexpected header {header!r}")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        if len(rows) < 3:
-            raise ValueError(f"{len(rows)} node rows; a grid has at least three")
-        x = np.array([float(r[0]) for r in rows])
-        u = np.array([float(r[1]) for r in rows])
-        # h from R and the node count, as make_grid lays the nodes out; the
-        # difference x[1] - x[0] misses the written h by ulps on most grids
-        R = -float(x[0])
-        spec = GridSpec(h=R / ((x.size - 1) // 2), a=float(a), R=R)
-        grid = make_grid(spec)
-        if grid.n != x.size or not np.allclose(grid.x, x, rtol=0, atol=1e-12 * max(1.0, abs(x[0]))):
-            raise ValueError("node coordinates are not a uniform symmetric grid")
-        return cls(grid, u, tail)
 
 
 def sup_on_ball(u: GridFunction, x0: float, r: float) -> float:

@@ -1,4 +1,4 @@
-"""Grid construction, tail models, CSV round trips, and nodal calculus."""
+"""Grid construction, tail models, grid functions, and nodal calculus."""
 
 import numpy as np
 import pytest
@@ -109,52 +109,6 @@ class TestGridFunction:
         grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
         u = GridFunction(grid, np.arange(grid.n, dtype=float))
         assert u.interior_values.size + u.exterior_values.size == grid.n
-
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        # h = 0.1 and 1/24 are not x[1] - x[0] of their own nodes
-        rng = np.random.default_rng(11)
-        for h, a, R in [(1 / 32, 1.0, 2.0), (0.1, 2.0, 4.0), (1 / 24, 1.0, 2.0)]:
-            grid = make_grid(GridSpec(h=h, a=a, R=R))
-            u = GridFunction(grid, rng.standard_normal(grid.n), TailModel.power(0.7, 2.25))
-            path = tmp_path / "u.csv"
-            u.to_csv(path)
-            back = GridFunction.from_csv(path, a=a)
-            np.testing.assert_array_equal(back.values, u.values)
-            assert back.tail == u.tail
-            assert back.grid.spec == grid.spec
-            np.testing.assert_array_equal(back.grid.x, grid.x)
-
-    @pytest.mark.parametrize("rows", [0, 1, 2])
-    def test_from_csv_rejects_fewer_than_three_nodes(self, tmp_path, rows):
-        path = tmp_path / "short.csv"
-        path.write_text("# tail=zero\nx,u\n" + "".join(f"{-1.0 + i},0\n" for i in range(rows)))
-        with pytest.raises(ValueError, match="node rows"):
-            GridFunction.from_csv(path, a=1.0)
-
-    def test_csv_write_is_deterministic(self, tmp_path):
-        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
-        u = GridFunction(grid, np.linspace(-1, 1, grid.n))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        u.to_csv(p1)
-        u.to_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_from_csv_rejects_missing_tail_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,u\n0,1\n")
-        with pytest.raises(ValueError, match="tail comment"):
-            GridFunction.from_csv(path, a=1.0)
-
-    def test_from_csv_rejects_nonuniform_nodes(self, tmp_path):
-        grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
-        u = GridFunction(grid, np.zeros(grid.n))
-        path = tmp_path / "u.csv"
-        u.to_csv(path)
-        lines = path.read_text().splitlines()
-        lines[5] = "0.123456,0"  # clobber one node coordinate
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="uniform symmetric"):
-            GridFunction.from_csv(path, a=1.0)
 
 
 class TestSupOnBall:

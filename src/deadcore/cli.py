@@ -34,7 +34,9 @@ import numpy as np
 from . import analysis, profiles
 from .fraclap import assemble, check_order, check_tail
 from .grid import GridFunction, GridSpec, TailModel, make_grid
-from .solver import REACTION_MODES, ReactionSpec, SolverConfig, check_finite, local_operator, solve, solve_local
+from .solver import (
+    REACTION_MODES, ReactionSpec, SolverConfig, check_boundary, check_finite, local_operator, solve, solve_local,
+)
 
 __all__ = ["main"]
 
@@ -179,6 +181,10 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
     p.grid = make_grid(p.spec)
     if p.local or mode == "slimit":  # slimit's reference solve is local
         local_operator(p.grid)  # its scale rule
+    if p.local:
+        check_boundary(p.grid, (p.left, p.right))
+    if mode == "exponent" and not abs(p.x0) <= p.spec.R:
+        raise ConfigError(f"{path}: x0 = {p.text['x0']}: must lie in [-R, R]")
     if mode in ("exponent", "slimit"):  # slimit takes no fit keys: fit_radii(spec, None, None, 8)
         analysis.fit_radii(p.spec, p.fit_rmin, p.fit_rmax, p.fit_k)
     if mode == "liouville":
@@ -382,11 +388,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers across configs, at most one per config")
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed, recorded in sidecars")
+    parser.add_argument("--seed", type=int, default=0, help="campaign seed, at least 0, recorded in sidecars")
     parser.add_argument("--dry-run", action="store_true", help="parse and check as a run does, without solving or writing")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
 
     tasks = [(args.mode, path, args.out, args.seed, args.dry_run) for path in args.config]
     # the pool starts all its workers at the first submit: no more than there are tasks

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as gamma_fn, hyp2f1, zeta
 
 from .grid import Grid, GridFunction, TailModel
@@ -75,8 +74,9 @@ def interp_defect_constant(s: float) -> float:
     return float(val.sum() + tail)
 
 
-def _weight_tables(s: float, n: int, corrected: bool):
-    """Hat weights by lag (h^(-2s) units): full hats, endpoint half hats."""
+def _weight_tables(s: float, n: int):
+    """Hat weights by lag (h^(-2s) units): full hats, endpoint half hats, and
+    the singular-cell weight lam, less the interpolation defect."""
     gh = np.zeros(n)
     gh[1] = 2 * _p0(1.0, 2.0, s) - _p1(1.0, 2.0, s)
     if n > 2:
@@ -88,7 +88,7 @@ def _weight_tables(s: float, n: int, corrected: bool):
     if n > 2:
         mm = np.arange(2, n, dtype=float)
         gh_end[2:] = _p1(mm - 1, mm, s) - (mm - 1) * _p0(mm - 1, mm, s)
-    lam = 1.0 / (2.0 - 2.0 * s) - (interp_defect_constant(s) if corrected else 0.0)
+    lam = 1.0 / (2.0 - 2.0 * s) - interp_defect_constant(s)
     return gh, gh_end, lam
 
 
@@ -103,60 +103,28 @@ class FracLapOperator:
 
     Every weight depends only on the lag |i - j| between nodes, so the
     operator keeps O(n) numbers.  Row i of the interior x all-nodes map is
-    lags[|i - j|] over the nodes j, except in two places: the interior
-    diagonal holds ``diagonal`` (the full-line kernel mass), and the columns
-    of the end nodes 0 and n - 1 hold ``end_columns`` (half hats).  The
-    interior matrix A is therefore symmetric Toeplitz with first row
-    ``row``; ``apply`` and ``load_vector`` are direct convolutions with the
-    lag table.  ``A`` and ``exterior_weights`` build the dense N x N and
-    N x n_ext arrays on each access, for inspection only.  truncation_mass
-    is the kernel mass beyond R seen from each interior node (times the
-    normalization), which completes row balance: A@1 + exterior_weights@1
-    equals truncation_mass exactly, so constants are annihilated once the
-    constant tail correction is applied.
+    lags[|i - j|] over the nodes j, except in the columns of the end nodes
+    0 and n - 1, which hold ``end_columns`` (half hats).  lags[0] is the
+    interior diagonal, the full-line kernel mass.  The interior matrix A is
+    therefore symmetric Toeplitz with first row ``row``; ``apply`` and
+    ``load_vector`` are direct convolutions with the lag table.
+    truncation_mass is the kernel mass beyond R seen from each interior node
+    (times the normalization), which completes row balance: the load of
+    unit exterior data plus A@1 equals truncation_mass exactly, so
+    constants are annihilated once the constant tail correction is applied.
     """
 
     grid: Grid
     s: float
     c: float
     lags: np.ndarray
-    diagonal: float
     end_columns: np.ndarray
     truncation_mass: np.ndarray
-    corrected: bool
 
     @property
     def row(self) -> np.ndarray:
-        """First row r of A: A[i, j] = r[|i - j|]."""
-        r = self.lags[: self.grid.interior.size].copy()
-        r[0] = self.diagonal
-        return r
-
-    def _rows(self) -> np.ndarray:
-        """Unpatched interior x all-nodes map: a read-only view of windows.
-
-        Row i is lags[|i - j|], the window of _mirrored(lags) that starts at
-        n - 1 - i.  The interior is a contiguous run of nodes, so its rows
-        are one slice of windows.
-        """
-        n, gi = self.grid.n, self.grid.interior
-        windows = sliding_window_view(_mirrored(self.lags), n)
-        return windows[n - 1 - gi[-1] : n - gi[0]][::-1]
-
-    @property
-    def A(self) -> np.ndarray:
-        """Dense interior matrix, built anew on each access."""
-        m = self.grid.interior.size
-        A = self._rows()[:, self.grid.interior]
-        A[np.arange(m), np.arange(m)] = self.diagonal
-        return A
-
-    @property
-    def exterior_weights(self) -> np.ndarray:
-        """Dense map from exterior nodal data to the interior, built anew on each access."""
-        B = self._rows()[:, self.grid.exterior]
-        B[:, 0], B[:, -1] = self.end_columns
-        return B
+        """First row r of A, a view of the lag table: A[i, j] = r[|i - j|]."""
+        return self.lags[: self.grid.interior.size]
 
     def tail_load(self, tail: TailModel) -> np.ndarray:
         """Interior contribution of data beyond R described by ``tail``; it must pass check_tail."""
@@ -179,8 +147,8 @@ class FracLapOperator:
 
         The exterior part is one convolution of the nodal data, with the
         interior and the two end nodes zeroed, against the slice of
-        _mirrored(lags) that the interior rows see; the end nodes enter
-        through their own columns.
+        _mirrored(lags) that the interior rows see, so lag 0 never enters;
+        the end nodes enter through their own columns.
         """
         if g.grid is not self.grid and g.grid.spec != self.grid.spec:
             raise ValueError("data lives on a different grid")
@@ -225,8 +193,8 @@ def check_tail(tail: TailModel, s: float) -> None:
         raise ValueError(f"power tail p = {tail.p:.17g} grows too fast for s = {s:.17g}: it needs p > -2s")
 
 
-def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
-    """Assemble the lag table, the patched diagonal and the end columns.
+def assemble(grid: Grid, s: float) -> FracLapOperator:
+    """Assemble the lag table, with the diagonal at lag 0, and the end columns.
 
     s is admitted on [1/2, 0.999); the normalization degenerates near s = 1
     and the closed-form weights lose relative accuracy there.  Storage and
@@ -237,22 +205,13 @@ def assemble(grid: Grid, s: float, corrected: bool = True) -> FracLapOperator:
     h = grid.h
     n = grid.n
     gi = grid.interior
-    gh, gh_end, lam = _weight_tables(s, n, corrected)
+    gh, gh_end, lam = _weight_tables(s, n)
     scale = c * h ** (-2.0 * s)
+    T = -(gh + lam * (np.arange(n) == 1)) * scale
     # 2*lam covers the two adjacent cells' corrected weights; 1/s is the
     # kernel mass at lag >= 1 on the full line.
-    diag = 2 * lam + 1.0 / s
-    T = -(gh + lam * (np.arange(n) == 1)) * scale
+    T[0] = (2 * lam + 1.0 / s) * scale
     ends = np.stack((-gh_end[np.abs(gi)] * scale, -gh_end[np.abs(gi - (n - 1))] * scale))
     xi = grid.x[gi]
     T0 = c * ((grid.R - xi) ** (-2 * s) + (grid.R + xi) ** (-2 * s)) / (2 * s)
-    return FracLapOperator(
-        grid=grid,
-        s=s,
-        c=c,
-        lags=T,
-        diagonal=diag * scale,
-        end_columns=ends,
-        truncation_mass=T0,
-        corrected=corrected,
-    )
+    return FracLapOperator(grid=grid, s=s, c=c, lags=T, end_columns=ends, truncation_mass=T0)

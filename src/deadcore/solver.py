@@ -133,6 +133,7 @@ __all__ = [
     "ReactionSpec",
     "SolverConfig",
     "check_finite",
+    "check_boundary",
     "SolveReport",
     "reaction_value",
     "energy",
@@ -693,10 +694,8 @@ def _solve_nested(op: FracLapOperator, gs, reaction, config) -> list[SolveReport
     coarse = _coarse_spec(op.grid.spec)
     if coarse is not None:
         grid = make_grid(coarse)
-        reps = _solve_nested(
-            assemble(grid, op.s, op.corrected), [GridFunction(grid, g.values[::2], g.tail) for g in gs],
-            reaction, config,
-        )
+        coarse_gs = [GridFunction(grid, g.values[::2], g.tail) for g in gs]
+        reps = _solve_nested(assemble(grid, op.s), coarse_gs, reaction, config)
         start = np.array([np.interp(op.grid.x_interior, grid.x, rep.solution.values) for rep in reps])
     # a zero tail carries c = 0
     clip = [reaction.one_phase and bool((g.exterior_values >= 0).all() and g.tail.c >= 0.0) for g in gs]
@@ -717,6 +716,18 @@ def local_operator(grid: Grid) -> _TridiagSystem:
     return _TridiagSystem(np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2))
 
 
+def check_boundary(grid: Grid, boundary: tuple[float, float]) -> None:
+    """Raise ValueError unless the Dirichlet values ``boundary`` and their loads u/h^2 are finite.
+
+    grid must pass local_operator's scale rule.  The message names the value
+    that fails by its config key, left or right.
+    """
+    check_finite(*boundary)
+    for key, u in zip(("left", "right"), boundary):
+        if not math.isfinite(u / grid.h**2):
+            raise ValueError(f"{key} = {u:.17g} is too large for h = {grid.h:.17g}: its load {key}/h^2 overflows")
+
+
 def _local_load(grid: Grid, uL: float, uR: float) -> np.ndarray:
     """The Dirichlet values' share of A u + b: -u_L/h^2 and -u_R/h^2 at the end rows."""
     b = np.zeros(grid.interior.size)
@@ -735,14 +746,16 @@ def solve_local(
 
     boundary gives the Dirichlet values at -a and +a.  The report's exterior
     values continue the boundary values as plateaus; they do not enter the
-    local operator.  The report's s is 1 for local runs.  Non-finite
-    boundary values raise ValueError (check_finite).
+    local operator.  The report's s is 1 for local runs.  Boundary values
+    that are not finite, or whose load u/h^2 overflows, raise ValueError
+    (check_boundary).
     """
     uL, uR = float(boundary[0]), float(boundary[1])
-    check_finite(uL, uR)
+    system = local_operator(grid)
+    check_boundary(grid, (uL, uR))
     g = GridFunction(grid, np.where(grid.x < 0, uL, uR), TailModel.zero())
     clip = reaction.one_phase and uL >= 0 and uR >= 0
-    return _solve(local_operator(grid), _local_load(grid, uL, uR)[None], grid, [g], 1.0, reaction, config, [clip])[0]
+    return _solve(system, _local_load(grid, uL, uR)[None], grid, [g], 1.0, reaction, config, [clip])[0]
 
 
 def energy_local(

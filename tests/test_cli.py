@@ -401,7 +401,7 @@ class TestDryRun:
 # a config of each mode that passes --dry-run; TestDryRunMatchesTheRun adds one bad key
 _BASES = {
     "solve": SOLVE_KEYS,
-    "solve-local": dict(h="1/16", a="1", gamma="0.2", left="-1", right="1"),
+    "solve-local": dict(h="1/64", a="1", gamma="0.2", left="-1", right="1"),
     "exponent": dict(h="1/64", a="1", R="2", s="0.75", gamma="0.2", amplitude="4"),
     "blowup": dict(SOLVE_KEYS, h="1/32", r="1/2"),
     "compare": dict(h="1/16", a="1", R="2", s="0.75", gamma="0.2", pairs="2"),
@@ -433,9 +433,13 @@ class TestDryRunMatchesTheRun:
             ("blowup", "x0", "abc"),
             ("blowup", "x0", "0.01"),
             ("solve-local", "left", "abc"),
+            # its load left/h^2 = 4.1e308 overflows at h = 1/64
+            ("solve-local", "left", "1e305"),
             ("exponent", "fit_rmin", "abc"),
             ("exponent", "fit_rmin", "1/64"),
             ("exponent", "fit_rmax", "1/32"),
+            # beyond R = 2: the fit window holds no node
+            ("exponent", "x0", "100"),
             # a/h = 32: slimit's fit window [8h, a/4] is empty
             ("slimit", "h", "1/32"),
             # a/h = 8: only two doubling radii, 4h and 8h
@@ -577,6 +581,17 @@ class TestJobs:
             main(["solve", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys, dry_run):
+        # numpy's campaign generator takes no negative seed
+        cfg = write_config(tmp_path / "run.cfg", **_BASES["compare"])
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", cfg, "--out", str(out), "--seed", "-1"] + ["--dry-run"] * dry_run)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_worst_exit_code_wins(self, tmp_path, capsys):
         good = write_config(tmp_path / "good.cfg", **SOLVE_KEYS)

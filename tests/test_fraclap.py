@@ -1,11 +1,13 @@
 """Operator assembly invariants, consistency rates, and tail handling."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 import deadcore as dc
 from deadcore import fraclap, solver
@@ -17,6 +19,12 @@ from deadcore.fraclap import check_order
 def op_mid():
     grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
     return dc.assemble(grid, 0.75)
+
+
+@pytest.fixture(scope="module")
+def dense_mid(op_mid):
+    """op_mid's dense interior matrix A and exterior map B."""
+    return _dense_lag_assembly(op_mid.grid, op_mid.s)
 
 
 class TestAssemblyInvariants:
@@ -35,16 +43,16 @@ class TestAssemblyInvariants:
             check_order(0.75, 1e-300)
         check_order(0.75, 1e-150)
 
-    def test_symmetric(self, op_mid):
-        A = op_mid.A
+    def test_symmetric(self, dense_mid):
+        A, _ = dense_mid
         assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
 
-    def test_sign_pattern(self, op_mid):
-        A = op_mid.A
+    def test_sign_pattern(self, dense_mid):
+        A, B = dense_mid
         off = A - np.diag(np.diag(A))
         assert np.all(np.diag(A) > 0)
         assert np.all(off <= 1e-14)
-        assert np.all(op_mid.exterior_weights <= 1e-14)
+        assert np.all(B <= 1e-14)
 
     @pytest.mark.parametrize("corrected", [True, False])
     @pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.85, 0.95, 0.99, 0.998])
@@ -52,34 +60,34 @@ class TestAssemblyInvariants:
         # the premise of the red-black sweep's descent without a line search
         # (kernels docstring): off-diagonals <= 0, and the couplings of a node
         # to its own colour (even lags, both sides) at most A_ii; they reach
-        # 0.246 A_ii over these grids
+        # 0.246 A_ii over these grids.  It holds without the singular-cell
+        # correction too.
         for h in [2.0**-k for k in range(4, 11)] + [1 / 20, 1 / 24]:
             for R in (2.0, 3.0, 4.0, 8.0):
-                row = dc.assemble(make_grid(GridSpec(h=h, a=1.0, R=R)), s, corrected).row
+                row = _assemble(make_grid(GridSpec(h=h, a=1.0, R=R)), s, corrected).row
                 assert row[1:].max() <= 0.0, (h, R)
                 assert 2.0 * np.abs(row[2::2]).sum() <= row[0], (h, R)
 
-    def test_positive_definite(self, op_mid):
-        ev = np.linalg.eigvalsh(op_mid.A)
+    def test_positive_definite(self, dense_mid):
+        ev = np.linalg.eigvalsh(dense_mid[0])
         assert ev.min() > 0
 
-    def test_toeplitz_structure(self, op_mid):
+    def test_toeplitz_structure(self, dense_mid):
         # weights depend only on the lag |i - j|
-        A = op_mid.A
+        A, _ = dense_mid
         for k in range(A.shape[0]):
             d = np.diag(A, k)
             assert np.abs(d - d[0]).max() <= 1e-12 * max(1.0, abs(d[0]))
 
-    def test_row_balance_is_exact(self, op_mid):
-        ones_int = np.ones(op_mid.A.shape[0])
-        ones_ext = np.ones(op_mid.exterior_weights.shape[1])
-        resid = op_mid.A @ ones_int + op_mid.exterior_weights @ ones_ext - op_mid.truncation_mass
-        assert np.abs(resid).max() <= 1e-12 * np.abs(op_mid.A).max()
+    def test_row_balance_is_exact(self, op_mid, dense_mid):
+        A, B = dense_mid
+        resid = A @ np.ones(A.shape[1]) + B @ np.ones(B.shape[1]) - op_mid.truncation_mass
+        assert np.abs(resid).max() <= 1e-12 * np.abs(A).max()
 
-    def test_constants_annihilated(self, op_mid):
+    def test_constants_annihilated(self, op_mid, dense_mid):
         grid = op_mid.grid
         u = GridFunction(grid, np.full(grid.n, 3.7), TailModel.const(3.7))
-        assert np.abs(op_mid.apply(u)).max() <= 1e-11 * np.abs(op_mid.A).max()
+        assert np.abs(op_mid.apply(u)).max() <= 1e-11 * np.abs(dense_mid[0]).max()
 
     def test_antisymmetry_on_odd_data(self, op_mid):
         grid = op_mid.grid
@@ -94,20 +102,42 @@ class TestAssemblyInvariants:
             op_mid.load_vector(g)
 
 
+def _weights(s, n, corrected=True):
+    """fraclap._weight_tables; with corrected=False, lambda without the
+    singular-cell correction, lambda + interp_defect_constant(s)."""
+    gh, gh_end, lam = fraclap._weight_tables(s, n)
+    return gh, gh_end, lam if corrected else lam + fraclap.interp_defect_constant(s)
+
+
+def _assemble(grid, s, corrected=True):
+    """dc.assemble, or with corrected=False the same operator on the lag
+    table of _weights(corrected=False)."""
+    op = dc.assemble(grid, s)
+    if corrected:
+        return op
+    gh, _, lam = _weights(s, grid.n, corrected)
+    scale = op.c * grid.h ** (-2.0 * s)
+    lags = -(gh + lam * (np.arange(grid.n) == 1)) * scale
+    lags[0] = (2 * lam + 1.0 / s) * scale
+    return dataclasses.replace(op, lags=lags)
+
+
 def _getoor_window_error(s, h, corrected=True):
     """Sup over |x| <= 3/4 of the operator defect on the exact profile."""
     grid = make_grid(GridSpec(h=h, a=1.0, R=2.0))
     w = dc.getoor_profile(s, grid)
-    out = dc.assemble(grid, s, corrected=corrected).apply(w)
+    out = _assemble(grid, s, corrected).apply(w)
     window = np.abs(grid.x_interior) <= 0.75 + 1e-12
     return np.abs(out[window] - dc.getoor_constant(s)).max()
 
 
 def _dense_lag_assembly(grid, s, corrected=True):
-    """The former construction, verbatim: an int64 lag matrix and the full interior x nodes map."""
+    """The former construction, verbatim: an int64 lag matrix and the full
+    interior x nodes map, split into the dense interior matrix A and the
+    dense exterior map B."""
     c = dc.normalization_constant(s)
     n, gi = grid.n, grid.interior
-    gh, gh_end, lam = fraclap._weight_tables(s, n, corrected)
+    gh, gh_end, lam = _weights(s, n, corrected)
     scale = c * grid.h ** (-2.0 * s)
     diag = 2 * lam + 1.0 / s
     lag = np.abs(gi[:, None] - np.arange(n)[None, :])
@@ -124,13 +154,15 @@ def _dense_lag_assembly(grid, s, corrected=True):
     [(1 / 32, 4.0, 0.75, True), (1 / 64, 2.0, 0.5, True), (1 / 128, 8.0, 0.95, True), (1 / 32, 2.0, 0.6, False)],
 )
 def test_assembly_matches_dense_lag_construction(h, R, s, corrected):
+    # A is the Toeplitz matrix of row, and column j of B the load of unit
+    # data at exterior node j
     grid = make_grid(GridSpec(h=h, a=1.0, R=R))
-    op = dc.assemble(grid, s, corrected=corrected)
+    op = _assemble(grid, s, corrected)
     A, B = _dense_lag_assembly(grid, s, corrected)
-    np.testing.assert_array_equal(op.A, A)
-    np.testing.assert_array_equal(op.exterior_weights, B)
-    # the same memory layout keeps A @ u bit-identical too
-    assert op.A.strides == A.strides
+    np.testing.assert_array_equal(toeplitz(op.row), A)
+    for k, j in enumerate(grid.exterior):
+        unit = GridFunction(grid, np.eye(1, grid.n, j)[0], TailModel.zero())
+        np.testing.assert_array_equal(op.load_vector(unit), B[:, k])
 
 
 _GRIDS = [(1 / 32, 4.0, 0.75, True), (1 / 64, 2.0, 0.5, True), (1 / 128, 8.0, 0.95, True), (1 / 32, 2.0, 0.6, False)]
@@ -151,23 +183,25 @@ class TestLagTableOperator:
     @pytest.mark.parametrize("tail", _TAILS, ids=lambda t: t.kind)
     def test_apply_and_load_match_the_dense_maps(self, h, R, s, corrected, tail):
         grid = make_grid(GridSpec(h=h, a=1.0, R=R))
-        op = dc.assemble(grid, s, corrected=corrected)
+        op = _assemble(grid, s, corrected)
+        A, B = _dense_lag_assembly(grid, s, corrected)
         u = self._data(grid, tail, 5)
-        load = op.exterior_weights @ u.exterior_values + op.tail_load(tail)
-        ref = op.A @ u.interior_values + load
+        load = B @ u.exterior_values + op.tail_load(tail)
+        ref = A @ u.interior_values + load
         assert np.abs(op.load_vector(u) - load).max() <= 1e-14 * np.abs(load).max()
         assert np.abs(op.apply(u) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("h, R, s, corrected", _GRIDS)
     def test_energy_matches_the_dense_formula(self, h, R, s, corrected):
         grid = make_grid(GridSpec(h=h, a=1.0, R=R))
-        op = dc.assemble(grid, s, corrected=corrected)
+        op = _assemble(grid, s, corrected)
+        A, B = _dense_lag_assembly(grid, s, corrected)
         g = self._data(grid, TailModel.power(-1.3, 1.5), 6)
         u = np.random.default_rng(7).standard_normal(grid.interior.size)
         reaction = dc.ReactionSpec(gamma=0.2)
-        b = op.exterior_weights @ g.exterior_values + op.tail_load(g.tail)
+        b = B @ g.exterior_values + op.tail_load(g.tail)
         phi = u * solver.reaction_value(u, 0.2, False) / 1.2  # Phi(u) = u f(u) / (1 + gamma)
-        ref = h * (0.5 * u @ (op.A @ u) + b @ u + phi.sum())
+        ref = h * (0.5 * u @ (A @ u) + b @ u + phi.sum())
         assert abs(dc.energy(op, g, u, reaction) - ref) <= 1e-14 * abs(ref)
 
     def test_stored_arrays_are_linear_in_the_grid(self):

@@ -43,8 +43,6 @@ from .solver import (
     ReactionSpec,
     SolveReport,
     SolverConfig,
-    energy,
-    energy_local,
     reaction_value,
     solve,
     solve_local,

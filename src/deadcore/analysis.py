@@ -414,9 +414,12 @@ def comparison_campaign(
 
 @dataclass
 class SLimitRow:
+    """One order s of s_limit_study; converged is that of its nonlocal solve."""
+
     s: float
     distance: float
     slope: float
+    converged: bool
 
 
 def s_limit_study(
@@ -430,9 +433,11 @@ def s_limit_study(
 
     The local reference uses the same gamma and the Dirichlet values of g at
     the nodes +-a.  distance is the interior sup difference; slope is the
-    central growth fit of the nonlocal solution.  Data that vanish at +-a,
-    as the ramp does, give the local reference u = 0, and distance is then
-    just sup|u_s|; plateau data give a nontrivial reference.
+    central growth fit of the nonlocal solution.  Each row says whether its
+    solve converged, and the local reference's report whether that one did.
+    Data that vanish at +-a, as the ramp does, give the local reference
+    u = 0, and distance is then just sup|u_s|; plateau data give a
+    nontrivial reference.
     """
     config = config or SolverConfig()
     ia = int(grid.interior[0] - 1)
@@ -445,5 +450,5 @@ def s_limit_study(
         rep = solve(op, g, reaction, config)
         d = float(np.abs(rep.solution.interior_values - u_loc).max())
         fit = fit_growth_exponent(rep.solution, 0.0)
-        rows.append(SLimitRow(s=float(s), distance=d, slope=fit.slope))
+        rows.append(SLimitRow(s=float(s), distance=d, slope=fit.slope, converged=rep.converged))
     return rows, local_rep

@@ -35,7 +35,7 @@ from . import analysis, profiles
 from .fraclap import assemble, check_order, check_tail
 from .grid import GridFunction, GridSpec, TailModel, make_grid
 from .solver import (
-    REACTION_MODES, ReactionSpec, SolverConfig, check_boundary, check_finite, local_operator, solve, solve_local,
+    REACTION_MODES, ReactionSpec, SolverConfig, check_finite, local_load, local_operator, solve, solve_local,
 )
 
 __all__ = ["main"]
@@ -182,7 +182,7 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
     if p.local or mode == "slimit":  # slimit's reference solve is local
         local_operator(p.grid)  # its scale rule
     if p.local:
-        check_boundary(p.grid, (p.left, p.right))
+        local_load(p.grid, (p.left, p.right))  # the boundary values and their loads are finite
     if mode == "exponent" and not abs(p.x0) <= p.spec.R:
         raise ConfigError(f"{path}: x0 = {p.text['x0']}: must lie in [-R, R]")
     if mode in ("exponent", "slimit"):  # slimit takes no fit keys: fit_radii(spec, None, None, 8)
@@ -261,6 +261,7 @@ def _run_exponent(p, path, seed, write):
     s, gamma = report.s, report.gamma  # s is 1 for the local operator
     u = report.solution
     points = analysis.detect_branching(u, s, gamma)
+    # without a detected point the fit runs at the configured x0, and branching=false says so
     x0 = float(points[np.argmin(np.abs(points - p.x0))]) if points.size else p.x0
     fit = analysis.fit_growth_exponent(
         u, x0, r_min=p.fit_rmin, r_max=p.fit_rmax, k=p.fit_k, deriv_order=p.deriv_order
@@ -274,7 +275,7 @@ def _run_exponent(p, path, seed, write):
         ],
     )
     write("branching.csv", [("x0", "u", "du", "d2u"), *zip(points, *analysis.vanishing(u, points))])
-    write("exponent.meta", _meta(report, seed=seed, slope=fit.slope, r2=fit.r2))
+    write("exponent.meta", _meta(report, seed=seed, slope=fit.slope, r2=fit.r2, branching=bool(points.size)))
 
 
 def _run_blowup(p, path, seed, write):
@@ -305,8 +306,8 @@ def _run_slimit(p, path, seed, write):
     rows, local_rep = analysis.s_limit_study(
         p.grid, p.s_list, p.reaction, _data(p, p.grid), p.config
     )
-    if not local_rep.converged:
-        raise SolveFailure(f"{path}: local reference solve did not converge")
+    if not (local_rep.converged and all(row.converged for row in rows)):
+        raise SolveFailure(f"{path}: a solve of the s-limit study did not converge")
     write("slimit.csv", [("s", "distance", "slope"), *((row.s, row.distance, row.slope) for row in rows)])
     write("slimit.meta", _meta(local_rep, seed=seed, s_list=p.text["s_list"]))
 

@@ -8,9 +8,10 @@ the Euler-Lagrange equation of the strictly convex energy
 
     J(u) = h * ( u.A u / 2 + b.u + sum_i Phi(u_i) ),
 
-and reports expose the full energy trace.  The module only computes and
-writes no file; the command line (deadcore.cli) turns a SolveReport into
-its output files.
+J is formed in one place, the evaluation of an iterate (_evaluate), and a
+SolveReport carries its last value and its full trace.  The module only
+computes and writes no file; the command line (deadcore.cli) turns a
+SolveReport into its output files.
 
 Each iteration is one step of a one-level truncated nonsmooth Newton
 multigrid (TNNMG) scheme (Graeser & Kornhuber, J. Comput. Math. 27 (2009);
@@ -133,15 +134,13 @@ __all__ = [
     "ReactionSpec",
     "SolverConfig",
     "check_finite",
-    "check_boundary",
     "SolveReport",
     "reaction_value",
-    "energy",
-    "energy_local",
     "solve",
     "solve_many",
     "solve_local",
     "local_operator",
+    "local_load",
 ]
 
 GAMMA_MAX = 1.0 / 3.0
@@ -353,10 +352,8 @@ class _DenseSystem:
             self._strang_eig = np.fft.rfft(row[np.minimum(k, m - k)]).real
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """A u; for a stack of lanes (K x N), A times each row."""
-        if u.ndim == 2:
-            return np.array([np.convolve(self.W, v, "valid") for v in u])
-        return np.convolve(self.W, u, "valid")
+        """A times each row of a stack of lanes u (K x N, K >= 1): one convolution per row."""
+        return np.array([np.convolve(self.W, v, "valid") for v in u])
 
     def solve(self, free, dd, rhs):
         """(A + diag(dd)) x = rhs on the free nodes; x is +0.0 on the others."""
@@ -420,17 +417,18 @@ class _DenseSystem:
 
 
 class _TridiagSystem:
-    """A symmetric tridiagonal system: diagonal d, off-diagonal e."""
+    """A symmetric tridiagonal Toeplitz system: the numbers d on the diagonal, e off it.
 
-    def __init__(self, d: np.ndarray, e: np.ndarray):
+    abs_row_sum is a middle row's sum, |d| + |e| + |e| in that order; an end
+    row's is no larger.
+    """
+
+    def __init__(self, d: float, e: float):
         self.diagonal, self.e = d, e
-        sums = np.abs(d)
-        sums[1:] += np.abs(e)
-        sums[:-1] += np.abs(e)
-        self.abs_row_sum = float(sums.max())
+        self.abs_row_sum = abs(d) + abs(e) + abs(e)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """A u; for a stack of lanes (K x N), A times each row."""
+        """A times each row of a stack of lanes u (K x N)."""
         out = self.diagonal * u
         out[..., 1:] += self.e * u[..., :-1]
         out[..., :-1] += self.e * u[..., 1:]
@@ -461,8 +459,9 @@ def _rows(mask):
 def _evaluate(system, b, h, v, gamma, one_phase):
     """Residual A v + b + f(v), energy J(v), f(v) and A v from one matvec and one f(v).
 
-    v and b may hold one lane per row (K x N); J then holds one energy per
-    lane.  A v is returned for the next sweep to open on.  Data that
+    v and b hold one lane per row (K x N), and J one energy per lane.  This
+    is the only place J is formed: a report's energy and energy_trace are
+    its values.  A v is returned for the next sweep to open on.  Data that
     overflow give inf or NaN here, which the caller's finiteness check
     reports, so numpy is not asked to warn about them.
     """
@@ -615,10 +614,16 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
             r, J, f, Au = _evaluate(system, b, h, u, gamma, one_phase)
 
 
-def _solve(system, b, grid: Grid, gs, s, reaction, config, clip, start=None) -> list[SolveReport]:
+def _solve(system, b, grid: Grid, gs, s, reaction, config, start=None) -> list[SolveReport]:
     """Iterate on ``system`` from ``start``, one lane per row of b and data set of gs;
-    report each lane's u on ``grid`` with its data set's exterior values and tail."""
+    report each lane's u on ``grid`` with its data set's exterior values and tail.
+
+    A lane is clipped at zero (the module docstring) when its data set is
+    one-phase and nonnegative: every exterior value and the tail's c (0 for
+    a zero tail) at least 0.
+    """
     reports = []
+    clip = [reaction.one_phase and bool((g.exterior_values >= 0).all() and g.tail.c >= 0.0) for g in gs]
     lanes = _iterate(system, b, grid.h, reaction, config or SolverConfig(), clip, start)
     for (u, iters, r_trace, j_trace, ok), g in zip(lanes, gs):
         v = g.values.copy()
@@ -636,13 +641,6 @@ def _solve(system, b, grid: Grid, gs, s, reaction, config, clip, start=None) -> 
             mode=reaction.mode,
         ))
     return reports
-
-
-def energy(op: FracLapOperator, g: GridFunction, u_interior: np.ndarray, reaction: ReactionSpec) -> float:
-    """Discrete energy J at interior values u against exterior data g."""
-    b = op.load_vector(g)
-    J = _evaluate(_DenseSystem(op.row), b, op.grid.h, u_interior, reaction.gamma, reaction.one_phase)[1]
-    return float(J)
 
 
 def solve(
@@ -669,14 +667,12 @@ def solve_many(
     """``solve`` for each data set of gs, as one batch of lanes; one report per data set.
 
     The lanes share op, and each report is the one ``solve`` gives for its
-    data set alone (the module docstring).  Non-finite data in any of gs, or
-    data on another grid than op's, raise ValueError before any lane
-    iterates; no data sets give no reports.
+    data set alone (the module docstring).  Non-finite data in any of gs
+    (check_finite), or data on another grid than op's (op.load_vector),
+    raise ValueError before any lane iterates; no data sets give no reports.
     """
     for g in gs:
         check_finite(g.values, g.tail.c, g.tail.p)
-        if g.grid.spec != op.grid.spec:
-            raise ValueError("data lives on a different grid")
     return _solve_nested(op, gs, reaction, config) if gs else []
 
 
@@ -689,7 +685,12 @@ def _coarse_spec(spec: GridSpec) -> GridSpec | None:
 
 
 def _solve_nested(op: FracLapOperator, gs, reaction, config) -> list[SolveReport]:
-    """solve_many without the data checks: the same data on the coarse grid first, if any."""
+    """solve_many without the finiteness check: the same data on the coarse grid first, if any.
+
+    The load b is formed first, so data on another grid fail load_vector's
+    check before any level solves.
+    """
+    b = np.array([op.load_vector(g) for g in gs])
     start = None
     coarse = _coarse_spec(op.grid.spec)
     if coarse is not None:
@@ -697,42 +698,35 @@ def _solve_nested(op: FracLapOperator, gs, reaction, config) -> list[SolveReport
         coarse_gs = [GridFunction(grid, g.values[::2], g.tail) for g in gs]
         reps = _solve_nested(assemble(grid, op.s), coarse_gs, reaction, config)
         start = np.array([np.interp(op.grid.x_interior, grid.x, rep.solution.values) for rep in reps])
-    # a zero tail carries c = 0
-    clip = [reaction.one_phase and bool((g.exterior_values >= 0).all() and g.tail.c >= 0.0) for g in gs]
-    b = np.array([op.load_vector(g) for g in gs])
-    return _solve(_DenseSystem(op.row), b, op.grid, gs, op.s, reaction, config, clip, start)
+    return _solve(_DenseSystem(op.row), b, op.grid, gs, op.s, reaction, config, start)
 
 
 def local_operator(grid: Grid) -> _TridiagSystem:
-    """Second-difference operator -u'' on the interior nodes of ``grid``.
+    """Second-difference operator -u'' on the interior nodes of ``grid``: 2/h^2 on the diagonal, -1/h^2 off it.
 
     Raises ValueError unless its diagonal 2/h^2 is a finite double, the
     local operator's scale rule (fraclap.check_order has the nonlocal one).
     """
-    m = grid.interior.size
     h = grid.h
     if not h * h > 2.0 / np.finfo(float).max:
         raise ValueError(f"h = {h:.17g} is too small for the local operator: h^-2 overflows")
-    return _TridiagSystem(np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2))
+    return _TridiagSystem(2.0 / h**2, -1.0 / h**2)
 
 
-def check_boundary(grid: Grid, boundary: tuple[float, float]) -> None:
-    """Raise ValueError unless the Dirichlet values ``boundary`` and their loads u/h^2 are finite.
+def local_load(grid: Grid, boundary: tuple[float, float]) -> np.ndarray:
+    """The Dirichlet values' share of A u + b on ``grid``: -u_L/h^2 and -u_R/h^2 at the end rows.
 
-    grid must pass local_operator's scale rule.  The message names the value
-    that fails by its config key, left or right.
+    boundary is (u_L, u_R), the values at -a and +a.  Raises ValueError
+    unless both values are finite (check_finite) and so are their loads; the
+    message names the value whose load overflows by its config key, left or
+    right.  grid must pass local_operator's scale rule.
     """
     check_finite(*boundary)
-    for key, u in zip(("left", "right"), boundary):
-        if not math.isfinite(u / grid.h**2):
-            raise ValueError(f"{key} = {u:.17g} is too large for h = {grid.h:.17g}: its load {key}/h^2 overflows")
-
-
-def _local_load(grid: Grid, uL: float, uR: float) -> np.ndarray:
-    """The Dirichlet values' share of A u + b: -u_L/h^2 and -u_R/h^2 at the end rows."""
     b = np.zeros(grid.interior.size)
-    b[0] = -uL / grid.h**2
-    b[-1] = -uR / grid.h**2
+    for key, row, u in zip(("left", "right"), (0, -1), map(float, boundary)):
+        b[row] = -u / grid.h**2
+        if not math.isfinite(b[row]):
+            raise ValueError(f"{key} = {u:.17g} is too large for h = {grid.h:.17g}: its load {key}/h^2 overflows")
     return b
 
 
@@ -745,23 +739,13 @@ def solve_local(
     """Solve the local (classical Laplacian) dead-core equation.
 
     boundary gives the Dirichlet values at -a and +a.  The report's exterior
-    values continue the boundary values as plateaus; they do not enter the
-    local operator.  The report's s is 1 for local runs.  Boundary values
-    that are not finite, or whose load u/h^2 overflows, raise ValueError
-    (check_boundary).
+    values continue the boundary values as plateaus with a zero tail; they
+    do not enter the local operator, whose data term is local_load.  They
+    are the data set that decides the clip, as for a nonlocal solve (_solve).
+    The report's s is 1 for local runs.  Boundary values that are not
+    finite, or whose load u/h^2 overflows, raise ValueError (local_load).
     """
-    uL, uR = float(boundary[0]), float(boundary[1])
     system = local_operator(grid)
-    check_boundary(grid, (uL, uR))
-    g = GridFunction(grid, np.where(grid.x < 0, uL, uR), TailModel.zero())
-    clip = reaction.one_phase and uL >= 0 and uR >= 0
-    return _solve(system, _local_load(grid, uL, uR)[None], grid, [g], 1.0, reaction, config, [clip])[0]
-
-
-def energy_local(
-    grid: Grid, boundary: tuple[float, float], u_interior: np.ndarray, reaction: ReactionSpec
-) -> float:
-    """Discrete energy of the local problem at interior values u."""
-    b = _local_load(grid, float(boundary[0]), float(boundary[1]))
-    J = _evaluate(local_operator(grid), b, grid.h, u_interior, reaction.gamma, reaction.one_phase)[1]
-    return float(J)
+    b = local_load(grid, boundary)
+    g = GridFunction(grid, np.where(grid.x < 0, float(boundary[0]), float(boundary[1])), TailModel.zero())
+    return _solve(system, b[None], grid, [g], 1.0, reaction, config)[0]

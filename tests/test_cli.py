@@ -79,6 +79,22 @@ class TestExitCodes:
         assert code == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_slimit_exits_3_on_an_unconverged_nonlocal_solve(self, tmp_path, capsys):
+        # the ramp's local reference, u = 0, converges in one iteration, but
+        # the two nonlocal solves end at residuals 0.91 and 0.61: the run
+        # writes no distance or slope of theirs and exits 3
+        keys = dict(h="1/64", a="1", R="2", gamma="0.2", s_list="0.75,0.9", amplitude="4", max_iter="1")
+        grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
+        rows, local_rep = dc.s_limit_study(
+            grid, [0.75, 0.9], ReactionSpec(gamma=0.2), dc.odd_exterior_builder(grid, "ramp", 4.0), dc.SolverConfig(max_iter=1)
+        )
+        assert local_rep.converged and not any(row.converged for row in rows)
+        cfg = write_config(tmp_path / "sl.cfg", **keys)
+        out = tmp_path / "out"
+        assert main(["slimit", "--config", cfg, "--out", str(out)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_overflowing_data_exits_3(self, tmp_path, capsys):
         # the energy overflows to NaN at the first iterate: exit 0 with
         # converged=true before the solver stopped at non-finite values; the
@@ -238,6 +254,22 @@ class TestModes:
         assert slope == pytest.approx(2.5, rel=0.05)
         assert (out / "exp_branching.csv").exists()
         assert "slope=" in (out / "exp_exponent.meta").read_text()
+
+    @pytest.mark.parametrize(
+        "left, right, branching",
+        [("-0.1916288597136449", "0.1916288597136449", "true"), ("1", "1", "false")],
+        ids=["kappa", "no_branching_point"],
+    )
+    def test_exponent_meta_says_whether_x0_is_a_branching_point(self, tmp_path, left, right, branching):
+        # -kappa, kappa branches at 0; 1, 1 has no branching point, and the
+        # fit runs at the configured x0
+        cfg = write_config(tmp_path / "exp.cfg", h="1/128", a="1", gamma="0.2", operator="local", left=left, right=right)
+        out = tmp_path / "out"
+        assert main(["exponent", "--config", cfg, "--out", str(out)]) == 0
+        meta = dict(line.split("=", 1) for line in (out / "exp_exponent.meta").read_text().splitlines())
+        assert meta["branching"] == branching
+        branching_rows = (out / "exp_branching.csv").read_text().splitlines()[1:]
+        assert bool(branching_rows) == (branching == "true")
 
     def test_blowup(self, tmp_path):
         # h = 1/32 keeps the rescaled lattice h/r at the warning threshold
@@ -502,7 +534,7 @@ _REPORT_KEYS = ["s", "gamma", "mode", "residual", "iterations", "energy", "conve
 _TINY = {
     "solve": (SOLVE_KEYS, {"seed"}),
     "solve-local": (dict(h="1/16", a="4", R="8", gamma="0.2", mode="one_phase", left="0", right="1"), {"seed"}),
-    "exponent": (_BASES["exponent"], {"seed", "slope", "r2"}),
+    "exponent": (_BASES["exponent"], {"branching", "seed", "slope", "r2"}),
     "blowup": (_BASES["blowup"], {"seed", "r"}),
     "compare": (_BASES["compare"], None),
     "liouville": (_BASES["liouville"], {"seed", "classification"}),

@@ -193,16 +193,18 @@ class TestLagTableOperator:
 
     @pytest.mark.parametrize("h, R, s, corrected", _GRIDS)
     def test_energy_matches_the_dense_formula(self, h, R, s, corrected):
+        # the energy a solve reports, against J of its solution from the dense maps
         grid = make_grid(GridSpec(h=h, a=1.0, R=R))
         op = _assemble(grid, s, corrected)
         A, B = _dense_lag_assembly(grid, s, corrected)
         g = self._data(grid, TailModel.power(-1.3, 1.5), 6)
-        u = np.random.default_rng(7).standard_normal(grid.interior.size)
-        reaction = dc.ReactionSpec(gamma=0.2)
+        rep = dc.solve(op, g, dc.ReactionSpec(gamma=0.2))
+        assert rep.converged
+        u = rep.solution.interior_values
         b = B @ g.exterior_values + op.tail_load(g.tail)
         phi = u * solver.reaction_value(u, 0.2, False) / 1.2  # Phi(u) = u f(u) / (1 + gamma)
         ref = h * (0.5 * u @ (A @ u) + b @ u + phi.sum())
-        assert abs(dc.energy(op, g, u, reaction) - ref) <= 1e-14 * abs(ref)
+        assert abs(rep.energy - ref) <= 1e-14 * abs(ref)
 
     def test_stored_arrays_are_linear_in_the_grid(self):
         # the nonlocal-ramp grid: n = 8193 nodes, 1023 unknowns
@@ -218,14 +220,14 @@ class TestLagTableOperator:
 import resource
 import numpy as np
 import deadcore as dc
+from deadcore import solver
 grid = dc.make_grid(dc.GridSpec(h=2.0**-10, a=1.0, R=8.0))
 g = dc.odd_exterior_builder(grid, "ramp", 15.71)
 u = np.linspace(-1.0, 1.0, grid.interior.size)
-reaction = dc.ReactionSpec(gamma=0.2)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 op = dc.assemble(grid, 0.95)
-op.load_vector(g)
-dc.energy(op, g, u, reaction)
+b = op.load_vector(g)
+solver._evaluate(solver._DenseSystem(op.row), b[None], grid.h, u[None], 0.2, False)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 """
         # the child imports the deadcore this test imported

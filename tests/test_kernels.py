@@ -270,14 +270,15 @@ def _small_problem(seed, n=12):
 
 
 def _tridiag(A):
-    """The symmetric tridiagonal matrix A as the solver's tridiagonal system."""
-    return solver._TridiagSystem(np.diag(A).copy(), np.diag(A, 1).copy())
+    """The symmetric tridiagonal Toeplitz matrix A as the solver's tridiagonal system."""
+    return solver._TridiagSystem(A[0, 0], A[0, 1])
 
 
 def _red_black(system, b, u, gamma, one_phase, sweeps):
-    """``sweeps`` calls of gs_polish_red_black on a tridiagonal system; returns u."""
+    """``sweeps`` calls of gs_polish_red_black on a tridiagonal system, on u as a one-lane stack; returns u."""
+    lane, b = u[None], b[None]  # lane is a view: the sweeps update u
     for _ in range(sweeps):
-        gs_polish_red_black(system.matvec, system.diagonal, b, u, system.matvec(u), gamma, one_phase)
+        gs_polish_red_black(system.matvec, system.diagonal, b, lane, system.matvec(lane), gamma, one_phase)
     return u
 
 
@@ -315,9 +316,10 @@ class TestNumpyKernelsMatchReferenceLoops:
     @staticmethod
     def _red_black_loop(A, matvec, b, u, gamma, one_phase):
         # one sweep: a colour's data from the same A u, then one node and one
-        # 1-lane root at a time, then A u moves by the same matvec
+        # 1-lane root at a time, then A u moves by the same matvec, which
+        # multiplies each row of a stack by A
         n = u.size
-        Au = matvec(u)
+        Au = matvec(u[None])[0]
         for colour in (0, 1):
             delta = np.zeros(n)
             for i in range(colour, n, 2):
@@ -325,7 +327,7 @@ class TestNumpyKernelsMatchReferenceLoops:
                 t = roots(A[i, i : i + 1], np.array([q]), gamma, one_phase)[0]
                 delta[i] = t - u[i]
                 u[i] = t
-            Au = Au + matvec(delta)
+            Au = Au + matvec(delta[None])[0]
         return u
 
     @pytest.mark.parametrize("one_phase", [False, True])
@@ -339,13 +341,14 @@ class TestNumpyKernelsMatchReferenceLoops:
         np.testing.assert_array_equal(u, ref)
 
     def _check_red_black(self, A, matvec, d, b, u0, one_phase):
+        # the sweep runs on a one-lane stack, as the solver's do
         ref = u0.copy()
         for _ in range(3):
             ref = self._red_black_loop(A, matvec, b, ref, 0.25, one_phase)
-        u = u0.copy()
+        u = u0.copy()[None]
         for _ in range(3):
-            assert gs_polish_red_black(matvec, d, b, u, matvec(u), 0.25, one_phase) is u
-        np.testing.assert_array_equal(u, ref)
+            assert gs_polish_red_black(matvec, d, b[None], u, matvec(u), 0.25, one_phase) is u
+        np.testing.assert_array_equal(u[0], ref)
 
     @pytest.mark.parametrize("one_phase", [False, True])
     def test_tridiag(self, one_phase):
@@ -359,7 +362,7 @@ class TestNumpyKernelsMatchReferenceLoops:
         A, b, u0 = _small_problem(17)
         M = np.random.default_rng(17).random(A.shape)
         A = A + 0.01 * (M + M.T)
-        self._check_red_black(A, lambda v: A @ v, A.diagonal(), b, u0, one_phase)
+        self._check_red_black(A, lambda v: v @ A, A.diagonal(), b, u0, one_phase)  # A is symmetric
 
 
 class TestRedBlackSweep:

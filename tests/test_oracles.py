@@ -12,6 +12,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 import deadcore as dc
+from deadcore import solver
 from deadcore.fraclap import interp_defect_constant
 
 mp.mp.dps = 50
@@ -150,12 +151,17 @@ def test_energy_gradient_matches_residual_nonlocal():
     u = 0.2 + 0.5 * rng.uniform(size=grid.interior.size)  # bounded away from 0
     b = op.load_vector(g)
     r = toeplitz(op.row) @ u + b + dc.reaction_value(u, reaction.gamma, False)
+    system = solver._DenseSystem(op.row)
+
+    def J(v):  # the solver's energy of v, as a one-lane stack
+        return solver._evaluate(system, b[None], grid.h, v[None], reaction.gamma, False)[1][0]
+
     delta = 1e-6
     for i in range(0, u.size, 7):
         up, um = u.copy(), u.copy()
         up[i] += delta
         um[i] -= delta
-        fd = (dc.energy(op, g, up, reaction) - dc.energy(op, g, um, reaction)) / (2 * delta)
+        fd = (J(up) - J(um)) / (2 * delta)
         assert fd == pytest.approx(grid.h * r[i], rel=1e-6, abs=1e-10)
 
 
@@ -166,20 +172,19 @@ def test_energy_gradient_matches_residual_local():
     rng = np.random.default_rng(5)
     u = -0.4 + rng.uniform(size=grid.interior.size)
     u[np.abs(u) < 0.05] = 0.1  # keep away from the kink
-    from deadcore.solver import local_operator
-
-    sys_ = local_operator(grid)
+    system = solver.local_operator(grid)
     b = np.zeros(u.size)
     b[0] = -boundary[0] / grid.h**2
     b[-1] = -boundary[1] / grid.h**2
-    r = sys_.matvec(u) + b + dc.reaction_value(u, reaction.gamma, False)
+    r = system.matvec(u[None])[0] + b + dc.reaction_value(u, reaction.gamma, False)
+
+    def J(v):  # the solver's energy of v, as a one-lane stack
+        return solver._evaluate(system, b[None], grid.h, v[None], reaction.gamma, False)[1][0]
+
     delta = 1e-6
     for i in range(0, u.size, 5):
         up, um = u.copy(), u.copy()
         up[i] += delta
         um[i] -= delta
-        fd = (
-            dc.energy_local(grid, boundary, up, reaction)
-            - dc.energy_local(grid, boundary, um, reaction)
-        ) / (2 * delta)
+        fd = (J(up) - J(um)) / (2 * delta)
         assert fd == pytest.approx(grid.h * r[i], rel=2e-5, abs=1e-9)

@@ -437,9 +437,9 @@ def _rtol(n):
     return 1e-12 if n < solver._PCG_MIN else 1e-9
 
 
-def _local_matrix(system):
-    """The tridiagonal system's A as a dense matrix."""
-    return np.diag(system.diagonal) + np.diag(system.e, -1) + np.diag(system.e, 1)
+def _local_matrix(system, n):
+    """The tridiagonal system's A on n unknowns as a dense matrix."""
+    return toeplitz(np.r_[system.diagonal, system.e, np.zeros(n - 2)])
 
 
 def _linear_start(system, b):
@@ -457,8 +457,9 @@ class TestDenseNewtonStep:
     def case(self, request, op_small, op_acceptance_08, op_511, op_767, op_ramp, op_2047):
         """(A as a dense matrix, its system)."""
         if request.param == "local":
-            system = solver.local_operator(make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0)))
-            return _local_matrix(system), system
+            grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0))
+            system = solver.local_operator(grid)
+            return _local_matrix(system, grid.interior.size), system
         op = {
             "h2^-5": op_small,
             "h2^-7": op_acceptance_08,
@@ -598,12 +599,15 @@ def op_127():
 
 
 def _polish_case(case, op_acceptance_08):
-    """(system, b, u0, reaction, clip) of a red-black polish: local, or dense at N = 255."""
+    """(system, b, u0, reaction, clip) of a red-black polish: local, or dense at N = 255.
+
+    b and u0 are one-lane stacks (1 x N), as the solver's sweeps take them.
+    """
     if case == "local":
         grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=2.0))
         kappa = dc.profile_coefficient(0.2)
-        system, b = solver.local_operator(grid), solver._local_load(grid, -kappa, kappa)
-        return system, b, _linear_start(system, b), ReactionSpec(gamma=0.2), False
+        system, b = solver.local_operator(grid), solver.local_load(grid, (-kappa, kappa))
+        return system, b[None], _linear_start(system, b)[None], ReactionSpec(gamma=0.2), False
     grid = op_acceptance_08.grid
     system = solver._DenseSystem(op_acceptance_08.row)
     if case == "one_phase_clipped":
@@ -615,12 +619,12 @@ def _polish_case(case, op_acceptance_08):
     mode = "two_phase" if case == "two_phase" else "one_phase"
     b = op_acceptance_08.load_vector(g)
     clip = case == "one_phase_clipped"
-    u0 = _linear_start(system, b)
-    return system, b, np.maximum(u0, 0.0) if clip else u0, ReactionSpec(gamma=0.2, mode=mode), clip
+    u0 = _linear_start(system, b)[None]
+    return system, b[None], np.maximum(u0, 0.0) if clip else u0, ReactionSpec(gamma=0.2, mode=mode), clip
 
 
 def _sweep(system, b, u, gamma, one_phase):
-    """The solver's smoother: one red-black sweep of system, in place."""
+    """The solver's smoother: one red-black sweep of system on the stacks b and u (K x N), in place."""
     return solver.kernels.gs_polish_red_black(system.matvec, system.diagonal, b, u, system.matvec(u), gamma, one_phase)
 
 
@@ -635,7 +639,7 @@ class TestRedBlackPolish:
         system, b, u, reaction, clip = _polish_case(case, op_acceptance_08)
 
         def J(v):
-            return solver._evaluate(system, b, 1.0, v, reaction.gamma, reaction.one_phase)[1]
+            return solver._evaluate(system, b, 1.0, v, reaction.gamma, reaction.one_phase)[1][0]
 
         trace = [J(u)]
         for _ in range(8):
@@ -666,14 +670,14 @@ class TestRedBlackPolish:
             return t
 
         monkeypatch.setattr(solver.kernels, "roots", recording)
-        out = _sweep(system, b, np.ones(n), 0.2, False)
+        out = _sweep(system, b[None], np.ones((1, n)), 0.2, False)[0]
         assert len(calls) == 2
         for c, (_, t) in enumerate(calls):
             np.testing.assert_array_equal(out[c::2].view(np.int64), t.view(np.int64))
         # the odd colour's data is formed at the even colour's new values
         mid = np.ones(n)
         mid[::2] = out[::2]
-        q_odd = row[0] * mid[1::2] - system.matvec(mid)[1::2] - b[1::2]
+        q_odd = row[0] * mid[1::2] - system.matvec(mid[None])[0, 1::2] - b[1::2]
         np.testing.assert_allclose(calls[1][0], q_odd, rtol=0.0, atol=1e-12 * system.abs_row_sum)
         if not row[1:].any():
             snapped = np.abs(b) == 1e-250
@@ -1138,8 +1142,7 @@ class TestLocalSolve:
         assert rep.converged
         assert len(steps) == rep.iterations
         assert any((~free).sum() > grid.interior.size // 4 for _, free, _, _ in steps)
-        system = solver.local_operator(grid)
-        A = _local_matrix(system)
+        A = _local_matrix(solver.local_operator(grid), grid.interior.size)
         for r, free, dd, delta in steps:
             _assert_matches_reduced(A, r, free, dd, delta)
 
@@ -1249,20 +1252,32 @@ class TestFourMatvecsPerNewtonIteration:
         assert all(count in (2, 3) for count, moved in iterations if not moved)
 
 
+def _dense_energy(A, b, h, u, gamma):
+    """J(u) = h (u.A u / 2 + b.u + sum Phi(u)) from a dense A, in two-phase mode."""
+    phi = np.abs(u) ** (1.0 + gamma) / (1.0 + gamma)
+    return h * (0.5 * u @ (A @ u) + b @ u + phi.sum())
+
+
 class TestEnergyFunctions:
+    """A report's energy is J of its solution, by the dense formula."""
+
     def test_energy_matches_report(self, op_small):
         grid = op_small.grid
         g = dc.odd_exterior_builder(grid, "ramp", 1.0)
-        reaction = ReactionSpec(gamma=0.2)
-        rep = dc.solve(op_small, g, reaction)
-        j = dc.energy(op_small, g, rep.solution.interior_values, reaction)
+        rep = dc.solve(op_small, g, ReactionSpec(gamma=0.2))
+        assert rep.converged
+        j = _dense_energy(toeplitz(op_small.row), op_small.load_vector(g), grid.h, rep.solution.interior_values, 0.2)
         assert j == pytest.approx(rep.energy, rel=1e-12, abs=1e-14)
 
     def test_energy_local_matches_report(self):
         grid = make_grid(GridSpec(h=1 / 32, a=1.0, R=2.0))
-        reaction = ReactionSpec(gamma=0.2)
-        rep = dc.solve_local(grid, reaction, boundary=(-0.3, 0.4))
-        j = dc.energy_local(grid, (-0.3, 0.4), rep.solution.interior_values, reaction)
+        rep = dc.solve_local(grid, ReactionSpec(gamma=0.2), boundary=(-0.3, 0.4))
+        assert rep.converged
+        n = grid.interior.size
+        A = toeplitz(np.r_[2.0, -1.0, np.zeros(n - 2)]) / grid.h**2  # the second difference
+        b = np.zeros(n)
+        b[0], b[-1] = 0.3 / grid.h**2, -0.4 / grid.h**2
+        j = _dense_energy(A, b, grid.h, rep.solution.interior_values, 0.2)
         assert j == pytest.approx(rep.energy, rel=1e-12, abs=1e-14)
 
 

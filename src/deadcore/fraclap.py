@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, hyp2f1, zeta
 
 from .grid import Grid, GridFunction, TailModel
 
@@ -39,7 +38,7 @@ def normalization_constant(s: float) -> float:
     """
     if not (0.0 < s < 1.0):
         raise ValueError("s must lie in (0, 1)")
-    return float(4.0**s * gamma_fn(0.5 + s) / (np.sqrt(np.pi) * abs(gamma_fn(-s))))
+    return 4.0**s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * abs(math.gamma(-s)))
 
 
 def _p0(A, B, s):
@@ -60,17 +59,35 @@ def _p2(A, B, s):
     return (B**q - A**q) / q
 
 
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta(x, q), the sum of (q + n)^(-x) over n >= 0, for x > 1 and q in the thousands.
+
+    Euler-Maclaurin (DLMF 25.11): q^(1-x)/(x-1) + q^(-x)/2 plus, for k = 1, 2, 3,
+    B_2k/(2k)! x(x+1)...(x+2k-2) q^(-x-2k+1).  For x <= 3 the first term left
+    out is below q^(-8) of the sum, far under one ulp.
+    """
+    total = q ** (1.0 - x) / (x - 1.0) + q**-x / 2.0
+    t = x * q ** (-x - 1.0)
+    total += t / 12.0
+    t *= (x + 1.0) * (x + 2.0) / q**2
+    total -= t / 720.0
+    t *= (x + 3.0) * (x + 4.0) / q**2
+    return total + t / 30240.0
+
+
 def interp_defect_constant(s: float) -> float:
     """Sum over cells of int (t-k)(k+1-t) t^(-1-2s) dt for k >= 1.
 
     This is the leading quadratic interpolation defect of the hat basis
     against the kernel; subtracting it from the singular-cell weight restores
-    second-difference accuracy.  The remainder past _KAPPA_TERMS cells is
-    summed with a Hurwitz zeta midpoint estimate.
+    second-difference accuracy.  Each cell past _KAPPA_TERMS is taken as
+    (k + 1/2)^(-1-2s)/6, the kernel at its midpoint times the integral 1/6 of
+    (t-k)(k+1-t), and their sum is the Hurwitz zeta(1 + 2s, _KAPPA_TERMS +
+    3/2)/6: 3e-4 of the constant at s = 1/2, 1.5e-7 at s = 0.95.
     """
     k = np.arange(1, _KAPPA_TERMS + 1, dtype=float)
     val = -_p2(k, k + 1, s) + (2 * k + 1) * _p1(k, k + 1, s) - k * (k + 1) * _p0(k, k + 1, s)
-    tail = zeta(1 + 2 * s, _KAPPA_TERMS + 1.5) / 6.0
+    tail = _hurwitz_zeta(1 + 2 * s, _KAPPA_TERMS + 1.5) / 6.0
     return float(val.sum() + tail)
 
 
@@ -133,6 +150,8 @@ class FracLapOperator:
             return np.zeros(self.grid.interior.size)
         if tail.kind == "const":
             return -self.truncation_mass * tail.c
+        from scipy.special import hyp2f1  # only a power tail pays for scipy.special's import
+
         s, R = self.s, self.grid.R
         xi = self.grid.x_interior
         z = xi / R

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .fraclap import check_order
 from .grid import Grid, GridFunction, TailModel
@@ -59,8 +59,12 @@ def getoor_profile(s: float, grid: Grid) -> GridFunction:
 
 
 def getoor_constant(s: float) -> float:
-    """Value of the fractional Laplacian of (1 - x^2)_+^s inside (-1, 1)."""
-    return float(4.0**s * gamma_fn(0.5 + s) * gamma_fn(1.0 + s) / np.sqrt(np.pi))
+    """Value of the fractional Laplacian of (1 - x^2)_+^s inside (-1, 1).
+
+    It is 4^s Gamma(1/2+s) Gamma(1+s)/sqrt(pi), which Legendre's duplication
+    formula (DLMF 5.5.5) turns into Gamma(1 + 2s); at s = 1/2 that is 1 exactly.
+    """
+    return math.gamma(1.0 + 2.0 * s)
 
 
 @dataclass(frozen=True)

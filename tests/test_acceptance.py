@@ -82,8 +82,11 @@ def test_criterion_03_sharp_exponent_local():
 def ramp_run():
     """Shared nonlocal reference solve: s = 0.95, odd ramp, h = 2^-9, R = 8.
 
-    The ramp amplitude 15.71 was tuned so the solution sits just above the
-    quasi-dead-core threshold, where the central growth is cleanly resolved.
+    The ramp amplitude 15.71 was tuned on this one grid so that the central
+    growth fit reads close to beta.  It lies below the threshold amplitude
+    A*(h), where the dead core about 0 closes, at every h from 2^-8 to 2^-12
+    (ROADMAP item 1, the table of A*(h)): a core where |u| <= h^beta remains
+    about 0.
     """
     t0 = time.perf_counter()
     grid = make_grid(GridSpec(h=2.0**-9, a=1.0, R=8.0))

@@ -442,6 +442,25 @@ class TestCampaignAndSLimit:
         assert d[0] > d[1] > d[2]
         assert d[2] < d[0] / 10
 
+    def test_distance_to_the_exact_profile_is_first_order_in_one_minus_s(self):
+        # plateau data +-kappa make kappa (x_+^beta - x_-^beta) the exact local
+        # solution (tools/configs/slimit/plateau_exact.cfg).  ROADMAP item 10
+        # measured d = 1.839e-2 ... 3.58e-4 here, about 0.18 (1 - s), with
+        # successive orders 1.022, 1.008, 1.003, 1.001 and 1.000
+        gamma = 0.2
+        s_values = np.array([0.9, 0.95, 0.98, 0.99, 0.995, 0.998])
+        grid = make_grid(GridSpec(h=2.0**-7, a=1.0, R=8.0))
+        g = dc.odd_exterior_builder(grid, "plateau", dc.profile_coefficient(gamma))
+        exact = dc.exact_local_profile(grid, gamma).interior_values
+        d = []
+        for s in s_values:
+            rep = dc.solve(dc.assemble(grid, float(s)), g, ReactionSpec(gamma=gamma))
+            assert rep.converged
+            d.append(np.abs(rep.solution.interior_values - exact).max())
+        orders = np.diff(np.log(d)) / np.diff(np.log(1.0 - s_values))
+        assert np.all((orders > 0.98) & (orders < 1.05)), orders
+        assert np.all(np.abs(np.array(d) / (1.0 - s_values) - 0.18) < 0.01), d
+
 
 def _csv_rows(tmp_path, command, name, **keys):
     """Run ``deadcore command`` on a config of ``keys``: the rows of its output ``run_<name>.csv``."""

@@ -13,7 +13,7 @@ from scipy.linalg import toeplitz
 
 import deadcore as dc
 from deadcore import solver
-from deadcore.fraclap import interp_defect_constant
+from deadcore.fraclap import _hurwitz_zeta, interp_defect_constant
 
 mp.mp.dps = 50
 
@@ -24,7 +24,7 @@ def mp_normalization(s):
     return s * 4**s * mp.gamma(mp.mpf(1) / 2 + s) / (mp.sqrt(mp.pi) * mp.gamma(1 - s))
 
 
-@pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 0.998])
 def test_normalization_constant_matches_mpmath(s):
     c = dc.normalization_constant(s)
     assert abs(c - float(mp_normalization(s))) <= 1e-14 * c
@@ -84,6 +84,14 @@ def test_getoor_constant_exact_at_half():
     assert dc.getoor_constant(0.5) == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9, 0.95, 0.998])
+def test_getoor_constant_matches_mpmath(s):
+    # the defining product, not the duplication formula's Gamma(1 + 2s)
+    s_mp = mp.mpf(s)
+    ref = 4**s_mp * mp.gamma(mp.mpf(1) / 2 + s_mp) * mp.gamma(1 + s_mp) / mp.sqrt(mp.pi)
+    assert abs(dc.getoor_constant(s) - float(ref)) <= 1e-15 * float(ref)
+
+
 def _defect_cell(s_mp, k):
     """int_k^{k+1} (t-k)(k+1-t) t^(-1-2s) dt via antiderivatives."""
     k = mp.mpf(k)
@@ -114,6 +122,15 @@ def test_interp_defect_constant_against_mpmath_sum(s):
     part = mp.fsum(_defect_cell(s_mp, k) for k in range(1, n_cells + 1))
     tail = mp.zeta(1 + 2 * s_mp, n_cells + mp.mpf(3) / 2) / 6
     assert interp_defect_constant(s) == pytest.approx(float(part + tail), rel=2e-11)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9, 0.95, 0.998])
+def test_hurwitz_zeta_tail_matches_mpmath(s):
+    # the tail that interp_defect_constant adds past its cutoff; mpmath takes
+    # the same double 1 + 2s, whose rounding alone moves zeta by ~2e-15
+    x, q = 1 + 2 * s, 4001.5
+    ref = mp.zeta(mp.mpf(x), mp.mpf(q))
+    assert abs(_hurwitz_zeta(x, q) - float(ref)) <= 1e-14 * float(ref)
 
 
 def test_free_boundary_offset_identity():

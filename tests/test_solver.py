@@ -971,11 +971,13 @@ class TestEnergyDifferenceLineSearch:
         assert t[:-1].tolist() == [1.0, 2.0**-1, 2.0**-4, 2.0**-7, 2.0**-14]
 
 
-def test_import_loads_no_scipy_fft_or_sparse():
-    # each would add tens of ms to every process start; the FFTs are numpy's
+@pytest.mark.parametrize("module", ["deadcore", "deadcore.cli"])
+def test_import_loads_no_scipy_fft_sparse_or_special(module):
+    # each would add tens of ms to every process start; the FFTs are numpy's,
+    # and only a power-tail load imports scipy.special
     code = (
-        "import sys, deadcore\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.fft', 'scipy.sparse'))))"
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.fft', 'scipy.sparse', 'scipy.special'))))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dc.__file__)))
     out = subprocess.run(

@@ -37,7 +37,6 @@ from .profiles import (
     odd_exterior_builder,
     profile_coefficient,
     schauder_exponent,
-    validate_params,
 )
 from .solver import (
     ReactionSpec,

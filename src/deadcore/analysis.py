@@ -414,12 +414,11 @@ def comparison_campaign(
 
 @dataclass
 class SLimitRow:
-    """One order s of s_limit_study; converged is that of its nonlocal solve."""
+    """One order s of s_limit_study, with the report of its nonlocal solve."""
 
     s: float
     distance: float
-    slope: float
-    converged: bool
+    report: SolveReport
 
 
 def s_limit_study(
@@ -432,12 +431,11 @@ def s_limit_study(
     """Solve at each s with fixed data and measure the distance to the local limit.
 
     The local reference uses the same gamma and the Dirichlet values of g at
-    the nodes +-a.  distance is the interior sup difference; slope is the
-    central growth fit of the nonlocal solution.  Each row says whether its
-    solve converged, and the local reference's report whether that one did.
-    Data that vanish at +-a, as the ramp does, give the local reference
-    u = 0, and distance is then just sup|u_s|; plateau data give a
-    nontrivial reference.
+    the nodes +-a.  distance is the interior sup difference.  Each row
+    carries its solve's report, and the local reference's report says
+    whether that one converged.  Data that vanish at +-a, as the ramp does,
+    give the local reference u = 0, and distance is then just sup|u_s|;
+    plateau data give a nontrivial reference.
     """
     config = config or SolverConfig()
     ia = int(grid.interior[0] - 1)
@@ -449,6 +447,5 @@ def s_limit_study(
         op = assemble(grid, float(s))
         rep = solve(op, g, reaction, config)
         d = float(np.abs(rep.solution.interior_values - u_loc).max())
-        fit = fit_growth_exponent(rep.solution, 0.0)
-        rows.append(SLimitRow(s=float(s), distance=d, slope=fit.slope, converged=rep.converged))
+        rows.append(SLimitRow(s=float(s), distance=d, report=rep))
     return rows, local_rep

@@ -185,7 +185,7 @@ def _parse(cfg: dict[str, str], mode: str, path: str) -> SimpleNamespace:
         local_load(p.grid, (p.left, p.right))  # the boundary values and their loads are finite
     if mode == "exponent" and not abs(p.x0) <= p.spec.R:
         raise ConfigError(f"{path}: x0 = {p.text['x0']}: must lie in [-R, R]")
-    if mode in ("exponent", "slimit"):  # slimit takes no fit keys: fit_radii(spec, None, None, 8)
+    if mode == "exponent":
         analysis.fit_radii(p.spec, p.fit_rmin, p.fit_rmax, p.fit_k)
     if mode == "liouville":
         analysis.liouville_radii(p.spec)
@@ -306,24 +306,29 @@ def _run_slimit(p, path, seed, write):
     rows, local_rep = analysis.s_limit_study(
         p.grid, p.s_list, p.reaction, _data(p, p.grid), p.config
     )
-    if not (local_rep.converged and all(row.converged for row in rows)):
+    if not (local_rep.converged and all(row.report.converged for row in rows)):
         raise SolveFailure(f"{path}: a solve of the s-limit study did not converge")
-    write("slimit.csv", [("s", "distance", "slope"), *((row.s, row.distance, row.slope) for row in rows)])
+    write("slimit.csv", [("s", "distance"), *((row.s, row.distance) for row in rows)])
     write("slimit.meta", _meta(local_rep, seed=seed, s_list=p.text["s_list"]))
 
 
 def _run_validate(p, path, seed, write):
-    rep = profiles.validate_params(p.s, p.gamma)
-    lines = [f"status=error message={err}" for err in rep.errors]
-    lines += [f"status=warning message={warn}" for warn in rep.warnings]
-    for row in rep.rows:
-        nu = "indeterminate" if row.nu is None else row.nu
-        fields = dict(status="ok", s=row.s, gamma=row.gamma, growth=row.growth, schauder=row.schauder, nu=nu)
-        lines.append(" ".join(f"{key}={format_field(value)}" for key, value in fields.items()))
+    """Print s and gamma's errors against the solver's ranges, or their two rates."""
+    errors = []
+    for check, value in ((ReactionSpec, p.gamma), (check_order, p.s)):
+        try:
+            check(value)
+        except ValueError as exc:
+            errors.append(f"status=error message={exc}, got {value:g}")
+    lines = errors
+    if not errors:
+        growth, schauder = profiles.growth_exponent(p.s, p.gamma), profiles.schauder_exponent(p.s, p.gamma)
+        fields = dict(status="ok", s=p.s, gamma=p.gamma, growth=growth, schauder=schauder)
+        lines = [" ".join(f"{key}={format_field(value)}" for key, value in fields.items())]
     sys.stdout.write("".join(f"{line}\n" for line in lines))
     # each status line is one field; the seed is a (key, value) item
     write("validate.meta", [*((line,) for line in lines), ("seed", seed)])
-    if rep.errors:
+    if errors:
         raise ConfigError(f"{path}: invalid parameters")
 
 
@@ -346,10 +351,9 @@ MODES = tuple(mode for mode in _MODE_TABLE if mode != "exponent-local")
 
 
 def _run_one(task) -> int:
-    mode, path, out_dir, seed, dry_run = task
+    mode, path, stem, out_dir, seed, dry_run = task
     try:
         p = _parse(read_config(path), mode, path)
-        stem = os.path.splitext(os.path.basename(path))[0]
         if dry_run:
             print(f"dry-run: {path} -> {mode} outputs {stem}_{mode}.* in {out_dir}")
             if mode == "validate":
@@ -396,8 +400,12 @@ def main(argv=None) -> int:
         parser.error("--jobs must be at least 1")
     if args.seed < 0:
         parser.error("--seed must be at least 0")
+    # two configs with one stem would write the same files
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in args.config]
+    if len(set(stems)) < len(stems):
+        parser.error("each --config needs its own file stem: outputs are named <stem>_<mode>.*")
 
-    tasks = [(args.mode, path, args.out, args.seed, args.dry_run) for path in args.config]
+    tasks = [(args.mode, path, stem, args.out, args.seed, args.dry_run) for path, stem in zip(args.config, stems)]
     # the pool starts all its workers at the first submit: no more than there are tasks
     workers = min(args.jobs, len(tasks))
     if workers > 1:

@@ -156,14 +156,13 @@ class TailModel:
     @classmethod
     def parse(cls, text: str) -> "TailModel":
         text = text.strip()
-        if text == "zero":
-            return cls.zero()
-        if text.startswith("const:"):
-            return cls.const(float(text[6:]))
-        if text.startswith("power:"):
-            c_str, p_str = text[6:].split(",")
-            return cls.power(float(c_str), float(p_str))
-        raise ValueError(f"cannot parse tail model {text!r}")
+        kind, colon, args = text.partition(":")
+        try:
+            numbers = [float(tok) for tok in args.split(",")] if colon else []
+            # a wrong count of numbers is the constructor's TypeError
+            return {"zero": cls.zero, "const": cls.const, "power": cls.power}[kind](*numbers)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"cannot parse tail model {text!r}") from None
 
     def value(self, y: float) -> float:
         """Tail value at |y| > R (even extension)."""

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fraclap import check_order
 from .grid import Grid, GridFunction, TailModel
-from .solver import ReactionSpec
 
 __all__ = [
     "growth_exponent",
@@ -18,10 +15,7 @@ __all__ = [
     "exact_local_profile",
     "getoor_profile",
     "getoor_constant",
-    "ExponentRow",
     "odd_exterior_builder",
-    "ValidationReport",
-    "validate_params",
 ]
 
 
@@ -67,23 +61,6 @@ def getoor_constant(s: float) -> float:
     return math.gamma(1.0 + 2.0 * s)
 
 
-@dataclass(frozen=True)
-class ExponentRow:
-    s: float
-    gamma: float
-    growth: float
-    schauder: float
-    nu: int | None  # derivative-vanishing order; None when indeterminate
-
-
-def _nu_regime(s: float, gamma: float) -> int | None:
-    if s < 1.0 - gamma:
-        return 1
-    if s > 1.0 - gamma / 2.0:
-        return 2
-    return None
-
-
 def odd_exterior_builder(grid: Grid, kind: str, amplitude: float) -> GridFunction:
     """Odd exterior data with zero interior values and a zero tail.
 
@@ -104,33 +81,3 @@ def odd_exterior_builder(grid: Grid, kind: str, amplitude: float) -> GridFunctio
     else:
         raise ValueError(f"unknown builder kind {kind!r}")
     return GridFunction(grid, vals, TailModel.zero())
-
-
-@dataclass
-class ValidationReport:
-    errors: list[str]
-    warnings: list[str]
-    rows: list[ExponentRow]
-
-
-def validate_params(s: float, gamma: float) -> ValidationReport:
-    """Check parameter ranges and report the exponent regime.
-
-    Errors are the parameters ReactionSpec and check_order reject; an
-    indeterminate derivative-vanishing order (1 - gamma <= s <= 1 - gamma/2)
-    is reported as a warning.
-    """
-    errors = []
-    for check, value in ((ReactionSpec, gamma), (check_order, s)):
-        try:
-            check(value)
-        except ValueError as exc:
-            errors.append(f"{exc}, got {value:g}")
-    if errors:
-        return ValidationReport(errors=errors, warnings=[], rows=[])
-    nu = _nu_regime(s, gamma)
-    row = ExponentRow(float(s), float(gamma), growth_exponent(s, gamma), schauder_exponent(s, gamma), nu)
-    warnings = []
-    if nu is None:
-        warnings.append(f"derivative-vanishing order indeterminate for s={s:g}, gamma={gamma:g}")
-    return ValidationReport(errors=errors, warnings=warnings, rows=[row])

@@ -413,7 +413,6 @@ class TestCampaignAndSLimit:
             dc.comparison_campaign(grid, 0.75, ReactionSpec(gamma=0.2), n_pairs=n_pairs, seed=1)
 
     def test_s_limit_smoke(self):
-        # h = a/64 keeps the default fit window [8h, a/4] nonempty
         grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
         g = dc.odd_exterior_builder(grid, "ramp", 4.0)
         rows, local_rep = dc.s_limit_study(
@@ -421,7 +420,8 @@ class TestCampaignAndSLimit:
         )
         assert local_rep.converged
         assert len(rows) == 2
-        assert all(isinstance(r, SLimitRow) for r in rows)
+        assert all(isinstance(r, SLimitRow) and r.report.converged for r in rows)
+        assert [r.report.s for r in rows] == [0.75, 0.9]
         # closer to local as s rises
         assert rows[1].distance < rows[0].distance
 
@@ -515,6 +515,6 @@ class TestCsvWriters:
         header, rows = _csv_rows(
             tmp_path, "slimit", "slimit", h="1/64", a="1", R="2", gamma="0.2", s_list="0.9, 0.95", amplitude="4"
         )
-        assert header == "s,distance,slope"
-        assert rows == [[row.s, row.distance, row.slope] for row in expect]
+        assert header == "s,distance"
+        assert rows == [[row.s, row.distance] for row in expect]
         assert rows[0][0] == 0.9

@@ -82,13 +82,13 @@ class TestExitCodes:
     def test_slimit_exits_3_on_an_unconverged_nonlocal_solve(self, tmp_path, capsys):
         # the ramp's local reference, u = 0, converges in one iteration, but
         # the two nonlocal solves end at residuals 0.91 and 0.61: the run
-        # writes no distance or slope of theirs and exits 3
+        # writes no distance of theirs and exits 3
         keys = dict(h="1/64", a="1", R="2", gamma="0.2", s_list="0.75,0.9", amplitude="4", max_iter="1")
         grid = make_grid(GridSpec(h=1 / 64, a=1.0, R=2.0))
         rows, local_rep = dc.s_limit_study(
             grid, [0.75, 0.9], ReactionSpec(gamma=0.2), dc.odd_exterior_builder(grid, "ramp", 4.0), dc.SolverConfig(max_iter=1)
         )
-        assert local_rep.converged and not any(row.converged for row in rows)
+        assert local_rep.converged and not any(row.report.converged for row in rows)
         cfg = write_config(tmp_path / "sl.cfg", **keys)
         out = tmp_path / "out"
         assert main(["slimit", "--config", cfg, "--out", str(out)]) == 3
@@ -314,7 +314,7 @@ class TestModes:
         out = tmp_path / "out"
         assert main(["slimit", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "sl_slimit.csv").read_text().splitlines()
-        assert lines[0] == "s,distance,slope"
+        assert lines[0] == "s,distance"
         assert len(lines) == 3
 
     def test_validate_ok(self, tmp_path, capsys):
@@ -331,6 +331,65 @@ class TestModes:
         captured = capsys.readouterr()
         assert "status=error" in captured.out
         assert (out / "v_validate.meta").exists()
+
+
+def _validate(tmp_path, s, gamma):
+    """Run ``deadcore validate`` on s and gamma: its exit code and the lines of its .meta."""
+    cfg = write_config(tmp_path / "v.cfg", s=s, gamma=gamma)
+    out = tmp_path / "out"
+    code = main(["validate", "--config", cfg, "--out", str(out)])
+    return code, (out / "v_validate.meta").read_text().splitlines()
+
+
+class TestValidateParams:
+    """validate reports s and gamma against the solver's ranges, or the two rates."""
+
+    def test_good_parameters_ok(self, tmp_path, capsys):
+        code, meta = _validate(tmp_path, "0.75", "0.2")
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == meta[:1]
+        assert meta == [
+            "status=ok s=0.75 gamma=0.20000000000000001 growth=1.875 schauder=1.7", "seed=0"
+        ]
+
+    def test_no_regime_is_printed(self, tmp_path, capsys):
+        # below, inside and above the band 1 - gamma <= s <= 1 - gamma/2 alike
+        for s in ("0.75", "0.85", "0.95"):
+            code, meta = _validate(tmp_path, s, "0.2")
+            assert code == 0
+            (line,) = capsys.readouterr().out.splitlines()
+            assert [field.partition("=")[0] for field in line.split()] == ["status", "s", "gamma", "growth", "schauder"]
+
+    def test_old_indeterminate_band_prints_one_ok_line(self, tmp_path, capsys):
+        # (0.85, 0.2) used to add a status=warning line and nu=indeterminate
+        code, meta = _validate(tmp_path, "0.85", "0.2")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == meta[:1] and len(meta) == 2
+        assert out.startswith("status=ok ") and "nu=" not in out and "warning" not in out
+
+    def test_row_values_consistent(self, tmp_path, capsys):
+        code, _ = _validate(tmp_path, "0.8", "0.25")
+        assert code == 0
+        fields = dict(field.split("=") for field in capsys.readouterr().out.split())
+        assert float(fields["growth"]) == dc.growth_exponent(0.8, 0.25)
+        assert float(fields["schauder"]) == dc.schauder_exponent(0.8, 0.25)
+
+    def test_bad_gamma(self, tmp_path, capsys):
+        code, meta = _validate(tmp_path, "0.75", "0.5")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == meta[:1] == [
+            "status=error message=gamma must lie strictly in (0, 1/3), got 0.5"
+        ]
+        assert "invalid parameters" in captured.err
+
+    def test_bad_s(self, tmp_path, capsys):
+        code, meta = _validate(tmp_path, "0.3", "0.2")
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == meta[:1] == [
+            "status=error message=s must lie in [0.5, 0.999), got 0.3"
+        ]
 
 
 class TestDryRun:
@@ -367,8 +426,8 @@ class TestDryRun:
              "blowup", "compare", "liouville", "slimit"],
     )
     def test_every_mode_checks_its_parameters(self, tmp_path, capsys, mode, keys, bad):
-        # at h = 1/16 the default fit window [8h, a/4] of exponent and slimit is empty
-        base = dict(h="1/64" if mode in ("exponent", "slimit") else "1/16", a="1", R="2", gamma="0.2")
+        # at h = 1/16 exponent's default fit window [8h, a/4] is empty
+        base = dict(h="1/64" if mode == "exponent" else "1/16", a="1", R="2", gamma="0.2")
         if mode not in ("solve-local", "slimit") and keys.get("operator") != "local":
             base["s"] = "0.75"
         good = write_config(tmp_path / "good.cfg", **{**base, **keys})
@@ -472,8 +531,6 @@ class TestDryRunMatchesTheRun:
             ("exponent", "fit_rmax", "1/32"),
             # beyond R = 2: the fit window holds no node
             ("exponent", "x0", "100"),
-            # a/h = 32: slimit's fit window [8h, a/4] is empty
-            ("slimit", "h", "1/32"),
             # a/h = 8: only two doubling radii, 4h and 8h
             ("liouville", "h", "1/8"),
         ],
@@ -488,6 +545,18 @@ class TestDryRunMatchesTheRun:
             assert main([mode, "--config", bad, "--out", out, "--dry-run"]) == 2
             assert main([mode, "--config", bad, "--out", out]) == 2
         assert not os.path.exists(out)
+
+    def test_slimit_needs_no_fit_window(self, tmp_path, capsys):
+        # slimit fits no growth rate: a/h = 32, whose default fit window
+        # [8h, a/4] is empty, passes --dry-run and runs
+        cfg = write_config(tmp_path / "sl.cfg", **{**_BASES["slimit"], "h": "1/32"})
+        out = tmp_path / "out"
+        assert main(["slimit", "--config", cfg, "--out", str(out), "--dry-run"]) == 0
+        assert not out.exists()
+        assert main(["slimit", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = (out / "sl_slimit.csv").read_text().splitlines()
+        assert header == "s,distance"
+        assert [row.split(",")[0] for row in rows] == ["0.75", "0.90000000000000002"]
 
     @pytest.mark.parametrize(
         "operator, key, value",
@@ -605,6 +674,21 @@ class TestJobs:
         argv = ["solve", "--config", cfgs[0], "--config", cfgs[1], "--out", str(tmp_path), "--dry-run"]
         assert main(argv + ["--jobs", "64"]) == 0
         assert sizes == [2]
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_repeated_config_stem_exits_2_and_writes_nothing(self, tmp_path, capsys, dry_run):
+        # a/run.cfg and b/run.cfg both write run_solve.*: the second run used
+        # to overwrite the first, and with --jobs 2 the two writes raced
+        for sub, amplitude in (("a", "1"), ("b", "2")):
+            (tmp_path / sub).mkdir()
+            write_config(tmp_path / sub / "run.cfg", **{**SOLVE_KEYS, "amplitude": amplitude})
+        out = tmp_path / "out"
+        argv = ["solve", "--config", str(tmp_path / "a" / "run.cfg"), "--config", str(tmp_path / "b" / "run.cfg")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)] + ["--dry-run"] * dry_run)
+        assert exc.value.code == 2
+        assert "stem" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):

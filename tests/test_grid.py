@@ -86,8 +86,10 @@ class TestTailModel:
             assert TailModel.parse(tail.encode()) == tail
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError, match="cannot parse"):
-            TailModel.parse("linear:3")
+        # a wrong count of numbers, or none, used to raise Python's own message
+        for text in ("linear:3", "power:1,2,3", "power:1", "const:", "const:1,2", "zero:", "power:a,b"):
+            with pytest.raises(ValueError, match="cannot parse"):
+                TailModel.parse(text)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown tail kind"):

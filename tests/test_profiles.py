@@ -1,4 +1,4 @@
-"""Reference profiles, exponent formulas, and parameter validation."""
+"""Reference profiles, exponent formulas, and exterior data builders."""
 
 import numpy as np
 import pytest
@@ -82,22 +82,6 @@ class TestGetoorProfile:
         assert dc.getoor_constant(0.75) == pytest.approx(1.329340388179137, rel=1e-12)
 
 
-class TestExponentTable:
-    def test_regime_classification(self):
-        # order-1 vanishing for s < 1 - gamma, order-2 for s > 1 - gamma/2,
-        # indeterminate in between
-        rows = [row for s in (0.75, 0.85, 0.95) for row in dc.validate_params(s, 0.2).rows]
-        by_s = {r.s: r for r in rows}
-        assert by_s[0.75].nu == 1
-        assert by_s[0.85].nu is None
-        assert by_s[0.95].nu == 2
-
-    def test_row_values_consistent(self):
-        (row,) = dc.validate_params(0.8, 0.25).rows
-        assert row.growth == pytest.approx(dc.growth_exponent(0.8, 0.25))
-        assert row.schauder == pytest.approx(dc.schauder_exponent(0.8, 0.25))
-
-
 class TestOddExteriorBuilder:
     def test_ramp_shape(self):
         grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=4.0))
@@ -124,25 +108,3 @@ class TestOddExteriorBuilder:
         grid = make_grid(GridSpec(h=1 / 16, a=1.0, R=2.0))
         with pytest.raises(ValueError, match="kind"):
             dc.odd_exterior_builder(grid, "sawtooth", 1.0)
-
-
-class TestValidateParams:
-    def test_good_parameters_ok(self):
-        rep = dc.validate_params(0.75, 0.2)
-        assert rep.errors == []
-        assert len(rep.rows) == 1
-
-    def test_bad_gamma(self):
-        rep = dc.validate_params(0.75, 0.5)
-        assert rep.errors
-        assert any("gamma" in e for e in rep.errors)
-
-    def test_bad_s(self):
-        rep = dc.validate_params(0.3, 0.2)
-        assert rep.errors
-        assert any("s" in e for e in rep.errors)
-
-    def test_indeterminate_regime_warns(self):
-        rep = dc.validate_params(0.85, 0.2)
-        assert not rep.errors
-        assert any("indeterminate" in w for w in rep.warnings)

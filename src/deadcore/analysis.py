@@ -125,8 +125,6 @@ class ExponentFit:
     slope: float
     intercept: float
     r2: float
-    radii: np.ndarray
-    values: np.ndarray
     deriv_order: int
 
 
@@ -204,8 +202,6 @@ def fit_growth_exponent(
         slope=float(slope),
         intercept=float(intercept),
         r2=float(r2),
-        radii=radii,
-        values=vals,
         deriv_order=deriv_order,
     )
 

@@ -101,7 +101,7 @@ _FAN = np.arange(1, 33)
 
 
 def roots(d, q, gamma, one_phase):
-    """Exact roots t of d*t + f(t) = q on every lane of the 1-D array q; d, gamma and one_phase broadcast.
+    """Exact roots t of d*t + f(t) = q on every lane of the 1-D array q; d, gamma and one_phase are one number each.
 
     f(t) = sgn(t)|t|^gamma (d > 0, 0 < gamma < 1); in one-phase mode f
     vanishes for t <= 0, so q <= 0 gives exactly q/d.  The two-phase root is
@@ -109,20 +109,18 @@ def roots(d, q, gamma, one_phase):
     snapped zero from turning into -0.0.
     """
     q = np.asarray(q, dtype=float)
-    d, gamma = (np.broadcast_to(np.asarray(x, dtype=float), q.shape) for x in (d, gamma))
-    one_phase = np.broadcast_to(np.asarray(one_phase, dtype=bool), q.shape)
     linear = one_phase & (q <= 0.0)
     lanes = np.flatnonzero(~linear & (q != 0.0))
     with np.errstate(all="ignore"):  # q/d may overflow, and probes near the ends of the range do
         out = np.where(linear, q / d, 0.0)
-        t = _least_passing(d[lanes], np.abs(q[lanes]), gamma[lanes])
+        t = _least_passing(d, np.abs(q[lanes]), gamma)
     t = np.where(t < _SNAP, 0.0, t)
     out[lanes] = np.where(q[lanes] < 0.0, 0.0 - t, t)
     return out
 
 
 def _least_passing(d, q, gamma):
-    """The root before the snap on lanes of q > 0: the least double in (0, q/d] that passes the sign test.
+    """The root before the snap on lanes of the array q > 0: the least double in (0, q/d] that passes the sign test.
 
     Where that double lies below 1e-280 the result is some double below
     1e-280 that passes, or q/d itself, and the caller snaps it to 0.0.
@@ -136,7 +134,7 @@ def _least_passing(d, q, gamma):
     lo, hi = _narrow(centre + _WINDOW[:, None], np.minimum(hi, _FLOOR) - 1, hi, d, q, gamma)
     out = hi.view(np.float64)
     lanes = np.flatnonzero(hi - lo > 1)
-    d, q, gamma, centre, lo, hi = (a[lanes] for a in (d, q, gamma, centre, lo, hi))
+    q, centre, lo, hi = (a[lanes] for a in (q, centre, lo, hi))
     k = 0
     while lanes.size:
         if k < len(_CENTRED):
@@ -146,7 +144,7 @@ def _least_passing(d, q, gamma):
         lo, hi = _narrow(probes.T, lo, hi, d, q, gamma)
         out[lanes] = hi.view(np.float64)
         keep = hi - lo > 1
-        lanes, d, q, gamma, centre, lo, hi = (a[keep] for a in (lanes, d, q, gamma, centre, lo, hi))
+        lanes, q, centre, lo, hi = (a[keep] for a in (lanes, q, centre, lo, hi))
         k += 1
     return out
 
@@ -196,20 +194,19 @@ def _narrow(probes, lo, hi, d, q, gamma):
 def gs_polish_red_black(matvec, d, b, u, Au, gamma, one_phase):
     """One in-place red-black sweep for the system A u + b + f(u) = 0; returns u.
 
-    matvec(v) is A v, d is A's diagonal (an array or one number) and Au is
-    A u at the u passed in.  Each colour c (even indices, then odd) takes
-    the exact roots of all its nodes at once, from the current A u; between
-    the colours A u moves by the even step's A delta.  u and Au are updated
-    in place, and Au is left as A u after the even colour: the odd step's
+    matvec(v) is A v, d the one number on A's diagonal and Au is A u at
+    the u passed in.  Each colour c (even indices, then odd) takes the
+    exact roots of all its nodes at once, from the current A u; between the
+    colours A u moves by the even step's A delta.  u and Au are updated in
+    place, and Au is left as A u after the even colour: the odd step's
     A delta is not formed.  u, b and Au may hold one system per row (K x N,
     one lane each, sharing A): a colour then takes the roots of all lanes in
     one ``roots`` call, and matvec must multiply each row by A.
     """
-    d = np.broadcast_to(d, u.shape)
     for c in (0, 1):
-        uc, dc = u[..., c::2], d[..., c::2]
-        q = dc * uc - Au[..., c::2] - b[..., c::2]
-        t = roots(dc.ravel(), q.ravel(), gamma, one_phase).reshape(q.shape)
+        uc = u[..., c::2]
+        q = d * uc - Au[..., c::2] - b[..., c::2]
+        t = roots(d, q.ravel(), gamma, one_phase).reshape(q.shape)
         if c == 0:  # after the odd colour nothing reads A u
             delta = np.zeros(u.shape)
             delta[..., ::2] = t - uc

@@ -451,11 +451,6 @@ def _dots(x, y):
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _rows(mask):
-    """An index of the rows where mask holds: a slice, with no copy, when it holds on all."""
-    return slice(None) if mask.all() else mask
-
-
 def _evaluate(system, b, h, v, gamma, one_phase):
     """Residual A v + b + f(v), energy J(v), f(v) and A v from one matvec and one f(v).
 
@@ -536,27 +531,26 @@ def _newton(system, u, r, f, floor, gamma, one_phase):
     for i in range(len(u)):
         delta[i] = system.solve(free[i], dd[i], -r[i])
     t = np.zeros(len(u))
-    down = _dots(r, delta) < 0.0  # the lanes whose step descends
-    if down.any():
-        k = _rows(down)
+    k = _dots(r, delta) < 0.0  # the lanes whose step descends
+    if k.any():
         uk, dk = u[k], delta[k]
         t[k] = _step(uk, dk, uk * f[k] / (1.0 + gamma), _dots(dk, r[k] - f[k]),
                      0.5 * _dots(dk, system.matvec(dk)), gamma, one_phase)
-    moves = t > 0.0
-    moved = bool(moves.any())
-    if moved:
-        k = _rows(moves)
-        u[k] = np.maximum(u[k] + t[k, None] * delta[k], floor[k])
-    return moved
+    k = t > 0.0  # the lanes that move
+    u[k] = np.maximum(u[k] + t[k, None] * delta[k], floor[k])
+    return bool(k.any())
 
 
-def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, start=None):
-    """Smoother + truncated Newton iteration on a batch of lanes.
+def _iterate(system, b, grid: Grid, gs, s, reaction: ReactionSpec, config, start=None) -> list[SolveReport]:
+    """Smoother + truncated Newton iteration on a batch of lanes; one SolveReport per lane.
 
-    b holds one data set per row (K x N), clip one flag per lane and start
-    (None: the linear solves) one starting row per lane; each lane starts
-    from its row, clipped if its flag is set.  Returns one (u, iters,
-    residual trace, energy trace, converged) per lane.
+    b holds one lane per row (K x N) and gs its data set, and start (None:
+    the linear solves) one starting row per lane.  A lane is clipped at zero
+    (the module docstring) when its data set is one-phase and nonnegative:
+    every exterior value and the tail's c (0 for a zero tail) at least 0.  A
+    lane starts from its row, clipped if it is, and is reported as its u on
+    ``grid`` with its data set's exterior values and tail, with s and the
+    reaction.
     Every lane meets its own stopping rule and then leaves the batch, frozen;
     it stops, not converged, at the first residual or energy that is not
     finite: data whose products overflow would otherwise pass the stopping
@@ -578,13 +572,15 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
     sweep commutes with negation and the root is odd, so data -g gives
     exactly -u.
     """
+    config = config or SolverConfig()
     gamma, one_phase = reaction.gamma, reaction.one_phase
+    clip = [one_phase and bool((g.exterior_values >= 0).all() and g.tail.c >= 0.0) for g in gs]
     floor = np.where(clip, 0.0, -np.inf)[:, None]  # each lane's clip: u = max(u, floor)
     if start is None:
         every = np.ones(b.shape[1], dtype=bool)
         start = np.array([system.solve(every, np.zeros_like(row), -row) for row in b])
     u = np.maximum(start, floor)
-    r, J, f, Au = _evaluate(system, b, h, u, gamma, one_phase)
+    r, J, f, Au = _evaluate(system, b, grid.h, u, gamma, one_phase)
     lanes = list(range(b.shape[0]))  # the lane of each live row
     traces = [([], []) for _ in lanes]
     out = [None] * len(lanes)
@@ -599,7 +595,20 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
             finite = math.isfinite(rn[i]) and math.isfinite(J[i])
             ok = finite and bool(rn[i] <= tol[i])
             if ok or not finite or it == config.max_iter:
-                out[k] = (u[i].copy(), it, np.array(r_trace), np.array(j_trace), ok)
+                v = gs[k].values.copy()
+                v[grid.interior] = u[i]
+                out[k] = SolveReport(
+                    solution=GridFunction(grid, v, gs[k].tail),
+                    converged=ok,
+                    iterations=it,
+                    residual_inf=float(rn[i]),
+                    energy=float(J[i]),
+                    residual_trace=np.array(r_trace),
+                    energy_trace=np.array(j_trace),
+                    s=s,
+                    gamma=gamma,
+                    mode=reaction.mode,
+                )
             else:
                 live.append(i)
         if not live:
@@ -609,38 +618,9 @@ def _iterate(system, b, h, reaction: ReactionSpec, config: SolverConfig, clip, s
             b, floor, u, Au = b[live], floor[live], u[live], Au[live]
 
         u = np.maximum(kernels.gs_polish_red_black(system.matvec, system.diagonal, b, u, Au, gamma, one_phase), floor)
-        r, J, f, Au = _evaluate(system, b, h, u, gamma, one_phase)
+        r, J, f, Au = _evaluate(system, b, grid.h, u, gamma, one_phase)
         if _newton(system, u, r, f, floor, gamma, one_phase):
-            r, J, f, Au = _evaluate(system, b, h, u, gamma, one_phase)
-
-
-def _solve(system, b, grid: Grid, gs, s, reaction, config, start=None) -> list[SolveReport]:
-    """Iterate on ``system`` from ``start``, one lane per row of b and data set of gs;
-    report each lane's u on ``grid`` with its data set's exterior values and tail.
-
-    A lane is clipped at zero (the module docstring) when its data set is
-    one-phase and nonnegative: every exterior value and the tail's c (0 for
-    a zero tail) at least 0.
-    """
-    reports = []
-    clip = [reaction.one_phase and bool((g.exterior_values >= 0).all() and g.tail.c >= 0.0) for g in gs]
-    lanes = _iterate(system, b, grid.h, reaction, config or SolverConfig(), clip, start)
-    for (u, iters, r_trace, j_trace, ok), g in zip(lanes, gs):
-        v = g.values.copy()
-        v[grid.interior] = u
-        reports.append(SolveReport(
-            solution=GridFunction(grid, v, g.tail),
-            converged=ok,
-            iterations=iters,
-            residual_inf=float(r_trace[-1]),
-            energy=float(j_trace[-1]),
-            residual_trace=r_trace,
-            energy_trace=j_trace,
-            s=s,
-            gamma=reaction.gamma,
-            mode=reaction.mode,
-        ))
-    return reports
+            r, J, f, Au = _evaluate(system, b, grid.h, u, gamma, one_phase)
 
 
 def solve(
@@ -667,13 +647,24 @@ def solve_many(
     """``solve`` for each data set of gs, as one batch of lanes; one report per data set.
 
     The lanes share op, and each report is the one ``solve`` gives for its
-    data set alone (the module docstring).  Non-finite data in any of gs
-    (check_finite), or data on another grid than op's (op.load_vector),
-    raise ValueError before any lane iterates; no data sets give no reports.
+    data set alone (the module docstring).  On a grid that nests, the batch
+    starts from its own solve_many of the same data on the coarse grid.
+    Non-finite data in any of gs (check_finite), or data on another grid
+    than op's (op.load_vector), raise ValueError before any level iterates;
+    no data sets give no reports.
     """
     for g in gs:
         check_finite(g.values, g.tail.c, g.tail.p)
-    return _solve_nested(op, gs, reaction, config) if gs else []
+    if not gs:
+        return []
+    b = np.array([op.load_vector(g) for g in gs])
+    start = None
+    coarse = _coarse_spec(op.grid.spec)
+    if coarse is not None:
+        grid = make_grid(coarse)
+        reps = solve_many(assemble(grid, op.s), [GridFunction(grid, g.values[::2], g.tail) for g in gs], reaction, config)
+        start = np.array([np.interp(op.grid.x_interior, grid.x, rep.solution.values) for rep in reps])
+    return _iterate(_DenseSystem(op.row), b, op.grid, gs, op.s, reaction, config, start)
 
 
 def _coarse_spec(spec: GridSpec) -> GridSpec | None:
@@ -682,23 +673,6 @@ def _coarse_spec(spec: GridSpec) -> GridSpec | None:
     if na % 2 or nR % 2 or na - 1 < _NEST_MIN:
         return None
     return GridSpec(2 * spec.h, spec.a, spec.R)
-
-
-def _solve_nested(op: FracLapOperator, gs, reaction, config) -> list[SolveReport]:
-    """solve_many without the finiteness check: the same data on the coarse grid first, if any.
-
-    The load b is formed first, so data on another grid fail load_vector's
-    check before any level solves.
-    """
-    b = np.array([op.load_vector(g) for g in gs])
-    start = None
-    coarse = _coarse_spec(op.grid.spec)
-    if coarse is not None:
-        grid = make_grid(coarse)
-        coarse_gs = [GridFunction(grid, g.values[::2], g.tail) for g in gs]
-        reps = _solve_nested(assemble(grid, op.s), coarse_gs, reaction, config)
-        start = np.array([np.interp(op.grid.x_interior, grid.x, rep.solution.values) for rep in reps])
-    return _solve(_DenseSystem(op.row), b, op.grid, gs, op.s, reaction, config, start)
 
 
 def local_operator(grid: Grid) -> _TridiagSystem:
@@ -741,11 +715,11 @@ def solve_local(
     boundary gives the Dirichlet values at -a and +a.  The report's exterior
     values continue the boundary values as plateaus with a zero tail; they
     do not enter the local operator, whose data term is local_load.  They
-    are the data set that decides the clip, as for a nonlocal solve (_solve).
+    are the data set that decides the clip, as for a nonlocal solve (_iterate).
     The report's s is 1 for local runs.  Boundary values that are not
     finite, or whose load u/h^2 overflows, raise ValueError (local_load).
     """
     system = local_operator(grid)
     b = local_load(grid, boundary)
     g = GridFunction(grid, np.where(grid.x < 0, float(boundary[0]), float(boundary[1])), TailModel.zero())
-    return _solve(system, b[None], grid, [g], 1.0, reaction, config)[0]
+    return _iterate(system, b[None], grid, [g], 1.0, reaction, config)[0]

@@ -1,6 +1,7 @@
 """Command-line front end: config parsing, modes, exit codes, determinism."""
 
 import contextlib
+import io
 import os
 import shutil
 import subprocess
@@ -171,8 +172,28 @@ _CONFIG_TEXT = st.tuples(
 ).map(lambda t: "".join(f"{k} = {v}\n" for k, v in {**t[0], **t[1]}.items()) + "\n".join(t[2]))
 
 
+_SOLVE_OPTIONAL = cli._MODE_TABLE["solve"][2].split()
+# h, a and R from pools whose grids are small, or so large that numpy refuses
+# them at once; h = 1e-300 to 1e-160 on a = 10h probes the scale rule h^(-2s)
+_SOLVE_TEXT = st.tuples(
+    st.fixed_dictionaries({
+        "h": st.sampled_from(["1/16", "1/64", "0.3", "1e-300", "1e-200", "1e-160", "1e-320", "0", "-1/16", "1/0"]),
+        "a": st.sampled_from(["1", "2", "1e-299", "1e-199", "1e-159", "1e-318", "-1", "one"]),
+        "s": st.sampled_from(["0.5", "0.75", "0.95", "0.3", "0.999"]) | _NUMBER,
+        "gamma": st.sampled_from(["0.2", "0.01", "0.5", "1/3"]) | _NUMBER,
+    }),
+    st.dictionaries(
+        st.sampled_from(_SOLVE_OPTIONAL),
+        st.sampled_from(["4", "2e-298", "1e300", "one_phase", "plateau", "const", "power:1,0.5", "power:1,-2"])
+        | _NUMBER,
+        max_size=3,
+    ),
+).map(lambda t: "".join(f"{k} = {v}\n" for k, v in {**t[0], **t[1]}.items()))
+
+
 class TestAnyConfigText:
-    """validate and --dry-run exit with 0, 2 or 3 on any config text."""
+    """validate and --dry-run exit with 0, 2 or 3 on any config text, and
+    validate refuses a config of solve's keys exactly where solve --dry-run does."""
 
     @given(text=_CONFIG_TEXT)
     @example(text="s = 0.75\ngamma = 0.2\nh = 1/0\na = 1\n")
@@ -192,6 +213,20 @@ class TestAnyConfigText:
                 except SystemExit as exc:
                     code = exc.code
                 assert code in (0, 2, 3)
+
+    @given(text=_SOLVE_TEXT)
+    # validate printed status=ok here, while solve refused the overflowing h^(-2s)
+    @example(text="h = 1e-300\na = 1e-299\ns = 0.75\ngamma = 0.2\n")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_validate_exits_as_solve_dry_run(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "out")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes = [main([*argv, "--config", path, "--out", out]) for argv in (["validate"], ["solve", "--dry-run"])]
+            assert codes[0] == codes[1]
 
 
 class TestModes:
@@ -325,24 +360,25 @@ class TestModes:
         assert (out / "v_validate.meta").exists()
 
     def test_validate_bad_params_exits_2_but_reports(self, tmp_path, capsys):
+        # the run's own error: one line on stderr, and nothing written
         cfg = write_config(tmp_path / "v.cfg", h="1/16", a="1", s="0.3", gamma="0.2")
         out = tmp_path / "out"
         assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert "status=error" in captured.out
-        assert (out / "v_validate.meta").exists()
+        assert captured.out == "" and captured.err == "error: s must lie in [0.5, 0.999)\n"
+        assert not out.exists()
 
 
 def _validate(tmp_path, s, gamma):
-    """Run ``deadcore validate`` on s and gamma: its exit code and the lines of its .meta."""
+    """Run ``deadcore validate`` on s and gamma: its exit code and the lines of its .meta, if it wrote one."""
     cfg = write_config(tmp_path / "v.cfg", s=s, gamma=gamma)
-    out = tmp_path / "out"
-    code = main(["validate", "--config", cfg, "--out", str(out)])
-    return code, (out / "v_validate.meta").read_text().splitlines()
+    meta = tmp_path / "out" / "v_validate.meta"
+    code = main(["validate", "--config", cfg, "--out", str(meta.parent)])
+    return code, meta.read_text().splitlines() if meta.exists() else None
 
 
 class TestValidateParams:
-    """validate reports s and gamma against the solver's ranges, or the two rates."""
+    """validate prints the two rates of s and gamma, or refuses them as a run does."""
 
     def test_good_parameters_ok(self, tmp_path, capsys):
         code, meta = _validate(tmp_path, "0.75", "0.2")
@@ -377,19 +413,15 @@ class TestValidateParams:
 
     def test_bad_gamma(self, tmp_path, capsys):
         code, meta = _validate(tmp_path, "0.75", "0.5")
-        assert code == 2
+        assert code == 2 and meta is None
         captured = capsys.readouterr()
-        assert captured.out.splitlines() == meta[:1] == [
-            "status=error message=gamma must lie strictly in (0, 1/3), got 0.5"
-        ]
-        assert "invalid parameters" in captured.err
+        assert captured.out == "" and captured.err == "error: gamma must lie strictly in (0, 1/3)\n"
 
     def test_bad_s(self, tmp_path, capsys):
         code, meta = _validate(tmp_path, "0.3", "0.2")
-        assert code == 2
-        assert capsys.readouterr().out.splitlines() == meta[:1] == [
-            "status=error message=s must lie in [0.5, 0.999), got 0.3"
-        ]
+        assert code == 2 and meta is None
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: s must lie in [0.5, 0.999)\n"
 
 
 class TestDryRun:
@@ -482,10 +514,11 @@ class TestDryRun:
         assert "status=ok" not in captured.out
 
     def test_validate_dry_run_prints_without_files(self, tmp_path, capsys):
+        # the dry-run line of every mode, and no status line
         cfg = write_config(tmp_path / "v.cfg", **SOLVE_KEYS)
         out = tmp_path / "out"
         assert main(["validate", "--config", cfg, "--out", str(out), "--dry-run"]) == 0
-        assert "status=ok" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"dry-run: {cfg} -> validate outputs v_validate.* in {out}\n"
         assert not out.exists()
 
 

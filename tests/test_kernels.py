@@ -71,6 +71,20 @@ def _columns(draws):
     return tuple(np.array(c) for c in zip(*draws))
 
 
+def _runs(d, gamma, one_phase):
+    """The number of each lane's run: adjacent lanes that share d, gamma and one_phase."""
+    one_phase = np.broadcast_to(one_phase, d.shape)
+    return np.cumsum(np.r_[0, (d[1:] != d[:-1]) | (gamma[1:] != gamma[:-1]) | (one_phase[1:] != one_phase[:-1])])
+
+
+def _grouped_roots(d, q, gamma, one_phase):
+    """kernels.roots on lanes given as columns: one call per run of lanes that share d, gamma and one_phase."""
+    one_phase = np.broadcast_to(one_phase, q.shape)
+    starts = np.flatnonzero(np.diff(_runs(d, gamma, one_phase), prepend=-1))
+    ends = np.r_[starts[1:], q.size]
+    return np.concatenate([roots(d[a], q[a:b], gamma[a], one_phase[a]) for a, b in zip(starts, ends)])
+
+
 class TestScalarRoot:
     def test_solves_coordinate_equation(self):
         for d, q, gamma in [(2.0, 1.0, 0.2), (5.0, -3.0, 0.3), (1.0, 1e-4, 0.1)]:
@@ -90,7 +104,7 @@ class TestScalarRoot:
         # exactly, on every two-phase lane, in one call and one lane at a
         # time, and a root that snaps to zero is +0.0 on both sides
         d, q, gamma, _ = _columns([a for a in _root_draws() if not a[3]])
-        pos, neg = roots(d, q, gamma, False), roots(d, -q, gamma, False)
+        pos, neg = _grouped_roots(d, q, gamma, False), _grouped_roots(d, -q, gamma, False)
         np.testing.assert_array_equal(neg, -pos)
         assert not np.signbit(np.r_[pos, neg][np.r_[pos, neg] == 0.0]).any()
         for di, qi, gi, _ in self.EDGES:
@@ -117,7 +131,7 @@ class TestScalarRoot:
         # the root and t passes (q/d passes unevaluated), and t is 0.0
         # exactly when the double before 1e-280 passes
         d, q, gamma, one_phase = _columns(_root_draws())
-        t = roots(d, q, gamma, one_phase)
+        t = _grouped_roots(d, q, gamma, one_phase)
         lanes = ~(one_phase & (q <= 0.0)) & (q != 0.0)
         d, q, gamma, t = d[lanes], np.abs(q[lanes]), gamma[lanes], np.abs(t[lanes])
         with np.errstate(over="ignore"):  # q/d overflows on one edge
@@ -183,20 +197,27 @@ class TestScalarRoot:
         assert np.flatnonzero(t.view(np.int64) != ref.view(np.int64)).tolist() == []
 
 
+_RUN = 400
+
+
 def _root_draws():
-    """(d, q, gamma, one_phase) lanes: seeded draws over the solver's range, and the edges."""
+    """(d, q, gamma, one_phase) lanes: seeded draws over the solver's range, and the edges.
+
+    The draws come in runs of _RUN lanes that share d, gamma and one_phase,
+    as the lanes of one roots call do.
+    """
     rng = np.random.default_rng(20261018)
     n = 200_000
-    d = 10.0 ** rng.uniform(-2.0, 7.0, n)
+    d = np.repeat(10.0 ** rng.uniform(-2.0, 7.0, n // _RUN), _RUN)
     q = 10.0 ** rng.uniform(-300.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
-    gamma = rng.uniform(0.01, 0.33, n)
-    one_phase = rng.random(n) < 0.5
+    gamma = np.repeat(rng.uniform(0.01, 0.33, n // _RUN), _RUN)
+    one_phase = np.repeat(rng.random(n // _RUN) < 0.5, _RUN)
     draws = list(zip(d.tolist(), q.tolist(), gamma.tolist(), one_phase.tolist()))
     # roots from 1e-80 to 1e-5, down to about 1e40 below q/d
     m = 20_000
     t = 10.0 ** rng.uniform(-80.0, -5.0, m)
-    d = 10.0 ** rng.uniform(-2.0, 7.0, m)
-    gamma = rng.uniform(0.01, 0.33, m)
+    d = np.repeat(10.0 ** rng.uniform(-2.0, 7.0, m // _RUN), _RUN)
+    gamma = np.repeat(rng.uniform(0.01, 0.33, m // _RUN), _RUN)
     q = (d * t + t**gamma) * rng.choice([-1.0, 1.0], m)
     draws += list(zip(d.tolist(), q.tolist(), gamma.tolist(), [False] * m))
     return draws + TestScalarRoot.EDGES
@@ -208,14 +229,17 @@ class TestRoots:
     def test_matches_the_reference_on_every_lane(self):
         d, q, gamma, one_phase = _columns(_root_draws())
         ref = _reference_roots(d, q, gamma, one_phase)
-        t = roots(d, q, gamma, one_phase)
+        t = _grouped_roots(d, q, gamma, one_phase)
         assert np.flatnonzero(t.view(np.int64) != ref.view(np.int64)).tolist() == []
-        # the same lanes in another order and in calls of 1 to 300 lanes
-        order = np.random.default_rng(5).permutation(q.size)
+        # the same lanes in another order, the runs shuffled and each run's
+        # lanes shuffled within it, and in calls of 1 to 300 lanes
+        rng = np.random.default_rng(5)
+        runs = _runs(d, gamma, one_phase)
+        order = np.lexsort((rng.random(q.size), rng.permutation(runs[-1] + 1)[runs]))
         ends = np.cumsum(np.random.default_rng(6).integers(1, 301, q.size))
         ends = np.r_[0, ends[ends < q.size], q.size]
         shuffled = np.concatenate(
-            [roots(d[i], q[i], gamma[i], one_phase[i]) for i in (order[a:b] for a, b in zip(ends, ends[1:]))]
+            [_grouped_roots(d[i], q[i], gamma[i], one_phase[i]) for i in (order[a:b] for a, b in zip(ends, ends[1:]))]
         )
         np.testing.assert_array_equal(shuffled.view(np.int64), t[order].view(np.int64))
 
@@ -233,7 +257,7 @@ class TestRoots:
             moved = [np.r_[offsets[:-1] + shift, 0] for offsets in (kernels._WINDOW, *kernels._CENTRED)]
             monkeypatch.setattr(kernels, "_WINDOW", moved[0])
             monkeypatch.setattr(kernels, "_CENTRED", tuple(moved[1:]))
-        t = roots(d, q, gamma, one_phase)
+        t = _grouped_roots(d, q, gamma, one_phase)
         ref = _reference_roots(d, q, gamma, one_phase)
         np.testing.assert_array_equal(t.view(np.int64), ref.view(np.int64))
 
@@ -324,7 +348,7 @@ class TestNumpyKernelsMatchReferenceLoops:
             delta = np.zeros(n)
             for i in range(colour, n, 2):
                 q = A[i, i] * u[i] - Au[i] - b[i]
-                t = roots(A[i, i : i + 1], np.array([q]), gamma, one_phase)[0]
+                t = roots(A[i, i], np.array([q]), gamma, one_phase)[0]
                 delta[i] = t - u[i]
                 u[i] = t
             Au = Au + matvec(delta[None])[0]
@@ -341,7 +365,7 @@ class TestNumpyKernelsMatchReferenceLoops:
         np.testing.assert_array_equal(u, ref)
 
     def _check_red_black(self, A, matvec, d, b, u0, one_phase):
-        # the sweep runs on a one-lane stack, as the solver's do
+        # the sweep runs on a one-lane stack, as the solver's do, with the one number d on A's diagonal
         ref = u0.copy()
         for _ in range(3):
             ref = self._red_black_loop(A, matvec, b, ref, 0.25, one_phase)
@@ -358,11 +382,13 @@ class TestNumpyKernelsMatchReferenceLoops:
 
     @pytest.mark.parametrize("one_phase", [False, True])
     def test_red_black_dense(self, one_phase):
-        # a dense A couples nodes of one colour; the sweep's arithmetic is the same
+        # a dense A couples nodes of one colour; the sweep's arithmetic is the
+        # same.  A keeps one number on its diagonal, as a Toeplitz operator does
         A, b, u0 = _small_problem(17)
         M = np.random.default_rng(17).random(A.shape)
+        np.fill_diagonal(M, 0.0)
         A = A + 0.01 * (M + M.T)
-        self._check_red_black(A, lambda v: v @ A, A.diagonal(), b, u0, one_phase)  # A is symmetric
+        self._check_red_black(A, lambda v: v @ A, A[0, 0], b, u0, one_phase)  # A is symmetric
 
 
 class TestRedBlackSweep:
